@@ -6,50 +6,30 @@ coefficient sum of the form
     S(theta, p) = (1/2pi) * sum_{m,n} A[m,n] * exp(i(n-m)theta)
                                      * sinc_pi(p - (m+n)/2 - delta)
 
-evaluated on a rectangular (theta, p) grid.  Two interchangeable
-implementations are provided:
-
-* a numba ``@njit(parallel=True)`` double loop over window pairs, and
-* a pure-numpy path that factors the sum over anti-diagonals of ``A``.
-
-The numba path is used when numba imports cleanly; setting the
-environment variable ``CYLWIGNER_DISABLE_NUMBA=1`` forces the numpy
-path.  Both produce identical results up to floating-point summation
-order (see benchmarks/bench_wigner_grid.py).
+evaluated on a rectangular (theta, p) grid.  The sum factors over the
+diagonals ``d = n - m`` of ``A``: each entry lands on the sinc row of its
+centre ``(m+n)/2 + delta``, one matrix product collapses the rows, and a
+second one applies the angle phases ``exp(i d theta)``.  Only the
+nonzero entries of ``A`` are read, so a banded or diagonal window costs
+in proportion to its band, and a Hermitian window folds ``-d`` onto
+``d`` and yields a real grid.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "sinc_pi_scalar",
     "sinc_pi_array",
     "phase_space_sum_grid",
-    "phase_space_sum_grid_numpy",
     "phase_space_sum_point",
 ]
-
-ENV_FLAG = "CYLWIGNER_DISABLE_NUMBA"
 
 TWO_PI = 2.0 * np.pi
 # below this the direct ratio loses nothing, but the Taylor form avoids 0/0
 _TAYLOR_CUTOFF = 1e-6
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = False
-if not _disabled_by_env():
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
+# largest |A_mn - conj(A_nm)| that still takes the real (Hermitian) path;
+# the same tolerance DensityMatrix.validate applies by default
+_HERMITIAN_TOL = 1e-12
 
 
 def sinc_pi_scalar(x: float) -> float:
@@ -80,96 +60,42 @@ def sinc_pi_array(x) -> np.ndarray:
     return out.reshape(shape)
 
 
-def phase_space_sum_grid_numpy(A, n_min, delta, thetas, ps) -> np.ndarray:
-    """Pure-numpy grid evaluation, factored over anti-diagonals of ``A``.
+def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
+    """Grid evaluation of the windowed sum, shape ``(len(thetas), len(ps))``.
 
-    ``A`` is a square complex window matrix whose row/column index 0
-    corresponds to basis index ``n_min``.  Returns a complex array of
-    shape ``(len(thetas), len(ps))``.
+    ``A`` is a square window matrix whose row/column index 0 corresponds
+    to basis index ``n_min``.  When ``A`` is Hermitian to within 1e-12
+    the result is a real array; otherwise it is complex.
     """
-    A = np.asarray(A, dtype=np.complex128)
+    A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    K = A.shape[0]
-    # distinct sinc centers (m+n)/2 + delta live on a half-integer grid
-    mu = n_min + 0.5 * np.arange(2 * K - 1) + delta
-    sinc_tab = sinc_pi_array(ps[None, :] - mu[:, None])
-    G = np.zeros((2 * K - 1, ps.size), dtype=np.complex128)
-    for d in range(-(K - 1), K):
-        diag = np.diagonal(A, offset=d)
-        a0 = max(0, -d)
-        rows = 2 * np.arange(a0, a0 + diag.size) + d
-        G[d + K - 1] = diag @ sinc_tab[rows]
-    phases = np.exp(1j * np.outer(thetas, np.arange(-(K - 1), K)))
-    return (phases @ G) / TWO_PI
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _sinc_pi_nb(x):
-        if x == 0.0:
-            return 1.0
-        if x == np.rint(x):
-            return 0.0
-        if abs(x) < 1e-6:
-            t = (np.pi * x) ** 2
-            return 1.0 - t / 6.0 + t * t / 120.0
-        return np.sin(np.pi * x) / (np.pi * x)
-
-    @njit(parallel=True, cache=True)
-    def _phase_space_sum_grid_nb(A, n_min, delta, thetas, ps):
-        K = A.shape[0]
-        n_t = thetas.shape[0]
-        n_p = ps.shape[0]
-        n_d = 2 * K - 1
-        sinc_tab = np.empty((n_d, n_p))
-        for t in prange(n_d):
-            mu = n_min + 0.5 * t + delta
-            for j in range(n_p):
-                sinc_tab[t, j] = _sinc_pi_nb(ps[j] - mu)
-        # collapse each anti-diagonal of A against its sinc row:
-        # G[d, j] = sum_a A[a, a+d] * sinc_tab[2a+d, j]
-        G = np.zeros((n_d, n_p), dtype=np.complex128)
-        for d in range(-(K - 1), K):
-            a0 = 0 if d >= 0 else -d
-            a1 = K - d if d >= 0 else K
-            row = G[d + K - 1]
-            for a in range(a0, a1):
-                coeff = A[a, a + d]
-                if coeff != 0.0:
-                    t = 2 * a + d
-                    for j in range(n_p):
-                        row[j] += coeff * sinc_tab[t, j]
-        inv_two_pi = 1.0 / (2.0 * np.pi)
-        out = np.empty((n_t, n_p), dtype=np.complex128)
-        for i in prange(n_t):
-            for j in range(n_p):
-                out[i, j] = 0.0 + 0.0j
-            for d in range(n_d):
-                phase = np.exp(1j * (d - (K - 1)) * thetas[i]) * inv_two_pi
-                row = G[d]
-                for j in range(n_p):
-                    out[i, j] += phase * row[j]
-        return out
-
-    def _phase_space_sum_grid_numba(A, n_min, delta, thetas, ps):
-        A = np.ascontiguousarray(A, dtype=np.complex128)
-        thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-        ps = np.ascontiguousarray(ps, dtype=np.float64)
-        return _phase_space_sum_grid_nb(A, float(n_min), float(delta), thetas, ps)
-
-
-def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
-    """Dispatch the grid sum to the numba kernel or the numpy fallback."""
-    if NUMBA_ENABLED:
-        return _phase_space_sum_grid_numba(A, n_min, delta, thetas, ps)
-    return phase_space_sum_grid_numpy(A, n_min, delta, thetas, ps)
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols]
+    hermitian = vals.size == 0 or (
+        np.max(np.abs(vals - np.conj(A[cols, rows]))) <= _HERMITIAN_TOL
+    )
+    diag = cols - rows
+    if hermitian:
+        # G[-d] = conj(G[d]): keep d >= 0 and count each d > 0 twice
+        upper = diag >= 0
+        rows, cols, diag = rows[upper], cols[upper], diag[upper]
+        vals = np.where(diag > 0, 2.0, 1.0) * vals[upper]
+    ds, d_row = np.unique(diag, return_inverse=True)
+    ts, t_row = np.unique(rows + cols, return_inverse=True)
+    # every (d, m+n) pair names one entry of A, so one assignment scatters them
+    M = np.zeros((ds.size, ts.size), dtype=np.complex128)
+    M[d_row, t_row] = vals
+    sinc_tab = sinc_pi_array(ps[None, :] - (n_min + 0.5 * ts + delta)[:, None])
+    angles = np.outer(thetas, ds)
+    if hermitian:
+        G_re = M.real @ sinc_tab
+        G_im = M.imag @ sinc_tab
+        return (np.cos(angles) @ G_re - np.sin(angles) @ G_im) / TWO_PI
+    return (np.exp(1j * angles) @ (M @ sinc_tab)) / TWO_PI
 
 
 def phase_space_sum_point(A, n_min, delta, theta: float, p: float) -> complex:
-    """Single-point evaluation; uses the numpy path (no JIT overhead)."""
-    out = phase_space_sum_grid_numpy(
-        A, n_min, delta, np.array([theta], dtype=np.float64), np.array([p], dtype=np.float64)
-    )
+    """Single-point evaluation: the 1x1 grid of :func:`phase_space_sum_grid`."""
+    out = phase_space_sum_grid(A, n_min, delta, np.array([theta]), np.array([p]))
     return complex(out[0, 0])

@@ -6,11 +6,12 @@ suite.  Output is data-only and deterministic; plotting is left to
 external tools.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on I/O or usage
-errors.
+errors and on parameters whose values overflow.
 """
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from math import pi
@@ -93,6 +94,22 @@ def _parse_theta_list(text: str) -> tuple:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad theta list {text!r}") from exc
+
+
+# a value that argparse would take for an option: "-1.0,0.5" or "-.5"
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _bind_theta_list(argv: list) -> list:
+    """Join ``--theta-list VALUE`` into ``--theta-list=VALUE`` when the list
+    starts with a negative angle, so both spellings parse alike."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--theta-list" and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"--theta-list={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,6 +273,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list, bool]:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _bind_theta_list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -288,7 +306,7 @@ def main(argv=None) -> int:
             _write_json(_cmd_reconstruct(cfg), cfg.out)
             return 0
         raise AssertionError("unreachable")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,12 +80,19 @@ class FourierState:
             "delta": self.delta,
             "n_min": self.n_min,
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
+            "discarded_mass": float(self.discarded_mass),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierState":
         coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        return cls(delta=data["delta"], n_min=data["n_min"], coeffs=coeffs)
+        return cls(
+            delta=data["delta"],
+            n_min=data["n_min"],
+            coeffs=coeffs,
+            # payloads written before the field was serialized lack it
+            discarded_mass=float(data.get("discarded_mass", 0.0)),
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,8 +191,8 @@ def _coefficient_matrix(obj):
     if isinstance(obj, FourierState):
         return np.outer(obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
     if isinstance(obj, DensityMatrix):
-        # tr[rho V] = sum_mn rho_mn V_nm
-        return obj.entries.T.copy(), obj.n_min, obj.delta
+        # tr[rho V] = sum_mn rho_mn V_nm; entries are read-only, so a view
+        return obj.entries.T, obj.n_min, obj.delta
     raise TypeError("expected a FourierState or DensityMatrix")
 
 
@@ -250,6 +250,8 @@ def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=Non
     p_axis = default_p_axis() if p_axis is None else np.asarray(p_axis, float)
     A, n_min, delta = _union_moyal_matrix(bra, ket)
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
+    # a cross function is complex in general, also when bra == ket folds it real
+    values = values.astype(np.complex128, copy=False)
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
 
 

@@ -81,6 +81,14 @@ class TestFig2:
         assert rows[(half, 0.0)] == pytest.approx(-1.0, abs=1e-12)
         assert rows[(half, 1.0)] == pytest.approx(0.5, abs=1e-12)
 
+    def test_negative_theta_list_spellings_agree(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        args = ("--command", "fig2", "--p-min", "-1", "--p-max", "1", "--p-steps", "5")
+        assert run_cli(*args, "--theta-list", "-1.0,0.5", "--out", str(spaced)) == 0
+        assert run_cli(*args, "--theta-list=-1.0,0.5", "--out", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert {t for t, _, _ in read_csv(spaced)} == {-1.0, 0.5}
+
     def test_phase_parameter_shifts_pattern(self, tmp_path):
         out = tmp_path / "fig2a.csv"
         alpha = 1.1
@@ -151,7 +159,7 @@ class TestMarginalsCommand:
         vals = np.array(data["angle_marginal"]["value"])
         want = (1 + np.cos(2 * thetas)) / (2 * math.pi)
         assert np.max(np.abs(vals - want)) <= 1e-12
-        assert set(data["state"]) == {"delta", "n_min", "coeffs"}
+        assert set(data["state"]) == {"delta", "n_min", "coeffs", "discarded_mass"}
 
     def test_thermal_state_family(self, tmp_path):
         out = tmp_path / "marg_thermal.json"
@@ -238,6 +246,10 @@ class TestExitCodes:
 
     def test_bad_theta_list_is_two(self):
         assert run_cli("--command", "fig2", "--theta-list", "a,b") == 2
+
+    def test_overflowing_parameter_is_two(self, capsys):
+        assert run_cli("--command", "fig3", "--s", "400") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -213,6 +213,17 @@ class TestSerialization:
         assert back.n_min == st.n_min
         assert np.allclose(back.coeffs, st.coeffs, atol=1e-16)
 
+    def test_discarded_mass_round_trip(self):
+        tight = von_mises_state(2.0, 0.0, window_half_width=3)
+        assert tight.discarded_mass > 1e-8
+        back = FourierState.from_dict(json.loads(json.dumps(tight.to_dict())))
+        assert back.discarded_mass == tight.discarded_mass
+
+    def test_payload_without_discarded_mass(self):
+        data = cat_state(0.5).to_dict()
+        del data["discarded_mass"]
+        assert FourierState.from_dict(data).discarded_mass == 0.0
+
     def test_density_round_trip(self):
         rho = pure_density(cat_state(0.4))
         data = json.loads(json.dumps(rho.to_dict()))
@@ -222,7 +233,7 @@ class TestSerialization:
 
     def test_coefficients_stored_as_pairs(self):
         payload = cat_state(0.5).to_dict()
-        assert set(payload) == {"delta", "n_min", "coeffs"}
+        assert set(payload) == {"delta", "n_min", "coeffs", "discarded_mass"}
         assert all(len(pair) == 2 for pair in payload["coeffs"])
 
 
