@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -77,10 +77,12 @@ class RunConfig:
             raise ValueError(f"unknown state family {self.state!r}")
         if self.p_steps < 2 or self.theta_steps < 2:
             raise ValueError("grid resolutions must be at least 2")
+        if not (isfinite(self.p_min) and isfinite(self.p_max)):
+            raise ValueError(f"p range must be finite, got [{self.p_min}, {self.p_max}]")
         if not (self.p_min < self.p_max):
             raise ValueError("p range must be non-empty")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
 
@@ -91,9 +93,12 @@ class RunConfig:
 
 def _parse_theta_list(text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        thetas = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad theta list {text!r}") from exc
+    if not all(isfinite(theta) for theta in thetas):
+        raise argparse.ArgumentTypeError(f"theta list entries must be finite, got {text!r}")
+    return thetas
 
 
 # a value that argparse would take for an option: "-1.0,0.5" or "-.5"
@@ -162,16 +167,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_json(payload, out: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def _write_json(payload, out: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _select_state(cfg: RunConfig):
@@ -192,44 +194,32 @@ def _select_state(cfg: RunConfig):
     return thermal_density(ThermalParams(cfg.eps_beta))
 
 
-def _grid_csv_text(grid: WignerGrid) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_grid_csv(grid, buf)
-    return buf.getvalue()
-
-
-def _cmd_fig1(cfg: RunConfig) -> str:
+def _cmd_fig1(cfg: RunConfig) -> WignerGrid:
     # basis-state profile: value = sinc((p - hbar m)/hbar), constant in theta
     values = rescale_hbar(cfg.p_axis, cfg.hbar, cfg.m)
-    grid = WignerGrid(theta_axis=np.array([0.0]), p_axis=cfg.p_axis, values=values[None, :])
-    return _grid_csv_text(grid)
+    return WignerGrid(theta_axis=np.array([0.0]), p_axis=cfg.p_axis, values=values[None, :])
 
 
-def _cmd_fig2(cfg: RunConfig) -> str:
+def _cmd_fig2(cfg: RunConfig) -> WignerGrid:
     thetas = np.asarray(cfg.theta_list or (0.0, pi / 4, pi / 2, 3 * pi / 4, pi))
     grid = wigner_grid(cat_state(cfg.alpha), thetas, cfg.p_axis)
-    scaled = WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=2.0 * pi * grid.values)
-    return _grid_csv_text(scaled)
+    return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=2.0 * pi * grid.values)
 
 
-def _cmd_fig3(cfg: RunConfig) -> str:
+def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
     if cfg.s <= 0:
         raise ValueError("fig3 requires s > 0")
     thetas = np.asarray(cfg.theta_list or (0.0, pi / 2, -pi / 2, pi, -pi))
     state = von_mises_state(cfg.s, cfg.pe)
     grid = wigner_grid(state, thetas, cfg.p_axis)
     scale = 2.0 * pi * bessel_i(0, 2.0 * cfg.s)
-    scaled = WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=scale * grid.values)
-    return _grid_csv_text(scaled)
+    return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=scale * grid.values)
 
 
-def _cmd_thermal(cfg: RunConfig) -> str:
+def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
     rho = thermal_density(ThermalParams(cfg.eps_beta))
     thetas = np.asarray(cfg.theta_list or (0.0,))
-    grid = wigner_grid(rho, thetas, cfg.p_axis)
-    return _grid_csv_text(grid)
+    return wigner_grid(rho, thetas, cfg.p_axis)
 
 
 def _cmd_marginals(cfg: RunConfig) -> dict:
@@ -291,13 +281,14 @@ def main(argv=None) -> int:
             _write_json(entries, cfg.out)
             return 0 if ok else 1
         if cfg.command in ("fig1", "fig2", "fig3", "thermal"):
-            text = {
+            grid = {
                 "fig1": _cmd_fig1,
                 "fig2": _cmd_fig2,
                 "fig3": _cmd_fig3,
                 "thermal": _cmd_thermal,
             }[cfg.command](cfg)
-            _write_text(text, cfg.out)
+            # the grid is complete before the output file is opened
+            write_grid_csv(grid, sys.stdout if cfg.out is None else cfg.out)
             return 0
         if cfg.command == "marginals":
             _write_json(_cmd_marginals(cfg), cfg.out)

@@ -33,6 +33,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(command="nope")
 
+    @pytest.mark.parametrize("bound", [{"p_max": math.inf}, {"p_min": -math.inf}, {"p_min": math.nan}])
+    def test_non_finite_p_range_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(command="fig2", **bound)
+
+    @pytest.mark.parametrize("hbar", [math.inf, math.nan])
+    def test_non_finite_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(command="fig1", hbar=hbar)
+
 
 class TestFig1:
     def test_basis_profile_rows(self, tmp_path):
@@ -247,9 +257,48 @@ class TestExitCodes:
     def test_bad_theta_list_is_two(self):
         assert run_cli("--command", "fig2", "--theta-list", "a,b") == 2
 
+    @pytest.mark.parametrize("angles", ["nan,0.5", "inf,0.5", "0.5,-inf"])
+    def test_non_finite_theta_list_is_two(self, angles, capsys):
+        assert run_cli("--command", "fig2", f"--theta-list={angles}", "--p-steps=3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--p-max=inf", "--p-min=nan", "--hbar=inf"])
+    def test_non_finite_range_or_hbar_is_two(self, flag, capsys):
+        assert run_cli("--command", "fig2", flag, "--p-steps=3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+
     def test_overflowing_parameter_is_two(self, capsys):
         assert run_cli("--command", "fig3", "--s", "400") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputSinks:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--command", "fig1", "--m", "2", "--hbar", "0.5"),
+            ("--command", "fig2", "--alpha", "0.3", "--theta-list=-1.0,0.5"),
+            ("--command", "fig3", "--s", "2.0", "--pe", "0.4"),
+            ("--command", "thermal", "--eps-beta", "0.1", "--theta-list=0,1"),
+        ],
+        ids=["fig1", "fig2", "fig3", "thermal"],
+    )
+    def test_stdout_equals_out_file(self, args, tmp_path, capsys):
+        args = args + ("--p-steps", "41")
+        out = tmp_path / "grid.csv"
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+
+    def test_failed_export_leaves_no_file(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        assert run_cli("--command", "fig3", "--s", "400", "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestDeterminism:

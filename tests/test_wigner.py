@@ -2,10 +2,14 @@
 probability extraction, pairings, reconstruction, and bounds."""
 
 import io
+import tempfile
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylwigner.specfun import bessel_i, gauss_legendre_rule, sinc_pi
 from cylwigner.states import (
@@ -47,6 +51,7 @@ from cylwigner.wigner import (
     wigner_pair_integral,
     write_grid_csv,
 )
+from cylwigner.wigner import _CSV_BLOCK
 
 TWO_PI = 2 * pi
 
@@ -601,6 +606,46 @@ class TestConcurrency:
         assert threaded == serial
 
 
+# -0, nan, +-inf, the smallest subnormal and a value near the largest float
+_SPECIAL_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308])
+_csv_floats = st.one_of(st.sampled_from(_SPECIAL_VALUES.tolist()), st.floats())
+
+
+@st.composite
+def csv_grids(draw):
+    """Grids of 1..4 x 1..6 entries, 1 x N and N x 1 among them."""
+    n_theta = draw(st.integers(1, 4))
+    n_p = draw(st.integers(1, 6))
+    thetas = draw(st.lists(_csv_floats, min_size=n_theta, max_size=n_theta))
+    ps = draw(st.lists(_csv_floats, min_size=n_p, max_size=n_p))
+    values = draw(st.lists(_csv_floats, min_size=n_theta * n_p, max_size=n_theta * n_p))
+    return WignerGrid(
+        theta_axis=np.array(thetas), p_axis=np.array(ps), values=np.reshape(values, (n_theta, n_p))
+    )
+
+
+def _reference_csv(grid):
+    """Reference formatter, three f-string formats per line: the bytes
+    ``write_grid_csv`` must reproduce."""
+    values = grid.values
+    lines = ["theta,p,value"]
+    for i, th in enumerate(grid.theta_axis):
+        for j, pv in enumerate(grid.p_axis):
+            lines.append(f"{th:.17g},{pv:.17g},{values[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _written_bytes(grid, to_path):
+    if not to_path:
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        return buf.getvalue().encode("ascii")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "grid.csv"
+        write_grid_csv(grid, str(out))
+        return out.read_bytes()
+
+
 class TestGridCsv:
     def test_format_and_determinism(self):
         grid = wigner_grid(cat_state(0.0), np.array([0.0, 0.5]), np.array([-1.0, 0.0, 1.0]))
@@ -627,3 +672,26 @@ class TestGridCsv:
         grid = moyal_grid(cat_state(0.0), basis_state(1), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             write_grid_csv(grid, io.StringIO())
+
+    def test_complex_grid_to_path_creates_no_file(self, tmp_path):
+        grid = moyal_grid(cat_state(0.0), basis_state(1), np.array([0.0]), np.array([0.0]))
+        out = tmp_path / "moyal.csv"
+        with pytest.raises(ValueError):
+            write_grid_csv(grid, out)
+        assert not out.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(csv_grids(), st.booleans())
+    def test_bytes_match_reference(self, grid, to_path):
+        assert _written_bytes(grid, to_path) == _reference_csv(grid).encode("ascii")
+
+    @pytest.mark.parametrize("to_path", [False, True])
+    def test_row_longer_than_block(self, to_path):
+        n = 2 * _CSV_BLOCK + 3
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((2, n))
+        values[0, ::97] = _SPECIAL_VALUES[np.arange(values[0, ::97].size) % _SPECIAL_VALUES.size]
+        grid = WignerGrid(
+            theta_axis=np.array([-0.0, 1e308]), p_axis=np.linspace(-100.0, 100.0, n), values=values
+        )
+        assert _written_bytes(grid, to_path) == _reference_csv(grid).encode("ascii")
