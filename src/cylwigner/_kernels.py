@@ -18,7 +18,6 @@ in proportion to its band, and a Hermitian window folds ``-d`` onto
 import numpy as np
 
 __all__ = [
-    "sinc_pi_scalar",
     "sinc_pi_array",
     "phase_space_sum_grid",
     "phase_space_sum_point",
@@ -32,20 +31,9 @@ _TAYLOR_CUTOFF = 1e-6
 _HERMITIAN_TOL = 1e-12
 
 
-def sinc_pi_scalar(x: float) -> float:
-    """sin(pi x)/(pi x) with exact values at integers (1 at 0, else 0)."""
-    if x == 0.0:
-        return 1.0
-    if x == np.rint(x):
-        return 0.0
-    if abs(x) < _TAYLOR_CUTOFF:
-        t = (np.pi * x) ** 2
-        return 1.0 - t / 6.0 + t * t / 120.0
-    return float(np.sin(np.pi * x) / (np.pi * x))
-
-
 def sinc_pi_array(x) -> np.ndarray:
-    """Vectorized :func:`sinc_pi_scalar` with the same branch structure."""
+    """sin(pi x)/(pi x), elementwise, with exact values at integers (1 at 0,
+    else 0) and a Taylor form below 1e-6; 0-d input gives a 0-d array."""
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     r = np.rint(x)

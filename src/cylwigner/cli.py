@@ -183,7 +183,9 @@ def _select_state(cfg: RunConfig):
         if "coeffs" in data:
             return FourierState.from_dict(data)
         if "entries" in data:
-            return DensityMatrix.from_dict(data)
+            rho = DensityMatrix.from_dict(data)
+            rho.validate()
+            return rho
         raise ValueError("state JSON must contain 'coeffs' or 'entries'")
     if cfg.state == "basis":
         return basis_state(cfg.m, cfg.delta)

@@ -13,7 +13,7 @@ from math import ceil, cos, exp, floor, lgamma, log, pi, sqrt
 
 import numpy as np
 
-from ._kernels import sinc_pi_array, sinc_pi_scalar
+from ._kernels import sinc_pi_array
 
 __all__ = [
     "QuadratureRule",
@@ -76,7 +76,7 @@ def sinc_pi(x):
     if not np.all(np.isfinite(arr)):
         raise ValueError("sinc_pi requires finite input")
     if arr.ndim == 0:
-        return sinc_pi_scalar(float(arr))
+        return float(sinc_pi_array(arr))
     return sinc_pi_array(arr)
 
 

@@ -13,7 +13,7 @@ from math import ceil, exp, pi, sqrt
 
 import numpy as np
 
-from ._kernels import TWO_PI, sinc_pi_array, sinc_pi_scalar
+from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3
 from .states import DensityMatrix
 from .wigner import _as_point
@@ -30,6 +30,8 @@ __all__ = [
 _LOW_TEMP_MIN_EB = 3.0
 _HIGH_TEMP_MAX_EB = 0.05
 _POLE_BRANCH_WIDTH = 1e-4
+# largest dense K x K complex128 matrix thermal_density builds (K = 4096)
+_MAX_DENSE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,14 @@ def partition_function(tp: ThermalParams) -> float:
 
 
 def thermal_density(tp: ThermalParams) -> DensityMatrix:
-    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``."""
+    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``.
+
+    Raises ``ValueError``, before allocating, when the dense window would
+    exceed 256 MiB."""
     N = tp.half_width
+    needed = 16 * (2 * N + 1) ** 2  # complex128 entries
+    if needed > _MAX_DENSE_BYTES:
+        raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
     n = np.arange(-N, N + 1)
     lam = np.exp(-(n.astype(np.float64) ** 2) * tp.eps_beta) / partition_function(tp)
     out = DensityMatrix(delta=0.0, n_min=-N, entries=np.diag(lam.astype(np.complex128)))
@@ -109,11 +117,11 @@ def low_temp_wigner(tp: ThermalParams, p: float) -> float:
     q = exp(-tp.eps_beta)
     if abs(p - 1.0) < _POLE_BRANCH_WIDTH or abs(p + 1.0) < _POLE_BRANCH_WIDTH:
         # pole-cancelling form, identical away from the poles and finite at them
-        value = sinc_pi_scalar(p) + q * (sinc_pi_scalar(p - 1.0) + sinc_pi_scalar(p + 1.0))
+        value = sinc_pi_array(p) + q * (sinc_pi_array(p - 1.0) + sinc_pi_array(p + 1.0))
     else:
         rational = p / (p + 1.0) + p / (p - 1.0)
-        value = sinc_pi_scalar(p) * (1.0 - q * rational)
-    return value / (TWO_PI * partition_function(tp))
+        value = sinc_pi_array(p) * (1.0 - q * rational)
+    return float(value / (TWO_PI * partition_function(tp)))
 
 
 def high_temp_wigner(tp: ThermalParams, p: float) -> float:

@@ -17,12 +17,13 @@ from math import exp, pi, sqrt
 import numpy as np
 
 from . import dynamics, thermal, wigner
-from ._kernels import TWO_PI
+from ._kernels import TWO_PI, phase_space_sum_grid, sinc_pi_array
 from .specfun import (
     bessel_i,
     gauss_legendre_rule,
     integrate_interval,
     integrate_theta,
+    oscillation_order,
     sinc_pi,
     theta3,
     theta3_jacobi,
@@ -35,8 +36,13 @@ from .states import (
     pure_density,
     von_mises_state,
 )
+from .wigner import CardinalSeries, _coefficient_matrix, _require_real
 
-__all__ = ["InvariantCheck", "run_verification", "report_as_json_entries"]
+__all__ = [
+    "InvariantCheck", "run_verification", "report_as_json_entries",
+    "momentum_marginal_via_quadrature", "angle_marginal_via_swap", "total_integral",
+    "total_integral_via_quadrature", "wigner_pair_integral", "extract_probability_via_quadrature",
+]
 
 _SEED = 20260808
 
@@ -65,6 +71,84 @@ def _example_states():
         ("cat", cat_state(0.0)),
         ("von_mises", von_mises_state(0.5, 0.6)),
     ]
+
+
+# ----------------------------------------------------------- cross-routes
+# second routes to analytic results of cylwigner.wigner, for the checks below
+
+
+def extract_probability_via_quadrature(omega: CardinalSeries, m: int, order: int = 96) -> float:
+    """Independent route to :func:`cylwigner.wigner.extract_probability`.
+
+    The sinc pair integral over all momenta is swapped into the finite
+    Fourier-domain integral ``(1/2pi) int_{-pi}^{pi} exp(i(k-m)a) da``
+    per series term and evaluated by quadrature."""
+    total = 0.0
+    for k, b in zip(omega.indices, omega.b):
+        nu = k - m
+        pair = integrate_theta(lambda a, nu=nu: np.exp(1j * nu * a), order=order) / TWO_PI
+        total += b * float(_require_real(pair, tol=1e-10))
+    return total
+
+
+def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0, order: int = 64) -> complex:
+    """``2 pi`` times the phase-space product integral of V_kl and V_mn.
+
+    The angle factor is integrated numerically by Gauss-Legendre while
+    the momentum factor reduces exactly to a sinc of half-integer
+    spacing; the result is ``delta_{kn} delta_{lm}`` up to quadrature
+    error."""
+    nu = (l - k) + (n - m)
+    angle = integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=order)
+    momentum = sinc_pi_array(0.5 * ((k + l) - (m + n)))
+    return complex(angle * momentum / TWO_PI)
+
+
+def momentum_marginal_via_quadrature(obj, p: float, order: int | None = None) -> float:
+    """Angle quadrature of the Wigner function at fixed momentum.
+
+    Cross-route for :func:`cylwigner.wigner.marginal_momentum`: integrates
+    the grid evaluation over theta instead of reading off the diagonal
+    samples."""
+    A, n_min, delta = _coefficient_matrix(obj)
+    if order is None:
+        order = oscillation_order(float(A.shape[0] - 1))
+    rule = gauss_legendre_rule(order)
+    nodes = pi * rule.nodes
+    weights = pi * rule.weights
+    values = phase_space_sum_grid(A, n_min, delta, nodes, np.array([float(p)]))[:, 0]
+    return float(_require_real(weights @ values, tol=1e-10))
+
+
+def angle_marginal_via_swap(obj, theta):
+    """Momentum integral of the Wigner function done in Fourier domain.
+
+    Each window element integrates over p to ``(1/2pi) exp(i(n-m)theta)``
+    exactly, so the marginal is the phase-weighted window contraction.
+    Cross-route for :func:`cylwigner.wigner.marginal_angle`."""
+    A, n_min, delta = _coefficient_matrix(obj)
+    shape = np.shape(theta)
+    th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    K = A.shape[0]
+    # sum_d exp(i d theta) * (sum of the d-th diagonal of A)
+    diag_sums = np.array([np.sum(np.diagonal(A, offset=d)) for d in range(-(K - 1), K)])
+    phases = np.exp(1j * np.outer(th, np.arange(-(K - 1), K)))
+    values = _require_real(phases @ diag_sums, tol=1e-10) / TWO_PI
+    if shape == ():
+        return float(values[0])
+    return values.reshape(shape)
+
+
+def total_integral(obj) -> float:
+    """Full phase-space integral, reduced analytically to the trace."""
+    A, _, _ = _coefficient_matrix(obj)
+    return float(_require_real(np.trace(A), tol=1e-10))
+
+
+def total_integral_via_quadrature(obj, order: int = 96) -> float:
+    """Cross-route for :func:`total_integral`: the exact momentum swap
+    followed by numerical angle quadrature."""
+    return float(integrate_theta(lambda th: angle_marginal_via_swap(obj, th), order=order))
 
 
 # ---------------------------------------------------------------- specfun
@@ -225,7 +309,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         for l in idx:
             for m in idx:
                 for n in idx:
-                    got = wigner.wigner_pair_integral(k, l, m, n, delta=0.25)
+                    got = wigner_pair_integral(k, l, m, n, delta=0.25)
                     want = 1.0 if (k == n and l == m) else 0.0
                     worst = max(worst, abs(got - want))
     out.append(_check("wigner.pair_orthogonality", worst, 1e-10 * tol_scale))
@@ -241,8 +325,8 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
 
     worst = 0.0
     for _, state in _example_states():
-        worst = max(worst, abs(wigner.total_integral(state) - 1.0))
-        worst = max(worst, abs(wigner.total_integral_via_quadrature(state) - 1.0))
+        worst = max(worst, abs(total_integral(state) - 1.0))
+        worst = max(worst, abs(total_integral_via_quadrature(state) - 1.0))
     out.append(_check("wigner.normalization_total_integral", worst, 1e-10 * tol_scale))
 
     worst = 0.0
@@ -251,7 +335,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         for p in rng.uniform(-4.0, 4.0, size=20):
             worst = max(
                 worst,
-                abs(wigner.momentum_marginal_via_quadrature(state, float(p)) - series(float(p))),
+                abs(momentum_marginal_via_quadrature(state, float(p)) - series(float(p))),
             )
     out.append(_check("wigner.marginal_momentum_consistency", worst, 1e-9 * tol_scale))
 
@@ -259,7 +343,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
     thetas = np.linspace(-pi, pi, 37)
     for _, state in _example_states():
         direct = wigner.marginal_angle(state, thetas)
-        swapped = wigner.angle_marginal_via_swap(state, thetas)
+        swapped = angle_marginal_via_swap(state, thetas)
         worst = max(worst, float(np.max(np.abs(direct - swapped))))
         worst = max(worst, max(0.0, -float(np.min(direct))))
     out.append(_check("wigner.marginal_angle_consistency", worst, 1e-9 * tol_scale))

@@ -29,9 +29,8 @@ from ._kernels import (
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
-    sinc_pi_scalar,
 )
-from .specfun import gauss_legendre_rule, integrate_theta, oscillation_order, sinc_pi
+from .specfun import gauss_legendre_rule, oscillation_order, sinc_pi
 from .states import DensityMatrix, FourierState, evaluate_wavefunction
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "marginal_angle",
     "marginal_momentum",
     "extract_probability",
-    "extract_probability_via_quadrature",
     "overlap_from_wigner",
     "reconstruct_density",
     "expectation_via_phase_space",
@@ -61,11 +59,6 @@ __all__ = [
     "UncertaintyProduct",
     "uncertainty_product",
     "rescale_hbar",
-    "wigner_pair_integral",
-    "momentum_marginal_via_quadrature",
-    "angle_marginal_via_swap",
-    "total_integral",
-    "total_integral_via_quadrature",
 ]
 
 _IMAG_RESIDUE_TOL = 1e-12
@@ -214,7 +207,7 @@ def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     pt = _as_point(at)
-    s = sinc_pi_scalar(pt.p - 0.5 * (m + n + 2.0 * delta))
+    s = sinc_pi_array(pt.p - 0.5 * (m + n + 2.0 * delta))
     return complex(np.exp(1j * (n - m) * pt.theta) * s / TWO_PI)
 
 
@@ -345,26 +338,12 @@ def extract_probability(omega: CardinalSeries, m: int) -> float:
     """Probability of momentum quantum number ``m``; 0 outside the window.
 
     Equals the full-line integral of ``omega(p) sinc_pi(p - m - delta)``
-    by the orthonormality of unit-spaced sinc functions (see
-    :func:`extract_probability_via_quadrature` for the cross-route)."""
+    by the orthonormality of unit-spaced sinc functions (cross-route:
+    :func:`cylwigner.verify.extract_probability_via_quadrature`)."""
     m = int(m)
     if m < omega.m_min or m > omega.m_max:
         return 0.0
     return float(omega.b[m - omega.m_min])
-
-
-def extract_probability_via_quadrature(omega: CardinalSeries, m: int, order: int = 96) -> float:
-    """Independent route to the same probability.
-
-    The sinc pair integral over all momenta is swapped into the finite
-    Fourier-domain integral ``(1/2pi) int_{-pi}^{pi} exp(i(k-m)a) da``
-    per series term and evaluated by quadrature."""
-    total = 0.0
-    for k, b in zip(omega.indices, omega.b):
-        nu = k - m
-        pair = integrate_theta(lambda a, nu=nu: np.exp(1j * nu * a), order=order) / TWO_PI
-        total += b * float(_require_real(pair, tol=1e-10))
-    return total
 
 
 def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
@@ -415,10 +394,8 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: in
     nus = np.arange(-(K - 1), K)
     # W[nu, t] = sum_g w_g exp(i nu theta_g) vals[g, t]
     W = (np.exp(1j * np.outer(nus, nodes)) * weights) @ vals
-    rho = np.empty((K, K), dtype=np.complex128)
-    for k in range(K):
-        for l in range(K):
-            rho[k, l] = W[(l - k) + K - 1, k + l]
+    k, l = np.indices((K, K))
+    rho = W[(l - k) + K - 1, k + l]
     out = DensityMatrix(delta=delta, n_min=n_min, entries=rho)
     deficit = 1.0 - out.trace()
     if abs(deficit) > 1e-6:
@@ -517,62 +494,3 @@ def rescale_hbar(p_physical, hbar: float, m: int):
     if not np.isfinite(hbar) or hbar <= 0.0:
         raise ValueError("hbar must be positive")
     return sinc_pi((np.asarray(p_physical, dtype=np.float64) - hbar * m) / hbar)
-
-
-def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0, order: int = 64) -> complex:
-    """``2 pi`` times the phase-space product integral of V_kl and V_mn.
-
-    The angle factor is integrated numerically by Gauss-Legendre while
-    the momentum factor reduces exactly to a sinc of half-integer
-    spacing; the result is ``delta_{kn} delta_{lm}`` up to quadrature
-    error."""
-    nu = (l - k) + (n - m)
-    angle = integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=order)
-    momentum = sinc_pi_scalar(0.5 * ((k + l) - (m + n)))
-    return complex(angle * momentum / TWO_PI)
-
-
-def momentum_marginal_via_quadrature(obj, p: float, order: int | None = None) -> float:
-    """Angle quadrature of the Wigner function at fixed momentum.
-
-    Cross-route for :func:`marginal_momentum`: integrates the grid
-    evaluation over theta instead of reading off the diagonal samples."""
-    A, n_min, delta = _coefficient_matrix(obj)
-    if order is None:
-        order = oscillation_order(float(A.shape[0] - 1))
-    rule = gauss_legendre_rule(order)
-    nodes = pi * rule.nodes
-    weights = pi * rule.weights
-    values = phase_space_sum_grid(A, n_min, delta, nodes, np.array([float(p)]))[:, 0]
-    return float(_require_real(weights @ values, tol=1e-10))
-
-
-def angle_marginal_via_swap(obj, theta):
-    """Momentum integral of the Wigner function done in Fourier domain.
-
-    Each window element integrates over p to ``(1/2pi) exp(i(n-m)theta)``
-    exactly, so the marginal is the phase-weighted window contraction.
-    Cross-route for :func:`marginal_angle`."""
-    A, n_min, delta = _coefficient_matrix(obj)
-    shape = np.shape(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    K = A.shape[0]
-    # sum_d exp(i d theta) * (sum of the d-th diagonal of A)
-    diag_sums = np.array([np.sum(np.diagonal(A, offset=d)) for d in range(-(K - 1), K)])
-    phases = np.exp(1j * np.outer(th, np.arange(-(K - 1), K)))
-    values = _require_real(phases @ diag_sums, tol=1e-10) / TWO_PI
-    if shape == ():
-        return float(values[0])
-    return values.reshape(shape)
-
-
-def total_integral(obj) -> float:
-    """Full phase-space integral, reduced analytically to the trace."""
-    A, _, _ = _coefficient_matrix(obj)
-    return float(_require_real(np.trace(A), tol=1e-10))
-
-
-def total_integral_via_quadrature(obj, order: int = 96) -> float:
-    """Cross-route for :func:`total_integral`: the exact momentum swap
-    followed by numerical angle quadrature."""
-    return float(integrate_theta(lambda th: angle_marginal_via_swap(obj, th), order=order))

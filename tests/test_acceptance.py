@@ -35,10 +35,10 @@ from cylwigner.thermal import (
     thermal_density,
     thermal_wigner,
 )
+from cylwigner.verify import momentum_marginal_via_quadrature, wigner_pair_integral
 from cylwigner.wigner import (
     marginal_angle,
     marginal_momentum,
-    momentum_marginal_via_quadrature,
     reconstruct_density,
     rescale_hbar,
     uncertainty_product,
@@ -46,7 +46,6 @@ from cylwigner.wigner import (
     wigner_function,
     wigner_grid,
     wigner_matrix_element,
-    wigner_pair_integral,
 )
 
 TWO_PI = 2 * pi

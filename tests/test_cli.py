@@ -275,6 +275,29 @@ class TestExitCodes:
         assert run_cli("--command", "fig3", "--s", "400") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_oversized_thermal_window_is_two(self, tmp_path, capsys):
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 2
+        assert "K=11501" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [
+            ([[[0.5, 0.0], [0.5, 0.0]], [[0.1, 0.0], [0.5, 0.0]]], "not Hermitian"),
+            ([[[2.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.5, 0.0]]], "differs from 1"),
+        ],
+    )
+    def test_invalid_density_matrix_json_is_two(self, tmp_path, capsys, command, entries, reason):
+        state_path = tmp_path / "rho.json"
+        state_path.write_text(json.dumps({"delta": 0.0, "n_min": 0, "entries": entries}))
+        out = tmp_path / "out.json"
+        assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not out.exists()
+
 
 class TestOutputSinks:
     @pytest.mark.parametrize(

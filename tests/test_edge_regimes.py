@@ -10,13 +10,15 @@ import scipy.special
 from cylwigner.specfun import bessel_i, sinc_pi, theta3
 from cylwigner.states import basis_state, cat_state, pure_density, von_mises_state
 from cylwigner.thermal import ThermalParams, partition_function, thermal_density
-from cylwigner.wigner import (
+from cylwigner.verify import (
     angle_marginal_via_swap,
-    extract_probability,
     extract_probability_via_quadrature,
+    momentum_marginal_via_quadrature,
+)
+from cylwigner.wigner import (
+    extract_probability,
     marginal_angle,
     marginal_momentum,
-    momentum_marginal_via_quadrature,
     moyal_function,
     reconstruct_density,
     uncertainty_product,

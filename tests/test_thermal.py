@@ -1,6 +1,7 @@
 """Thermal rotor states: partition function, Gibbs density, Wigner
 function, and the guarded temperature-regime approximations."""
 
+import tracemalloc
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestThermalDensity:
         assert np.allclose(lam, lam[::-1], atol=1e-17)
         cold = thermal_density(ThermalParams(35.0))
         assert cold.diagonal()[-cold.n_min] == pytest.approx(1.0, abs=1e-14)
+
+    def test_oversized_window_refused_before_allocating(self):
+        # eps_beta = 1e-6 needs K = 11501: 2.1 GB of complex128 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"K=11501 needs 2116368016 bytes"):
+                thermal_density(ThermalParams(1e-6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_window_limit_is_4096(self):
+        # K = 4097 is the smallest odd window above 256 MiB
+        with pytest.raises(ValueError, match=r"K=4097"):
+            thermal_density(ThermalParams(1.0, window_half_width=2048))
+        assert thermal_density(ThermalParams(1e-4)).entries.shape == (1161, 1161)
 
 
 class TestThermalWigner:

@@ -1,10 +1,22 @@
-"""Verification-suite module API."""
+"""Verification-suite module API and its cross-routes."""
+
+from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylwigner.specfun import sinc_pi
-from cylwigner.verify import InvariantCheck, report_as_json_entries, run_verification
+from cylwigner.states import DensityMatrix, FourierState
+from cylwigner.verify import (
+    InvariantCheck,
+    angle_marginal_via_swap,
+    momentum_marginal_via_quadrature,
+    report_as_json_entries,
+    run_verification,
+)
+from cylwigner.wigner import marginal_angle, marginal_momentum
 
 
 def test_all_invariants_pass_on_default_profile():
@@ -34,3 +46,41 @@ def test_injected_fault_is_detected():
     # untouched suites keep passing
     assert "wigner.pair_orthogonality" not in failed
     assert "thermal.partition_cross_routes" not in failed
+
+
+# Random windows: K in [1, 12], n_min in [-10, 10], delta in [0, 1); the
+# entries come from a seeded generator, hypothesis draws the structure.
+windows = st.tuples(
+    st.integers(1, 12),
+    st.integers(-10, 10),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+def _random_source(window):
+    K, n_min, delta, seed, mixed = window
+    rng = np.random.default_rng(seed)
+    if not mixed:
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        return FourierState(delta=delta, n_min=n_min, coeffs=c / np.linalg.norm(c))
+    B = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+    rho = B @ B.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    return DensityMatrix(delta=delta, n_min=n_min, entries=rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows, st.lists(st.floats(-pi, pi), min_size=1, max_size=5))
+def test_angle_marginal_routes_agree(window, thetas):
+    obj = _random_source(window)
+    thetas = np.array(thetas)
+    assert np.max(np.abs(marginal_angle(obj, thetas) - angle_marginal_via_swap(obj, thetas))) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows, st.one_of(st.integers(-40, 40).map(lambda k: 0.5 * k), st.floats(-20.0, 20.0)))
+def test_momentum_marginal_routes_agree(window, p):
+    obj = _random_source(window)
+    assert abs(marginal_momentum(obj)(p) - momentum_marginal_via_quadrature(obj, p)) <= 1e-9

@@ -21,34 +21,36 @@ from cylwigner.states import (
     pure_density,
     von_mises_state,
 )
+from cylwigner.verify import (
+    angle_marginal_via_swap,
+    extract_probability_via_quadrature,
+    momentum_marginal_via_quadrature,
+    total_integral,
+    total_integral_via_quadrature,
+    wigner_pair_integral,
+)
 from cylwigner.wigner import (
     CardinalSeries,
     PhasePoint,
     WignerGrid,
-    angle_marginal_via_swap,
     angular_momentum_operator,
     cosine_operator,
     expectation_via_phase_space,
     extract_probability,
-    extract_probability_via_quadrature,
     identity_operator,
     marginal_angle,
     marginal_momentum,
-    momentum_marginal_via_quadrature,
     moyal_function,
     moyal_grid,
     overlap_from_wigner,
     reconstruct_density,
     rescale_hbar,
     sine_operator,
-    total_integral,
-    total_integral_via_quadrature,
     uncertainty_product,
     wigner_density,
     wigner_function,
     wigner_grid,
     wigner_matrix_element,
-    wigner_pair_integral,
     write_grid_csv,
 )
 from cylwigner.wigner import _CSV_BLOCK
@@ -438,6 +440,18 @@ class TestReconstruction:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_density(lambda pt: 0.0, 2, 1, 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(-10, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+    def test_complex_mixture_round_trip(self, K, n_min, delta, seed):
+        # complex off-diagonal entries tell rho from its transpose
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+        entries = B @ B.conj().T
+        entries = 0.5 * (entries + entries.conj().T) / np.trace(entries).real
+        rho = DensityMatrix(delta=delta, n_min=n_min, entries=entries)
+        rebuilt = reconstruct_density(lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, delta)
+        assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
 
 
 class TestExpectationViaPhaseSpace:
