@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=1.0, help="momentum rescaling for fig1")
     parser.add_argument("--state", choices=_STATES, default="vonmises", help="state family for marginals/reconstruct")
     parser.add_argument("--state-json", type=str, default=None, help="JSON file with a serialized state or density matrix (overrides --state)")
-    parser.add_argument("--theta-list", type=_parse_theta_list, default=None, help="comma-separated angles")
+    parser.add_argument("--theta-list", type=_parse_theta_list, default=(), help="comma-separated angles")
     parser.add_argument("--theta-steps", type=int, default=181)
     parser.add_argument("--p-min", type=float, default=-5.0)
     parser.add_argument("--p-max", type=float, default=5.0)
@@ -142,29 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-profile", choices=("default", "loose"), default="default")
     parser.add_argument("--inject-sinc-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        m=args.m,
-        s=args.s,
-        pe=args.pe,
-        alpha=args.alpha,
-        eps_beta=args.eps_beta,
-        delta=args.delta,
-        hbar=args.hbar,
-        state=args.state,
-        state_json=args.state_json,
-        theta_list=args.theta_list if args.theta_list is not None else (),
-        theta_steps=args.theta_steps,
-        p_min=args.p_min,
-        p_max=args.p_max,
-        p_steps=args.p_steps,
-        out=args.out,
-        tol_profile=args.tol_profile,
-        inject_sinc_fault=args.inject_sinc_fault,
-    )
 
 
 def _write_json(payload, out: str | None) -> None:
@@ -181,7 +158,11 @@ def _select_state(cfg: RunConfig):
         with open(cfg.state_json, "r", encoding="ascii") as fh:
             data = json.load(fh)
         if "coeffs" in data:
-            return FourierState.from_dict(data)
+            state = FourierState.from_dict(data)
+            norm2 = state.norm() ** 2
+            if abs(norm2 - 1.0) > 1e-10:
+                raise ValueError(f"state norm^2 {norm2} differs from 1")
+            return state
         if "entries" in data:
             rho = DensityMatrix.from_dict(data)
             rho.validate()
@@ -272,7 +253,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
+        cfg = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

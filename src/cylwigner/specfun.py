@@ -1,15 +1,16 @@
 """Special functions and fixed-order quadrature.
 
 Everything here is scalar-exact double precision: the normalized sinc
-with snapped integer zeros, the modified Bessel function ``I_n`` (power
-series for small argument, normalized backward recurrence for large),
-the Jacobi theta-3 lattice sum with an automatic modular transformation
-for nomes close to 1, and Gauss-Legendre quadrature on fixed intervals.
+with snapped integer zeros, the modified Bessel function ``I_n`` and its
+scaled form ``I_n(z) exp(-z)`` for all orders at once (one normalized
+backward recurrence of order ratios, which cannot overflow), the Jacobi
+theta-3 lattice sum with an automatic modular transformation for nomes
+close to 1, and Gauss-Legendre quadrature on fixed intervals.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, cos, exp, floor, lgamma, log, pi, sqrt
+from math import ceil, cos, exp, floor, log, pi, sqrt
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "gauss_legendre_rule",
     "sinc_pi",
     "bessel_i",
+    "bessel_i_scaled",
     "theta3",
     "theta3_jacobi",
     "integrate_theta",
@@ -30,7 +32,6 @@ __all__ = [
 # series term / nome cutoffs chosen so truncation sits below double roundoff
 _THETA_TERM_CUTOFF = 1e-16
 _JACOBI_SWITCH_Q = exp(-1.0)
-_BESSEL_SERIES_ZMAX = 15.0
 _BESSEL_Z_LIMIT = 700.0
 _BESSEL_N_LIMIT = 10**6
 
@@ -80,57 +81,42 @@ def sinc_pi(x):
     return sinc_pi_array(arr)
 
 
-def _bessel_i_series(n: int, z: float) -> float:
-    # ascending series; all terms positive, no cancellation
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_t0 = n * log(z / 2.0) - lgamma(n + 1.0)
-    if log_t0 < -760.0:
-        return 0.0
-    term = exp(log_t0)
-    total = term
-    q = 0.25 * z * z
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (n + k))
-        total += term
-        if term < total * 1e-18 or k > 600:
-            return total
+def bessel_i_scaled(n_max: int, z: float) -> np.ndarray:
+    """Scaled Bessel values ``I_k(z) exp(-z)`` for every order ``k = 0..n_max``.
 
-
-def _bessel_i_miller(n: int, z: float) -> float:
-    # backward recurrence, normalized by exp(z) = I_0 + 2*sum_{k>=1} I_k
-    start = int(max(n, z) + 2.0 * sqrt(40.0 * max(n, z)) + 40)
-    i_up = 0.0
-    i_k = 1e-280
-    norm = 0.0
-    target = 0.0
+    One backward recurrence of the ratios ``r_k = I_k/I_{k-1} = z/(2k +
+    z r_{k+1})``, started far enough above ``max(n_max, z)`` that the
+    starting guess ``r = 0`` has decayed below roundoff.  Their running
+    product gives ``I_k/I_0``, and ``exp(z) = I_0 + 2 sum_{k>=1} I_k``
+    fixes ``I_0 exp(-z)``.  Every ratio lies in ``[0, 1]``, so nothing
+    overflows for any ``z >= 0``; at ``z = 0`` the result is ``[1, 0, ...]``.
+    ``n_max`` or ``z`` above ``1e6`` raises ``OverflowError``.
+    """
+    if not (np.isfinite(z) and z >= 0.0):
+        raise ValueError("bessel_i_scaled requires finite z >= 0")
+    if n_max < 0:
+        raise ValueError("bessel_i_scaled requires n_max >= 0")
+    top = max(n_max, z)
+    if top > _BESSEL_N_LIMIT:  # the recurrence holds about top ratios in memory
+        raise OverflowError("bessel_i_scaled order or argument out of supported range")
+    start = int(top + 2.0 * sqrt(40.0 * top) + 40)
+    ratios = np.empty(start)
+    r = 0.0
     for k in range(start, 0, -1):
-        i_down = i_up + (2.0 * k / z) * i_k
-        norm += 2.0 * i_k
-        if k == n:
-            target = i_k
-        i_up, i_k = i_k, i_down
-        if abs(i_k) > 1e260:
-            i_up *= 1e-260
-            i_k *= 1e-260
-            norm *= 1e-260
-            target *= 1e-260
-    norm += i_k  # k = 0 term enters once
-    if n == 0:
-        target = i_k
-    return (target / norm) * exp(z)
+        r = z / (2.0 * k + z * r)
+        ratios[k - 1] = r
+    tail = np.cumprod(ratios)  # I_k/I_0 for k = 1..start
+    ie_0 = 1.0 / (1.0 + 2.0 * tail.sum())
+    return ie_0 * np.concatenate(([1.0], tail[:n_max]))
 
 
 def bessel_i(n: int, z: float) -> float:
     """Modified Bessel function I_n(z) for integer order.
 
-    Uses the ascending power series for ``|z| <= 15`` and a normalized
-    backward (Miller-type) recurrence above, so no digits are lost for
-    moderate orders.  Symmetries ``I_{-n} = I_n`` and
-    ``I_n(-z) = (-1)^n I_n(z)`` are applied up front.  Arguments outside
-    ``|n| <= 1e6`` or ``|z| <= 700`` raise ``OverflowError``.
+    ``exp(|z|)`` times the scaled value from :func:`bessel_i_scaled`, after
+    the symmetries ``I_{-n} = I_n`` and ``I_n(-z) = (-1)^n I_n(z)``.
+    Arguments outside ``|n| <= 1e6`` or ``|z| <= 700`` raise
+    ``OverflowError``; ``exp(|z|)`` itself overflows just above ``|z| = 709``.
     """
     if not np.isfinite(z):
         raise ValueError("bessel_i requires finite z")
@@ -141,9 +127,7 @@ def bessel_i(n: int, z: float) -> float:
         raise OverflowError("bessel_i argument out of supported range (exp overflow)")
     sign = -1.0 if (z < 0.0 and n % 2 == 1) else 1.0
     za = abs(float(z))
-    if za <= _BESSEL_SERIES_ZMAX:
-        return sign * _bessel_i_series(n, za)
-    return sign * _bessel_i_miller(n, za)
+    return sign * exp(za) * float(bessel_i_scaled(n, za)[n])
 
 
 def _theta3_direct(z: float, q: float) -> float:

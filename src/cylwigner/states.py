@@ -14,7 +14,8 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from .specfun import bessel_i
+# bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.states.bessel_i
+from .specfun import bessel_i, bessel_i_scaled  # noqa: F401
 
 __all__ = [
     "FourierState",
@@ -201,9 +202,10 @@ def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) 
     half = von_mises_window_half_width(s) if window_half_width is None else int(window_half_width)
     if half < 1:
         raise ValueError("window_half_width must be positive")
-    norm = sqrt(bessel_i(0, 2.0 * s))
-    offsets = np.arange(-half, half + 1)
-    coeffs = np.array([bessel_i(k, s) for k in offsets], dtype=np.complex128) / norm
+    # scaled values: the factors exp(s) / sqrt(exp(2 s)) cancel exactly
+    norm = sqrt(bessel_i_scaled(0, 2.0 * s)[0])
+    offsets = np.abs(np.arange(-half, half + 1))
+    coeffs = bessel_i_scaled(half, s)[offsets].astype(np.complex128) / norm
     kept = float(np.sum(np.abs(coeffs) ** 2))
     discarded = max(0.0, 1.0 - kept)
     coeffs = coeffs / sqrt(kept)

@@ -298,6 +298,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
+    def test_unnormalized_state_json_is_two(self, tmp_path, capsys, command):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"delta": 0.0, "n_min": 0, "coeffs": [[2.0, 0.0], [1.0, 0.0]]}))
+        out = tmp_path / "out.json"
+        assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "norm^2 5" in err
+        assert not out.exists()
+
 
 class TestOutputSinks:
     @pytest.mark.parametrize(

@@ -29,8 +29,9 @@ from cylwigner.wigner import (
 
 
 class TestLargeConcentration:
-    # s = 25 pushes the coefficient Bessel ratios through the backward
-    # recurrence (I_0(50) ~ 1e20) and widens the window to ~115 entries
+    # s = 25 makes the unscaled I_0(50) ~ 1e20 and widens the window to
+    # ~115 entries; s > 350 takes the unscaled I_0(2 s) past bessel_i's
+    # |z| <= 700 limit, so states there need the scaled values
     def test_state_is_normalized_and_saturates(self):
         st = von_mises_state(25.0, 0.3)
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
@@ -55,6 +56,23 @@ class TestLargeConcentration:
         want = np.exp(50 * np.cos(thetas)) / (2 * pi * bessel_i(0, 50.0))
         got = marginal_angle(st, thetas)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+
+    @pytest.mark.parametrize("s", [351.0, 400.0, 1000.0])
+    def test_classical_limit_states_are_normalized(self, s):
+        st = von_mises_state(s, 0.0)
+        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+        assert st.discarded_mass < 1e-12
+        # I_m(s)/sqrt(I_0(2s)) in scaled form; the unscaled values overflow
+        norm = sqrt(scipy.special.ive(0, 2 * s))
+        for m in (0, 1, 10, 60):
+            want = scipy.special.ive(m, s) / norm
+            assert st.coeffs[m - st.n_min].real == pytest.approx(want, rel=1e-11)
+
+    def test_classical_limit_grid_is_bounded(self):
+        st = von_mises_state(400.0, 0.0)
+        grid = wigner_grid(st, np.linspace(-pi, pi, 7), np.linspace(-5.0, 5.0, 11))
+        assert np.all(np.isfinite(grid.values))
+        assert np.max(np.abs(grid.values)) <= 1 / pi + 1e-12
 
 
 class TestNearUnityNome:

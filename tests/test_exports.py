@@ -1,8 +1,11 @@
-"""Public names: every module's ``__all__`` resolves, and the cross-routes
-live only in the verifier."""
+"""Public names: every module's ``__all__`` resolves, the cross-routes
+live only in the verifier, and every name the benchmark tracer wraps
+exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,23 @@ def test_cross_routes_live_in_verify_only(route):
     assert route in verify.__all__ and callable(getattr(verify, route))
     assert not hasattr(wigner, route)
     assert not hasattr(cylwigner, route)
+
+
+def test_traced_names_exist():
+    # the tracer wraps these names from outside; a refactor that drops one
+    # silently loses its per-layer metrics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    absent = [
+        (module, attr)
+        for module, attr, *_ in tracing.TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    absent += [
+        (module, cls, method)
+        for module, cls, method, _ in tracing.METHOD_TARGETS
+        if method not in vars(getattr(importlib.import_module(module), cls))
+    ]
+    assert absent == []

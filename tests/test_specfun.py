@@ -5,9 +5,12 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylwigner.specfun import (
     bessel_i,
+    bessel_i_scaled,
     gauss_legendre_rule,
     integrate_interval,
     integrate_theta,
@@ -151,6 +154,46 @@ class TestBesselI:
             bessel_i(10**6 + 1, 1.0)
         with pytest.raises(ValueError):
             bessel_i(0, float("nan"))
+
+
+# z log-uniform on [1e-300, 2000], plus exact zero and the smallest subnormal
+bessel_arguments = st.one_of(
+    st.sampled_from([0.0, 5e-324]),
+    st.floats(-300.0, np.log10(2000.0)).map(lambda e: 10.0**e),
+)
+
+
+class TestBesselIScaled:
+    # log-uniform draws rarely reach z > 1, so the top orders of large
+    # arguments, where the ratio products are longest, are pinned as examples
+    @settings(max_examples=60, deadline=None)
+    @given(bessel_arguments, st.floats(0.0, 1.0))
+    @example(1.0, 1.0)
+    @example(15.0, 1.0)
+    @example(120.0, 1.0)
+    @example(700.0, 1.0)
+    @example(2000.0, 1.0)
+    def test_against_scipy_ive(self, z, order_share):
+        n_max = int(order_share * (4 * z + 40))
+        got = bessel_i_scaled(n_max, z)
+        want = scipy.special.ive(np.arange(n_max + 1), z)
+        assert got.shape == (n_max + 1,)
+        kept = want > 1e-290
+        assert np.all(np.abs(got[kept] - want[kept]) <= 1e-12 * want[kept])
+        assert np.all(got[~kept] < 1e-288)
+
+    def test_zero_argument_is_exact(self):
+        assert bessel_i_scaled(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("n_max, z", [(3, -1.0), (3, float("nan")), (3, float("inf")), (-1, 1.0)])
+    def test_rejects_out_of_domain(self, n_max, z):
+        with pytest.raises(ValueError):
+            bessel_i_scaled(n_max, z)
+
+    @pytest.mark.parametrize("n_max, z", [(10**6 + 1, 1.0), (0, 1e7)])
+    def test_range_guard(self, n_max, z):
+        with pytest.raises(OverflowError):
+            bessel_i_scaled(n_max, z)
 
 
 class TestTheta3:
