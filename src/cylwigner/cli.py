@@ -36,7 +36,8 @@ from .wigner import (
     marginal_momentum,
     reconstruct_density,
     rescale_hbar,
-    wigner_density,
+    # wigner_density stays bound here: perfbench/tracing.py wraps cylwigner.cli.wigner_density
+    wigner_density,  # noqa: F401
     wigner_grid,
     write_grid_csv,
 )
@@ -225,7 +226,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> dict:
     obj = _select_state(cfg)
     rho = pure_density(obj) if isinstance(obj, FourierState) else obj
     rebuilt = reconstruct_density(
-        lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, rho.delta
+        lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
     )
     max_err = float(np.max(np.abs(rebuilt.entries - rho.entries)))
     return {

@@ -28,6 +28,10 @@ __all__ = [
     "pure_density",
 ]
 
+# rows of the Hermiticity residual computed at a time: each temporary holds
+# at most this many rows of the window, however large K is
+_HERM_BLOCK_ROWS = 256
+
 
 def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype)
@@ -130,7 +134,13 @@ class DensityMatrix:
 
     def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> None:
         """Raise ``ValueError`` when Hermiticity/trace/positivity drift."""
-        herm = np.max(np.abs(self.entries - self.entries.conj().T))
+        E = self.entries
+        herm = 0.0
+        for i in range(0, E.shape[0], _HERM_BLOCK_ROWS):
+            block = np.conj(E[:, i : i + _HERM_BLOCK_ROWS].T, order="C")
+            np.subtract(E[i : i + _HERM_BLOCK_ROWS, :], block, out=block)
+            herm = max(herm, float(np.max(np.abs(block))))
+            del block  # free it before the next block is allocated
         if herm > herm_tol:
             raise ValueError(f"density matrix not Hermitian (residual {herm:.3e})")
         tr = np.trace(self.entries)

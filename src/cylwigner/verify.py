@@ -382,7 +382,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
     for _, state in (("cat", cat), ("von_mises", von_mises_state(0.5, 0.6, window_half_width=8))):
         rho = pure_density(state)
         rebuilt = wigner.reconstruct_density(
-            lambda pt: wigner.wigner_density(rho, pt), rho.n_min, rho.n_max, rho.delta
+            lambda axes: wigner.wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
         )
         worst = max(worst, float(np.max(np.abs(rebuilt.entries - rho.entries))))
     out.append(_check("wigner.reconstruction_round_trip", worst, 1e-8 * tol_scale))
@@ -517,9 +517,14 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
 
     small = thermal.ThermalParams(1.0, window_half_width=8)
     rho_small = thermal.thermal_density(small)
-    rebuilt = wigner.reconstruct_density(
-        lambda pt: thermal.thermal_wigner(small, pt), rho_small.n_min, rho_small.n_max, 0.0
-    )
+
+    def thermal_sampler(axes):
+        # the closed form does not depend on theta: one value per momentum, tiled
+        thetas, ps = axes
+        row = [thermal.thermal_wigner(small, (0.0, p)) for p in ps]
+        return np.tile(row, (len(thetas), 1))
+
+    rebuilt = wigner.reconstruct_density(thermal_sampler, rho_small.n_min, rho_small.n_max, 0.0)
     out.append(
         _check(
             "thermal.reconstruction_round_trip",

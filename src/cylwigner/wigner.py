@@ -362,19 +362,27 @@ def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
 
 
 def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: int | None = None) -> DensityMatrix:
-    """Rebuild a density matrix from a Wigner density ``V``.
+    """Rebuild a density matrix from a Wigner density sampled on one grid.
 
-    ``V`` is a callable ``PhasePoint -> float``.  Each entry is the
-    phase-space pairing of ``V`` with the corresponding window element;
-    the momentum integral collapses exactly (the theta integral of
-    ``exp(i(l-k)theta) V`` is a cardinal series in p sampled on a
-    unit-spaced grid containing the target point), leaving one
+    ``V`` is a grid sampler: called once with the axes pair
+    ``(thetas, ps)``, it returns the real ``(len(thetas), len(ps))`` array
+    of Wigner values.  For a state or density matrix ``obj`` the sampler is
+    ``lambda axes: wigner_grid(obj, *axes).values``.  A sampler output of
+    another shape, a complex dtype or a non-finite value raises
+    ``ValueError``.
+
+    Each entry is the phase-space pairing of ``V`` with the corresponding
+    window element; the momentum integral collapses exactly (the theta
+    integral of ``exp(i(l-k)theta) V`` is a cardinal series in p sampled on
+    a unit-spaced grid containing the target point), leaving one
     Gauss-Legendre angle quadrature per entry:
 
         rho_kl = int dtheta exp(i(l-k)theta) V(theta, (k+l)/2 + delta)
 
-    A trace deficit beyond 1e-6 (window too small for the source state)
-    is reported as a warning on the returned matrix.
+    So ``V`` is sampled on the quadrature nodes times the ``2K - 1``
+    anti-diagonal momenta ``(k+l)/2 + delta``.  A trace deficit beyond 1e-6
+    (window too small for the source state) is reported as a warning on the
+    returned matrix.
     """
     n_min, n_max = int(n_min), int(n_max)
     if n_max < n_min:
@@ -387,10 +395,16 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: in
     weights = pi * rule.weights
     # distinct momentum samples (k+l)/2 + delta, one per anti-diagonal
     p_samples = n_min + 0.5 * np.arange(2 * K - 1) + delta
-    vals = np.empty((nodes.size, p_samples.size))
-    for g, th in enumerate(nodes):
-        for t, pv in enumerate(p_samples):
-            vals[g, t] = float(V(PhasePoint(th, pv)))
+    vals = np.asarray(V((nodes, p_samples)))
+    if vals.shape != (nodes.size, p_samples.size):
+        raise ValueError(
+            f"sampler returned shape {vals.shape}, expected {(nodes.size, p_samples.size)}"
+        )
+    if np.iscomplexobj(vals):
+        raise ValueError("sampler returned complex values; a Wigner density is real")
+    vals = vals.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sampler returned non-finite values")
     nus = np.arange(-(K - 1), K)
     # W[nu, t] = sum_g w_g exp(i nu theta_g) vals[g, t]
     W = (np.exp(1j * np.outer(nus, nodes)) * weights) @ vals

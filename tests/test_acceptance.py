@@ -42,7 +42,6 @@ from cylwigner.wigner import (
     reconstruct_density,
     rescale_hbar,
     uncertainty_product,
-    wigner_density,
     wigner_function,
     wigner_grid,
     wigner_matrix_element,
@@ -170,7 +169,7 @@ def test_criterion_4_marginal_round_trips():
                 quad = momentum_marginal_via_quadrature(obj, float(p))
                 assert abs(quad - series(float(p))) <= 1e-9, name
             rebuilt = reconstruct_density(
-                lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, rho.delta
+                lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
             )
             assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8, name
 

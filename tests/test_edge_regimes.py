@@ -22,7 +22,6 @@ from cylwigner.wigner import (
     moyal_function,
     reconstruct_density,
     uncertainty_product,
-    wigner_density,
     wigner_function,
     wigner_grid,
 )
@@ -128,7 +127,7 @@ class TestFractionalCoveringEverywhere:
         st = von_mises_state(0.8, self.DELTA_PE, window_half_width=9)
         rho = pure_density(st)
         rebuilt = reconstruct_density(
-            lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, rho.delta
+            lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
         )
         assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
 

@@ -203,6 +203,23 @@ class TestPureDensity:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "row, col, residual",
+        [
+            (0, 299, "1.000e-03"),
+            (299, 0, "1.000e-03"),
+            (257, 255, "1.000e-03"),
+            (280, 290, "1.000e-03"),
+            (299, 299, "2.000e-03"),  # on the diagonal: |2i * 1e-3|
+        ],
+    )
+    def test_hermiticity_residual_over_every_row_block(self, row, col, residual):
+        # K = 300 spans two row blocks; a defect anywhere is seen at its full size
+        entries = np.eye(300, dtype=complex) / 300
+        entries[row, col] += 1e-3j
+        with pytest.raises(ValueError, match=rf"not Hermitian \(residual {residual}\)"):
+            DensityMatrix(delta=0.0, n_min=0, entries=entries).validate()
+
 
 class TestSerialization:
     def test_state_round_trip(self):

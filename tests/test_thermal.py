@@ -104,6 +104,17 @@ class TestThermalDensity:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_validate_holds_no_window_sized_temporary(self):
+        # K = 1161: the Hermiticity residual is taken over blocks of rows
+        rho = thermal_density(ThermalParams(1e-4))
+        tracemalloc.start()
+        try:
+            rho.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.entries.nbytes / 2
+
     def test_window_limit_is_4096(self):
         # K = 4097 is the smallest odd window above 256 MiB
         with pytest.raises(ValueError, match=r"K=4097"):
@@ -159,7 +170,13 @@ class TestThermalWigner:
     def test_reconstruction_round_trip(self):
         tp = ThermalParams(1.0, window_half_width=8)
         rho = thermal_density(tp)
-        rebuilt = reconstruct_density(lambda pt: thermal_wigner(tp, pt), rho.n_min, rho.n_max, 0.0)
+
+        def sampler(axes):
+            # independent of theta: one value per momentum, tiled over the angles
+            thetas, ps = axes
+            return np.tile([thermal_wigner(tp, (0.0, p)) for p in ps], (len(thetas), 1))
+
+        rebuilt = reconstruct_density(sampler, rho.n_min, rho.n_max, 0.0)
         assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
 
 

@@ -414,12 +414,12 @@ class TestTraceIdentityPartialSums:
 class TestReconstruction:
     def test_basis_projector(self):
         rho = pure_density(basis_state(0))
-        rebuilt = reconstruct_density(lambda pt: wigner_density(rho, pt), 0, 0, 0.0)
+        rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, 0, 0, 0.0)
         assert rebuilt.entries[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_cat_off_diagonal(self):
         rho = pure_density(cat_state(0.0))
-        rebuilt = reconstruct_density(lambda pt: wigner_density(rho, pt), -1, 1, 0.0)
+        rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, -1, 1, 0.0)
         assert rebuilt.entries[2, 0] == pytest.approx(0.5, abs=1e-8)
         assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
 
@@ -427,19 +427,19 @@ class TestReconstruction:
         st = von_mises_state(0.5, 0.6, window_half_width=8)
         rho = pure_density(st)
         rebuilt = reconstruct_density(
-            lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, rho.delta
+            lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
         )
         assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
 
     def test_small_window_reports_trace_deficit(self):
         rho = pure_density(cat_state(0.0))
         with pytest.warns(RuntimeWarning, match="trace deficit"):
-            rebuilt = reconstruct_density(lambda pt: wigner_density(rho, pt), 0, 1, 0.0)
+            rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, 0, 1, 0.0)
         assert rebuilt.trace() == pytest.approx(0.5, abs=1e-8)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_density(lambda pt: 0.0, 2, 1, 0.0)
+            reconstruct_density(lambda axes: 0.0, 2, 1, 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 8), st.integers(-10, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
@@ -450,8 +450,88 @@ class TestReconstruction:
         entries = B @ B.conj().T
         entries = 0.5 * (entries + entries.conj().T) / np.trace(entries).real
         rho = DensityMatrix(delta=delta, n_min=n_min, entries=entries)
-        rebuilt = reconstruct_density(lambda pt: wigner_density(rho, pt), rho.n_min, rho.n_max, delta)
+        rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, delta)
         assert np.max(np.abs(rebuilt.entries - rho.entries)) <= 1e-8
+
+
+def _pointwise_sampler(rho):
+    """Reference sampler for the grid route: one ``wigner_density`` call per
+    angle and momentum."""
+
+    def sample(axes):
+        thetas, ps = axes
+        return np.array([[wigner_density(rho, (t, p)) for p in ps] for t in thetas])
+
+    return sample
+
+
+class TestReconstructionSampler:
+    CAT = pure_density(cat_state(0.0))
+
+    def _grid(self, axes):
+        return wigner_grid(self.CAT, *axes).values
+
+    def test_called_once_with_the_quadrature_axes(self):
+        calls = []
+
+        def counting(axes):
+            calls.append(axes)
+            return self._grid(axes)
+
+        reconstruct_density(counting, -1, 1, 0.0)
+        assert len(calls) == 1
+        thetas, ps = calls[0]
+        # K = 3: the anti-diagonal momenta (k+l)/2 + delta for k, l in -1..1
+        np.testing.assert_array_equal(ps, [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.all(np.abs(thetas) < pi)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda vals: vals[:, :-1],
+            lambda vals: vals.T,
+            lambda vals: vals.ravel(),
+            lambda vals: vals[0, 0],
+        ],
+        ids=["short", "transposed", "flat", "scalar"],
+    )
+    def test_wrong_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="shape"):
+            reconstruct_density(lambda axes: bad(self._grid(axes)), -1, 1, 0.0)
+
+    def test_complex_values_rejected(self):
+        # a zero imaginary part is refused too: the dtype is checked, not the values
+        for imag in (1e-3, 0.0):
+            with pytest.raises(ValueError, match="complex"):
+                reconstruct_density(lambda axes: self._grid(axes) + 1j * imag, -1, 1, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, value):
+        def sampler(axes):
+            vals = self._grid(axes).copy()
+            vals[-1, 2] = value
+            return vals
+
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct_density(sampler, -1, 1, 0.0)
+
+    def test_empty_window_never_samples(self):
+        calls = []
+        with pytest.raises(ValueError, match="empty"):
+            reconstruct_density(lambda axes: calls.append(axes) or 0.0, 2, 1, 0.0)
+        assert calls == []
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8), st.integers(-10, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+    def test_grid_route_matches_pointwise_route(self, K, n_min, delta, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+        entries = B @ B.conj().T
+        entries = 0.5 * (entries + entries.conj().T) / np.trace(entries).real
+        rho = DensityMatrix(delta=delta, n_min=n_min, entries=entries)
+        grid = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, delta)
+        pointwise = reconstruct_density(_pointwise_sampler(rho), rho.n_min, rho.n_max, delta)
+        assert np.max(np.abs(grid.entries - pointwise.entries)) <= 1e-15
 
 
 class TestExpectationViaPhaseSpace:
