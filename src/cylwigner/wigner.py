@@ -14,8 +14,7 @@ combinations, so they reduce exactly to finite sums (momentum-direction
 truncation would cost three to four digits to the slow sinc tail).
 Angle-direction integrals use fixed-order Gauss-Legendre quadrature.
 
-Evaluation functions are pure; grid fills parallelize over points with
-no shared mutable state.
+Evaluation functions are pure and keep no shared mutable state.
 """
 
 import warnings
@@ -238,9 +237,18 @@ def wigner_density(rho: DensityMatrix, at) -> float:
     return float(_require_real(value))
 
 
-def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=None) -> WignerGrid:
+def _grid_axes(theta_axis, p_axis):
+    """The given axes as float arrays (the defaults where ``None``); every
+    coordinate must be finite, as for :class:`PhasePoint`."""
     theta_axis = default_theta_axis() if theta_axis is None else np.asarray(theta_axis, float)
     p_axis = default_p_axis() if p_axis is None else np.asarray(p_axis, float)
+    if not (np.all(np.isfinite(theta_axis)) and np.all(np.isfinite(p_axis))):
+        raise ValueError("phase-space coordinates must be finite")
+    return theta_axis, p_axis
+
+
+def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=None) -> WignerGrid:
+    theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
     A, n_min, delta = _union_moyal_matrix(bra, ket)
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
     # a cross function is complex in general, also when bra == ket folds it real
@@ -250,8 +258,7 @@ def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=Non
 
 def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     """Real-valued Wigner grid of a state or density matrix."""
-    theta_axis = default_theta_axis() if theta_axis is None else np.asarray(theta_axis, float)
-    p_axis = default_p_axis() if p_axis is None else np.asarray(p_axis, float)
+    theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
     A, n_min, delta = _coefficient_matrix(obj)
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=_require_real(values))

@@ -1,6 +1,7 @@
 """The grid kernel against direct sums over the coefficient window."""
 
 import cmath
+from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwigner import DensityMatrix, cat_state, wigner_density, wigner_grid
-from cylwigner._kernels import phase_space_sum_grid, phase_space_sum_point, sinc_pi_array
+from cylwigner._kernels import (
+    _sinc_lattice,
+    phase_space_sum_grid,
+    phase_space_sum_point,
+    sinc_pi_array,
+)
 
 
 def random_window(rng, K, n_min):
@@ -166,4 +172,65 @@ class TestKernelProperties:
         A = rng.uniform(-1, 1, (K, K)) + 1j * rng.uniform(-1, 1, (K, K))
         if np.max(np.abs(A - A.conj().T)) <= 1e-12:  # a 1x1 window can be real
             A[0, 0] += 0.5j
+        _check_against_brute_force(A, n_min, delta, thetas, ps, real=False)
+
+
+# Lattice sinc table: n_min in +-1e4, K in [1, 200], delta on the exact
+# quarter points or anywhere in [0, 1); momenta as offsets from n_min, on the
+# integer and half-integer lattice or anywhere across the window and beyond
+lattice_windows = st.tuples(
+    st.integers(-(10**4), 10**4),
+    st.integers(1, 200),
+    st.one_of(st.sampled_from([0.0, 0.5, 0.25]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+lattice_offsets = st.lists(
+    st.one_of(st.integers(-40, 440).map(lambda k: 0.5 * k), st.floats(-20.0, 220.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _table_centres(n_min, K):
+    """Every centre offset t of a K-window, grouped by the residue of
+    2 n_min + t as the table requires."""
+    ts = np.arange(2 * K - 1)
+    return ts[np.argsort((2 * n_min + ts) & 3, kind="stable")]
+
+
+class TestSincLattice:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_windows, lattice_offsets)
+    def test_matches_sinc_and_exact_on_the_lattice(self, window, offsets):
+        n_min, K, delta = window
+        ps = n_min + np.array(offsets)
+        ts = _table_centres(n_min, K)
+        got = _sinc_lattice(ps, n_min, ts, delta)
+        # p - (n_min + t/2) is exact or rounded at the scale of the result,
+        # so this reference argument carries no error from the size of n_min
+        want = sinc_pi_array((ps[None, :] - (n_min + 0.5 * ts)[:, None]) - delta)
+        assert got.shape == (ts.size, ps.size)
+        assert np.max(np.abs(got - want)) <= 2e-15
+        for j, p in enumerate(ps):
+            twice_w = 2 * (Fraction(float(p)) - Fraction(delta))
+            if twice_w.denominator != 1:
+                continue
+            # twice the exact argument; an even value is an integer argument
+            k = int(twice_w) - 2 * n_min - ts
+            assert np.all(got[k == 0, j] == 1.0)
+            assert np.all(got[(k % 2 == 0) & (k != 0), j] == 0.0)
+
+
+class TestFarWindows:
+    # the hypothesis windows above reach n_min -10..10 only; far from the
+    # origin, a sinc argument rounded at the scale of n_min is off by ~1e-12
+    @pytest.mark.parametrize("n_min", [-600, 10**4])
+    @pytest.mark.parametrize("delta", [0.0, 0.37, 0.5])
+    def test_matches_brute_force(self, n_min, delta):
+        rng = np.random.default_rng(abs(n_min) + int(100 * delta))
+        K = 6
+        thetas = [-2.1, 0.3, 1.7]
+        # on a centre, on the half-integer lattice, and between centres
+        ps = [n_min + 2.5 + delta, n_min + 1.0, n_min + 3.3, n_min + delta - 0.8]
+        _check_against_brute_force(_hermitian(rng, K), n_min, delta, thetas, ps, real=True)
+        A = rng.uniform(-1, 1, (K, K)) + 1j * rng.uniform(-1, 1, (K, K))
         _check_against_brute_force(A, n_min, delta, thetas, ps, real=False)

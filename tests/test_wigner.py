@@ -683,6 +683,26 @@ class TestGrids:
         with pytest.raises(ValueError):
             WignerGrid(theta_axis=np.zeros(2), p_axis=np.zeros(3), values=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("axis", ["theta", "p"])
+    @pytest.mark.parametrize(
+        "grid_of",
+        [
+            lambda thetas, ps: wigner_grid(cat_state(0.0), thetas, ps),
+            lambda thetas, ps: moyal_grid(cat_state(0.0), basis_state(1), thetas, ps),
+        ],
+        ids=["wigner_grid", "moyal_grid"],
+    )
+    def test_non_finite_axis_rejected(self, grid_of, axis, value):
+        thetas = np.array([0.0, 0.5])
+        ps = np.array([-1.0, 0.0, 1.0])
+        if axis == "theta":
+            thetas[1] = value
+        else:
+            ps[2] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            grid_of(thetas, ps)
+
 
 class TestConcurrency:
     def test_parallel_point_evaluation_matches_serial(self):
