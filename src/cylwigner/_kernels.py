@@ -7,22 +7,31 @@ coefficient sum of the form
                                      * sinc_pi(p - (m+n)/2 - delta)
 
 evaluated on a rectangular (theta, p) grid.  The sum factors over the
-diagonals ``d = n - m`` of ``A``: each entry lands on the sinc row of its
-centre ``(m+n)/2 + delta``, one matrix product collapses the rows, and a
-second one applies the angle phases ``exp(i d theta)``.  Only the
-nonzero entries of ``A`` are read, so a banded or diagonal window costs
-in proportion to its band, and a Hermitian window folds ``-d`` onto
-``d`` and yields a real grid.
+diagonals ``d = n - m`` of ``A``: each entry lands on its diagonal and on
+the sinc row of its centre ``(m+n)/2 + delta``, so the grid is one chain
+``phases @ M @ table`` of real matrices, the angle phases
+``exp(i d theta)`` as (cos, sin) column pairs, the scattered real and
+imaginary parts of ``A`` and the sinc table.  ``numpy.linalg.multi_dot``
+evaluates the chain in whichever of its two orders takes fewer
+multiplications for the shapes at hand.  Only the nonzero entries of
+``A`` are read, so a banded or diagonal window costs in proportion to its
+band.  A Hermitian window folds ``-d`` onto ``d`` and yields a real grid
+from one phase row per angle; any other window stacks a second set of
+rows for the imaginary part and yields a complex grid.
 
-The centres all lie on one half-integer lattice shifted by ``delta``, so
-``sin(pi (p - centre))`` is one of ``+-sin(pi f)`` and ``+-cos(pi f)`` for
-one reduced remainder ``f`` per momentum: the sinc table costs one sin
-row, one cos row and a division, with no sine per table entry.  The
-occupied diagonals and centres are found with presence tables over their
-``2K - 1`` possible values, not by sorting the entries.  Real and
-imaginary parts are stacked, so each axis is contracted by a single real
-matrix product on the Hermitian path.
+The phases come from two small tables, coarse ``exp(i B q theta)`` and
+fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
+span, so the cosines and sines are taken per table entry, not per
+(angle, diagonal) pair.  The centres all lie on one half-integer lattice
+shifted by ``delta``, so ``sin(pi (p - centre))`` is one of
+``+-sin(pi f)`` and ``+-cos(pi f)`` for one reduced remainder ``f`` per
+momentum: the sinc table costs one sin row, one cos row and a division,
+with no sine per table entry.  The occupied diagonals and centres are
+found with presence tables over their ``2K - 1`` possible values, not by
+sorting the entries.
 """
+
+import math
 
 import numpy as np
 
@@ -123,7 +132,9 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    rows, cols = np.nonzero(A)
+    # numpy scans a boolean mask on a fast path; a float or complex A (often
+    # the transposed view of a DensityMatrix) is tested element by element
+    rows, cols = np.nonzero(A != 0)
     vals = A[rows, cols]
     hermitian = vals.size == 0 or (
         np.max(np.abs(vals - np.conj(A[cols, rows]))) <= _HERMITIAN_TOL
@@ -143,21 +154,59 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     ds, d_row = _compact(diag + (K - 1), span)
     ds -= K - 1
     ts, t_row = _compact(rows + cols, ((2 * n_min + span) & 3).argsort(kind="stable"))
-    # every (d, m+n) pair names one entry of A, so one assignment scatters
-    # each part: real parts in the top nd rows of M, imaginary below
     nd = ds.size
-    M = np.zeros((2 * nd, ts.size))
-    M[d_row, t_row] = vals.real
-    M[d_row + nd, t_row] = vals.imag
-    G = M @ _sinc_lattice(ps, n_min, ts, delta)
-    angles = np.outer(thetas, ds)
+    if nd == 0:
+        return np.zeros((thetas.size, ps.size))
+    # every (d, m+n) pair names one entry of A, so one assignment scatters
+    # each part: row 2j of M holds the real parts of diagonal ds[j] and row
+    # 2j + 1 the negated imaginary parts, against the (cos, sin) column
+    # pairs of the phases, so each product term is Re(e^{i d theta} A)
+    M = np.zeros((nd, 2, ts.size))
+    M[d_row, 0, t_row] = vals.real
+    M[d_row, 1, t_row] = -vals.imag
+    phases = _angle_phases(thetas, ds)
+    if not hermitian:
+        # the next T rows give the imaginary parts: -i e^{i d theta} pairs
+        # up as (sin, -cos)
+        phases = np.concatenate([phases, -1j * phases])
+    # multi_dot takes the order with fewer multiplications: (phases @ M)
+    # first on the usual axes, (M @ table) first for a few momenta or a
+    # diagonal window on many sinc rows
+    out = np.linalg.multi_dot(
+        [phases.view(np.float64), M.reshape(2 * nd, -1), _sinc_lattice(ps, n_min, ts, delta)]
+    )
     if hermitian:
-        phases = np.empty((thetas.size, 2 * nd))
-        np.cos(angles, out=phases[:, :nd])
-        np.sin(angles, out=phases[:, nd:])
-        np.negative(phases[:, nd:], out=phases[:, nd:])
-        return phases @ G
-    return np.exp(1j * angles) @ (G[:nd] + 1j * G[nd:])
+        return out
+    return out[: thetas.size] + 1j * out[thetas.size :]
+
+
+def _angle_phases(thetas, ds):
+    """``exp(i d theta)``, one row per angle and one column per integer of
+    the ascending ``ds``.
+
+    With ``B = ceil(sqrt(ds[-1] - ds[0] + 1))`` each ``d`` is ``B q + k``
+    with ``-B/2 <= k < B/2``, and its phase is the product of one of ``J``
+    coarse phases ``e^{i B q theta}`` and one of ``B`` fine phases
+    ``e^{i k theta}``: the table costs ``len(thetas) * (J + B)`` cosines and
+    sines, not two per entry.  The remainder is centred on zero, so
+    ``|B q| <= |d| + B/2``: each factor's argument is rounded at about the
+    scale of ``d theta``, and a ``|d| < B/2`` (``q = 0``) takes its phase
+    from one cosine and one sine of ``d theta`` alone.
+    """
+    B = math.isqrt(int(ds[-1] - ds[0])) + 1
+    # d + B//2 = B q + r: the fine step is k = r - B//2
+    q, r = np.divmod(ds + B // 2, B)
+    q0 = int(q[0])
+    J = int(q[-1]) - q0 + 1
+    multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(B) - B // 2])
+    angles = np.outer(thetas, multiples)
+    factors = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=factors.real)
+    np.sin(angles, out=factors.imag)
+    # take, unlike [:, idx], returns C order, so the result views as real pairs
+    phases = factors.take(q - q0, axis=1)
+    phases *= factors.take(J + r, axis=1)
+    return phases
 
 
 def phase_space_sum_point(A, n_min, delta, theta: float, p: float) -> complex:

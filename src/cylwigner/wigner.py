@@ -170,6 +170,10 @@ def default_p_axis(p_min: float = -5.0, p_max: float = 5.0, steps: int = 401) ->
 
 
 def _require_real(values, tol: float = _IMAG_RESIDUE_TOL):
+    """``values`` as real: real input as it is, complex input as its real
+    part once the largest imaginary residue is at most ``tol``."""
+    if np.isrealobj(values):
+        return values
     residue = float(np.max(np.abs(np.imag(values)))) if np.size(values) else 0.0
     if residue > tol:
         raise ArithmeticError(

@@ -234,3 +234,54 @@ class TestFarWindows:
         _check_against_brute_force(_hermitian(rng, K), n_min, delta, thetas, ps, real=True)
         A = rng.uniform(-1, 1, (K, K)) + 1j * rng.uniform(-1, 1, (K, K))
         _check_against_brute_force(A, n_min, delta, thetas, ps, real=False)
+
+
+# Axis shapes that steer the product order: with one angle the phases meet
+# the window first, with one momentum the sinc table does, and long axes on
+# both sides take whichever the shapes make cheaper
+tall_axes = st.tuples(
+    st.lists(st.floats(-pi, pi), min_size=1, max_size=1),
+    st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40),
+)
+wide_axes = st.tuples(
+    st.lists(st.floats(-pi, pi), min_size=1, max_size=40),
+    st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=1),
+)
+square_axes = st.tuples(
+    st.lists(st.floats(-pi, pi), min_size=8, max_size=16),
+    st.lists(st.floats(-12.0, 12.0), min_size=8, max_size=16),
+)
+
+
+def _window_of_kind(kind, rng, K):
+    if kind == "hermitian":
+        return _hermitian(rng, K)
+    if kind == "banded":
+        a, b = np.indices((K, K))
+        return np.where(np.abs(b - a) <= 1, _hermitian(rng, K), 0.0)
+    A = rng.uniform(-1, 1, (K, K)) + 1j * rng.uniform(-1, 1, (K, K))
+    A[0, 0] += 0.5j  # a 1x1 window is not Hermitian either
+    return A
+
+
+class TestContractionOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        windows,
+        st.sampled_from(["hermitian", "banded", "non_hermitian"]),
+        st.one_of(tall_axes, wide_axes, square_axes),
+    )
+    def test_matches_brute_force(self, window, kind, axes):
+        K, n_min, delta, seed = window
+        A = _window_of_kind(kind, np.random.default_rng(seed), K)
+        _check_against_brute_force(A, n_min, delta, *axes, real=kind != "non_hermitian")
+
+    @pytest.mark.parametrize("kind", ["hermitian", "non_hermitian"])
+    def test_wide_diagonal_span_at_the_branch_cut(self, kind):
+        # K = 30: the diagonals span 58 (non-Hermitian) or 29 (Hermitian),
+        # so the coarse and fine angle phases split them into several blocks
+        rng = np.random.default_rng(67)
+        A = _window_of_kind(kind, rng, 30)
+        thetas = [-pi, pi, 2.9]
+        ps = [-14.5, -3.2, 0.0]
+        _check_against_brute_force(A, -15, 0.25, thetas, ps, real=kind == "hermitian")

@@ -53,7 +53,7 @@ from cylwigner.wigner import (
     wigner_matrix_element,
     write_grid_csv,
 )
-from cylwigner.wigner import _CSV_BLOCK
+from cylwigner.wigner import _CSV_BLOCK, _require_real
 
 TWO_PI = 2 * pi
 
@@ -646,6 +646,26 @@ class TestRescaleHbar:
             rescale_hbar(0.0, -1.0, 1)
 
 
+class TestRequireReal:
+    def test_real_input_is_returned_as_is(self):
+        values = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert _require_real(values) is values
+
+    def test_small_residue_gives_real_part(self):
+        values = np.array([[0.25 + 1e-13j, -0.5], [0.0, 1.0 - 1e-13j]])
+        got = _require_real(values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, values.real)
+
+    def test_large_residue_raises(self):
+        values = np.array([[0.25 + 1e-11j, -0.5]])
+        with pytest.raises(
+            ArithmeticError,
+            match=r"^imaginary residue 1\.000e-11 exceeds 1\.0e-12; refusing to take real part$",
+        ):
+            _require_real(values)
+
+
 class TestGrids:
     def test_default_axes(self):
         grid = wigner_grid(cat_state(0.0))
@@ -673,6 +693,15 @@ class TestGrids:
         assert grid.values[0, 0] == pytest.approx(
             moyal_function(cat_state(0.0), basis_state(1), (0.3, 0.2)), abs=1e-14
         )
+
+    def test_moyal_grid_of_one_state_is_complex(self):
+        # bra == ket folds to the kernel's real path; the cross grid stays complex
+        st = von_mises_state(0.5, 0.6)
+        grid = moyal_grid(st, st, np.array([0.3, 1.1]), np.array([0.2, 1.0]))
+        assert grid.values.dtype == np.complex128
+        assert np.array_equal(grid.values.imag, np.zeros((2, 2)))
+        want = wigner_grid(st, grid.theta_axis, grid.p_axis).values
+        assert np.max(np.abs(grid.values.real - want)) <= 1e-15
 
     def test_density_grid(self):
         rho = pure_density(cat_state(0.0))
