@@ -28,7 +28,7 @@ from .states import (
     pure_density,
     von_mises_state,
 )
-from .thermal import ThermalParams, thermal_density
+from .thermal import ThermalParams, _gibbs_series, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
@@ -201,9 +201,10 @@ def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
 
 
 def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
-    rho = thermal_density(ThermalParams(cfg.eps_beta))
+    # the thermal Wigner function does not depend on theta: one row, repeated
+    row = _gibbs_series(ThermalParams(cfg.eps_beta))(cfg.p_axis) / (2.0 * pi)
     thetas = np.asarray(cfg.theta_list or (0.0,))
-    return wigner_grid(rho, thetas, cfg.p_axis)
+    return WignerGrid(theta_axis=thetas, p_axis=cfg.p_axis, values=np.tile(row, (thetas.size, 1)))
 
 
 def _cmd_marginals(cfg: RunConfig) -> dict:

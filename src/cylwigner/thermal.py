@@ -16,7 +16,7 @@ import numpy as np
 from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3
 from .states import DensityMatrix
-from .wigner import _as_point
+from .wigner import CardinalSeries, _as_point
 
 __all__ = [
     "ThermalParams",
@@ -29,8 +29,8 @@ __all__ = [
 
 _LOW_TEMP_MIN_EB = 3.0
 _HIGH_TEMP_MAX_EB = 0.05
-_POLE_BRANCH_WIDTH = 1e-4
-# largest dense K x K complex128 matrix thermal_density builds (K = 4096)
+# largest dense K x K complex128 matrix thermal_density builds (K = 4096),
+# and the largest float64 weight vector behind any thermal value
 _MAX_DENSE_BYTES = 256 * 2**20
 
 
@@ -70,6 +70,21 @@ def partition_function(tp: ThermalParams) -> float:
     return theta3(0.0, exp(-tp.eps_beta))
 
 
+def _gibbs_series(tp: ThermalParams) -> CardinalSeries:
+    """Gibbs weights ``lambda_n = exp(-n^2 eps_beta)/Z`` on the window as a
+    cardinal series: ``series(p) / 2 pi`` is the thermal Wigner function.
+
+    Raises ``ValueError``, before allocating, when the weight vector would
+    exceed 256 MiB."""
+    N = tp.half_width
+    needed = 8 * (2 * N + 1)  # float64 weights
+    if needed > _MAX_DENSE_BYTES:
+        raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
+    n = np.arange(-N, N + 1, dtype=np.float64)
+    lam = np.exp(-(n**2) * tp.eps_beta) / partition_function(tp)
+    return CardinalSeries(delta=0.0, m_min=-N, b=lam)
+
+
 def thermal_density(tp: ThermalParams) -> DensityMatrix:
     """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``.
 
@@ -79,8 +94,7 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     needed = 16 * (2 * N + 1) ** 2  # complex128 entries
     if needed > _MAX_DENSE_BYTES:
         raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
-    n = np.arange(-N, N + 1)
-    lam = np.exp(-(n.astype(np.float64) ** 2) * tp.eps_beta) / partition_function(tp)
+    lam = _gibbs_series(tp).b
     out = DensityMatrix(delta=0.0, n_min=-N, entries=np.diag(lam.astype(np.complex128)))
     out.validate(herm_tol=1e-14, trace_tol=1e-12)
     return out
@@ -90,12 +104,7 @@ def thermal_wigner(tp: ThermalParams, at) -> float:
     """Thermal Wigner function ``(1/2 pi Z) sum_n exp(-n^2 eb) sinc_pi(p-n)``.
 
     Independent of the angle coordinate and even in momentum."""
-    pt = _as_point(at)
-    N = tp.half_width
-    n = np.arange(-N, N + 1).astype(np.float64)
-    weights = np.exp(-(n**2) * tp.eps_beta)
-    total = float(weights @ sinc_pi_array(pt.p - n))
-    return total / (TWO_PI * partition_function(tp))
+    return _gibbs_series(tp)(_as_point(at).p) / TWO_PI
 
 
 def low_temp_wigner(tp: ThermalParams, p: float) -> float:
@@ -105,22 +114,20 @@ def low_temp_wigner(tp: ThermalParams, p: float) -> float:
 
         sinc_pi(p) [1 - exp(-eb) (p/(p+1) + p/(p-1))] / (2 pi Z)
 
-    tracks the full sum to O(exp(-4 eb)).  The apparent poles at
+    tracks the full sum to O(exp(-4 eb)).  Its apparent poles at
     ``p = +-1`` are removable -- ``sinc_pi(p) p/(p -+ 1)`` equals
-    ``-sinc_pi(p -+ 1)`` identically -- and an explicit branch takes
-    that form within 1e-4 of each pole."""
+    ``-sinc_pi(p -+ 1)`` identically -- so the bracket is evaluated as
+
+        [sinc_pi(p) + exp(-eb) (sinc_pi(p-1) + sinc_pi(p+1))] / (2 pi Z)
+
+    which is finite everywhere and does not cancel near the poles."""
     if tp.eps_beta < _LOW_TEMP_MIN_EB:
         raise ValueError("low_temp_wigner requires eps_beta >= 3")
     p = float(p)
     if not np.isfinite(p):
         raise ValueError("p must be finite")
     q = exp(-tp.eps_beta)
-    if abs(p - 1.0) < _POLE_BRANCH_WIDTH or abs(p + 1.0) < _POLE_BRANCH_WIDTH:
-        # pole-cancelling form, identical away from the poles and finite at them
-        value = sinc_pi_array(p) + q * (sinc_pi_array(p - 1.0) + sinc_pi_array(p + 1.0))
-    else:
-        rational = p / (p + 1.0) + p / (p - 1.0)
-        value = sinc_pi_array(p) * (1.0 - q * rational)
+    value = sinc_pi_array(p) + q * (sinc_pi_array(p - 1.0) + sinc_pi_array(p + 1.0))
     return float(value / (TWO_PI * partition_function(tp)))
 
 

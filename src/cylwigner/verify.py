@@ -169,13 +169,12 @@ def _sinc_checks(sinc_fn, tol_scale: float, rng) -> list[InvariantCheck]:
     out.append(_check("specfun.sinc_fourier_identity", worst, 1e-12 * tol_scale))
 
     worst = 0.0
-    for delta in (0.0, 0.37):
-        for m in range(-10, 11):
-            for n in range(-10, 11):
-                swap = integrate_theta(lambda a, d=n - m: np.exp(1j * d * a), order=96) / TWO_PI
-                target = sinc_fn(float(n - m))
-                want = 1.0 if m == n else 0.0
-                worst = max(worst, abs(swap - want), abs(target - want))
+    for m in range(-10, 11):
+        for n in range(-10, 11):
+            swap = integrate_theta(lambda a, d=n - m: np.exp(1j * d * a), order=96) / TWO_PI
+            target = sinc_fn(float(n - m))
+            want = 1.0 if m == n else 0.0
+            worst = max(worst, abs(swap - want), abs(target - want))
     out.append(_check("specfun.sinc_orthonormality_swap", worst, 1e-12 * tol_scale))
     return out
 
@@ -479,15 +478,16 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
     for eb in (3.0, 5.0, 8.0):
         tp = thermal.ThermalParams(eb)
         tol = 5.0 * exp(-4.0 * eb) + 1e-12
-        for p in np.linspace(-2.5, 2.5, 101):
-            diff = abs(thermal.low_temp_wigner(tp, float(p)) - thermal.thermal_wigner(tp, (0.0, float(p))))
+        ps = np.linspace(-2.5, 2.5, 101)
+        for p, exact in zip(ps, thermal._gibbs_series(tp)(ps) / TWO_PI):
+            diff = abs(thermal.low_temp_wigner(tp, float(p)) - exact)
             worst_ratio = max(worst_ratio, diff / tol)
     out.append(_check("thermal.low_temp_agreement", worst_ratio, 1.0))
 
     tp = thermal.ThermalParams(0.01, window_half_width=400)
     worst = 0.0
-    for p in np.linspace(-20.0, 20.0, 81):
-        exact = thermal.thermal_wigner(tp, (0.0, float(p)))
+    ps = np.linspace(-20.0, 20.0, 81)
+    for p, exact in zip(ps, thermal._gibbs_series(tp)(ps) / TWO_PI):
         approx = thermal.high_temp_wigner(tp, float(p))
         worst = max(worst, abs(approx / exact - 1.0))
     gauss_integral = sqrt(pi * tp.eps_beta) / (2.0 * pi**2) * sqrt(pi / tp.eps_beta)
@@ -517,12 +517,12 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
 
     small = thermal.ThermalParams(1.0, window_half_width=8)
     rho_small = thermal.thermal_density(small)
+    small_series = thermal._gibbs_series(small)
 
     def thermal_sampler(axes):
-        # the closed form does not depend on theta: one value per momentum, tiled
+        # the closed form does not depend on theta: one row of momenta, tiled
         thetas, ps = axes
-        row = [thermal.thermal_wigner(small, (0.0, p)) for p in ps]
-        return np.tile(row, (len(thetas), 1))
+        return np.tile(small_series(ps) / TWO_PI, (len(thetas), 1))
 
     rebuilt = wigner.reconstruct_density(thermal_sampler, rho_small.n_min, rho_small.n_max, 0.0)
     out.append(

@@ -87,6 +87,11 @@ def _as_point(at) -> PhasePoint:
     return PhasePoint(theta, p)
 
 
+# sinc-table entries a cardinal series evaluates at a time (1 MiB of float64),
+# so its working memory stays bounded however long the window and the axis
+_SERIES_BLOCK = 2**17
+
+
 @dataclass(frozen=True, eq=False)
 class CardinalSeries:
     """Momentum marginal ``omega(p) = sum_m b_m sinc_pi(p - m - delta)``.
@@ -124,10 +129,20 @@ class CardinalSeries:
         return np.arange(self.m_min, self.m_max + 1)
 
     def __call__(self, p):
+        """The series at scalar or array ``p``: a float for a scalar, an
+        array of the shape of ``p`` otherwise.  The sinc table is built in
+        blocks of at most ``_SERIES_BLOCK`` entries (whole momentum columns,
+        and runs of centres when one column is longer)."""
         shape = np.shape(p)
-        pv = np.atleast_1d(np.asarray(p, dtype=np.float64))
-        centers = self.indices + self.delta
-        values = self.b @ sinc_pi_array(pv[None, :] - centers[:, None])
+        pv = np.asarray(p, dtype=np.float64).ravel()
+        rows = min(self.b.size, _SERIES_BLOCK)
+        cols = max(1, _SERIES_BLOCK // rows)
+        values = np.zeros(pv.size)
+        for lo in range(0, self.b.size, rows):
+            b = self.b[lo:lo + rows]
+            centers = np.arange(self.m_min + lo, self.m_min + lo + b.size) + self.delta
+            for start in range(0, pv.size, cols):
+                values[start:start + cols] += b @ sinc_pi_array(pv[start:start + cols] - centers[:, None])
         if shape == ():
             return float(values[0])
         return values.reshape(shape)

@@ -150,6 +150,26 @@ class TestThermalCommand:
         for t, p, v in read_csv(out):
             assert v == pytest.approx(thermal_wigner(ThermalParams(1.0), (t, p)), abs=1e-13)
 
+    def test_wide_window_matches_high_temp_form(self, tmp_path):
+        # eps_beta = 1e-6 has K = 11501: no dense Gibbs matrix is built
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", "1e-6", "--theta-list=0,2", "--out", str(out)) == 0
+        from cylwigner.thermal import ThermalParams, high_temp_wigner
+
+        rows = read_csv(out)
+        assert len(rows) == 2 * 401
+        for _, p, v in rows:
+            assert v == pytest.approx(high_temp_wigner(ThermalParams(1e-6), p), rel=1e-3)
+
+    def test_never_builds_the_density_matrix(self, tmp_path, monkeypatch):
+        def refuse(tp):
+            raise AssertionError("thermal_density called")
+
+        monkeypatch.setattr("cylwigner.cli.thermal_density", refuse)
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", "0.1", "--out", str(out)) == 0
+        assert len(read_csv(out)) == 401
+
 
 class TestMarginalsCommand:
     def test_json_schema_and_values(self, tmp_path):
@@ -275,10 +295,17 @@ class TestExitCodes:
         assert run_cli("--command", "fig3", "--s", "400") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_oversized_thermal_window_is_two(self, tmp_path, capsys):
-        out = tmp_path / "thermal.csv"
-        assert run_cli("--command", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 2
+    def test_oversized_dense_thermal_window_is_two(self, tmp_path, capsys):
+        # --state thermal builds the dense K x K Gibbs matrix, refused above 256 MiB
+        out = tmp_path / "marg.json"
+        assert run_cli("--command", "marginals", "--state", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 2
         assert "K=11501" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_thermal_weights_are_two(self, tmp_path, capsys):
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", "1e-15", "--out", str(out)) == 2
+        assert "K=363318055" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["marginals", "reconstruct"])

@@ -115,6 +115,17 @@ class TestThermalDensity:
             tracemalloc.stop()
         assert peak < rho.entries.nbytes / 2
 
+    def test_oversized_weight_vector_refused_before_allocating(self):
+        # eps_beta = 1e-15 needs K = 363318055 float64 weights: 2.9 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"K=363318055 needs 2906544440 bytes"):
+                thermal_wigner(ThermalParams(1e-15), (0.0, 0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_window_limit_is_4096(self):
         # K = 4097 is the smallest odd window above 256 MiB
         with pytest.raises(ValueError, match=r"K=4097"):
@@ -197,15 +208,16 @@ class TestLowTempWigner:
             assert low_temp_wigner(tp, -1.0) == pytest.approx(want, rel=1e-12)
 
     def test_branch_matches_pole_free_form(self):
-        # oracle: the rational bracket rewritten without poles
+        # oracle: the rational bracket rewritten without poles; evaluated as
+        # written, the rational bracket cancels to about 1e-15 near each pole
         tp = ThermalParams(4.0)
         q = exp(-4.0)
         Z = partition_function(tp)
         for p0 in (1.0, -1.0):
-            for dp in (0.0, 0.99e-4, 1.01e-4, -0.5e-4):
+            for dp in (0.0, 0.99e-4, 1.01e-4, -0.5e-4, 1.0001e-4, -1.0001e-4, 2e-4, -2e-4, 1e-3, -1e-3):
                 p = p0 + dp
                 want = (sinc_pi(p) + q * (sinc_pi(p - 1) + sinc_pi(p + 1))) / (TWO_PI * Z)
-                assert low_temp_wigner(tp, p) == pytest.approx(want, abs=1e-14)
+                assert low_temp_wigner(tp, p) == pytest.approx(want, abs=1e-16)
 
     @pytest.mark.parametrize("eb", [3.0, 5.0, 8.0])
     def test_tracks_exact_form(self, eb):

@@ -3,6 +3,7 @@ probability extraction, pairings, reconstruction, and bounds."""
 
 import io
 import tempfile
+import tracemalloc
 from math import pi
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from cylwigner.wigner import (
     wigner_matrix_element,
     write_grid_csv,
 )
-from cylwigner.wigner import _CSV_BLOCK, _require_real
+from cylwigner.wigner import _CSV_BLOCK, _SERIES_BLOCK, _require_real
 
 TWO_PI = 2 * pi
 
@@ -334,6 +335,41 @@ class TestCardinalSeries:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             CardinalSeries(delta=0.0, m_min=0, b=np.array([0.9, -0.1]))
+
+    @pytest.mark.parametrize("K, steps", [(1001, 401), (3 * _SERIES_BLOCK // 2, 3)])
+    def test_blocked_evaluation_matches_pointwise(self, K, steps):
+        # K = 1001 on 401 momenta spans several blocks of whole columns; a
+        # window longer than one block also splits each column into runs
+        rng = np.random.default_rng(7)
+        series = CardinalSeries(delta=0.3, m_min=-(K // 2), b=rng.uniform(0.0, 1.0, K))
+        ps = np.linspace(-7.0, 7.0, steps)
+        assert ps.size * K > _SERIES_BLOCK
+        pointwise = np.array([series(float(p)) for p in ps])
+        np.testing.assert_allclose(series(ps), pointwise, rtol=0.0, atol=1e-14)
+        direct = series.b @ sinc_pi(ps[None, :] - (series.indices + series.delta)[:, None])
+        np.testing.assert_allclose(series(ps), direct, rtol=0.0, atol=1e-14)
+
+    def test_output_shapes(self):
+        series = CardinalSeries(delta=0.0, m_min=-1, b=np.array([0.25, 0.5, 0.25]))
+        assert series(np.array([])).shape == (0,)
+        assert type(series(0.5)) is float
+        assert series(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_wide_window_memory_is_bounded(self):
+        # the eps_beta = 1e-6 Gibbs series: K = 11501 centres on 401 momenta,
+        # a 37 MB sinc table if built at once
+        from cylwigner.thermal import ThermalParams, _gibbs_series
+
+        series = _gibbs_series(ThermalParams(1e-6))
+        assert series.b.size == 11501
+        ps = np.linspace(-5.0, 5.0, 401)
+        tracemalloc.start()
+        try:
+            series(ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestExtractProbability:
