@@ -10,6 +10,7 @@ errors and on parameters whose values overflow.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -32,6 +33,8 @@ from .thermal import ThermalParams, _gibbs_series, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
+    default_p_axis,
+    default_theta_axis,
     marginal_angle,
     marginal_momentum,
     reconstruct_density,
@@ -89,7 +92,7 @@ class RunConfig:
 
     @property
     def p_axis(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.p_steps)
+        return default_p_axis(self.p_min, self.p_max, self.p_steps)
 
 
 def _parse_theta_list(text: str) -> tuple:
@@ -118,29 +121,33 @@ def _bind_theta_list(argv: list) -> list:
     return out
 
 
+# one parser per process (parse_args leaves it unchanged); an option left
+# out is absent from the namespace and takes its RunConfig default
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylwigner",
         description="Angle/angular-momentum phase-space data generator and verifier.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--command", required=True, choices=_COMMANDS)
-    parser.add_argument("--m", type=int, default=0, help="basis-state index")
-    parser.add_argument("--s", type=float, default=0.5, help="concentration of the minimal-uncertainty state")
-    parser.add_argument("--pe", type=float, default=0.0, help="mean angular momentum of the minimal-uncertainty state")
-    parser.add_argument("--alpha", type=float, default=0.0, help="relative phase of the cat state")
-    parser.add_argument("--eps-beta", type=float, default=1.0, help="dimensionless temperature parameter")
-    parser.add_argument("--delta", type=float, default=0.0, help="covering parameter in [0, 1)")
-    parser.add_argument("--hbar", type=float, default=1.0, help="momentum rescaling for fig1")
-    parser.add_argument("--state", choices=_STATES, default="vonmises", help="state family for marginals/reconstruct")
-    parser.add_argument("--state-json", type=str, default=None, help="JSON file with a serialized state or density matrix (overrides --state)")
-    parser.add_argument("--theta-list", type=_parse_theta_list, default=(), help="comma-separated angles")
-    parser.add_argument("--theta-steps", type=int, default=181)
-    parser.add_argument("--p-min", type=float, default=-5.0)
-    parser.add_argument("--p-max", type=float, default=5.0)
-    parser.add_argument("--p-steps", type=int, default=401)
-    parser.add_argument("--out", type=str, default=None, help="output path (stdout when omitted)")
-    parser.add_argument("--tol-profile", choices=("default", "loose"), default="default")
+    parser.add_argument("--m", type=int, help="basis-state index")
+    parser.add_argument("--s", type=float, help="concentration of the minimal-uncertainty state")
+    parser.add_argument("--pe", type=float, help="mean angular momentum of the minimal-uncertainty state")
+    parser.add_argument("--alpha", type=float, help="relative phase of the cat state")
+    parser.add_argument("--eps-beta", type=float, help="dimensionless temperature parameter")
+    parser.add_argument("--delta", type=float, help="covering parameter in [0, 1)")
+    parser.add_argument("--hbar", type=float, help="momentum rescaling for fig1")
+    parser.add_argument("--state", choices=_STATES, help="state family for marginals/reconstruct")
+    parser.add_argument("--state-json", help="JSON file with a serialized state or density matrix (overrides --state)")
+    parser.add_argument("--theta-list", type=_parse_theta_list, help="comma-separated angles")
+    parser.add_argument("--theta-steps", type=int)
+    parser.add_argument("--p-min", type=float)
+    parser.add_argument("--p-max", type=float)
+    parser.add_argument("--p-steps", type=int)
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.add_argument("--tol-profile", choices=("default", "loose"))
     parser.add_argument("--inject-sinc-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
@@ -158,6 +165,8 @@ def _select_state(cfg: RunConfig):
     if cfg.state_json is not None:
         with open(cfg.state_json, "r", encoding="ascii") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("state JSON must be an object")
         if "coeffs" in data:
             state = FourierState.from_dict(data)
             norm2 = state.norm() ** 2
@@ -209,14 +218,14 @@ def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
 
 def _cmd_marginals(cfg: RunConfig) -> dict:
     obj = _select_state(cfg)
-    thetas = np.linspace(-pi, pi, cfg.theta_steps)
+    thetas = default_theta_axis(cfg.theta_steps)
     angle = marginal_angle(obj, thetas)
     momentum = marginal_momentum(obj)
     source_key = "state" if isinstance(obj, FourierState) else "density_matrix"
     return {
         "angle_marginal": {
-            "theta": [float(t) for t in thetas],
-            "value": [float(v) for v in np.atleast_1d(angle)],
+            "theta": thetas.tolist(),
+            "value": np.atleast_1d(angle).tolist(),
         },
         "momentum_marginal": momentum.to_dict(),
         source_key: obj.to_dict(),

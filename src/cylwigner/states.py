@@ -9,6 +9,7 @@ windows.  All objects are immutable after construction and safe to
 share across threads.
 """
 
+import operator
 from dataclasses import dataclass
 from math import ceil, floor, sqrt
 
@@ -37,6 +38,34 @@ def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _pairs_out(z: np.ndarray) -> list:
+    """A complex array as nested ``[re, im]`` pairs, read through a real view."""
+    return z.view(np.float64).reshape(z.shape + (2,)).tolist()
+
+
+def _pairs_in(pairs, ndim: int, field: str) -> np.ndarray:
+    """The complex ``ndim``-D array that nested ``[re, im]`` pairs spell;
+    ``ValueError`` naming ``field`` when they spell none."""
+    try:
+        arr = np.asarray(pairs)
+        ok = arr.dtype.kind in "biuf" and arr.shape[ndim:] == (2,)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError(f"state JSON field {field!r} must be a {ndim}-D array of [re, im] number pairs")
+    return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+
+
+def _number_field(data: dict, field: str, kind):
+    """``kind(data[field])`` for ``kind`` ``float`` or ``operator.index``;
+    ``ValueError`` naming a missing field or one of another type."""
+    try:
+        return kind(data[field])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is operator.index else "a number"
+        raise ValueError(f"state JSON field {field!r} is missing or not {what}") from None
 
 
 def _check_delta(delta: float) -> float:
@@ -84,19 +113,18 @@ class FourierState:
         return {
             "delta": self.delta,
             "n_min": self.n_min,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
+            "coeffs": _pairs_out(self.coeffs),
             "discarded_mass": float(self.discarded_mass),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierState":
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
         return cls(
-            delta=data["delta"],
-            n_min=data["n_min"],
-            coeffs=coeffs,
+            delta=_number_field(data, "delta", float),
+            n_min=_number_field(data, "n_min", operator.index),
+            coeffs=_pairs_in(data.get("coeffs"), 1, "coeffs"),
             # payloads written before the field was serialized lack it
-            discarded_mass=float(data.get("discarded_mass", 0.0)),
+            discarded_mass=_number_field(data, "discarded_mass", float) if "discarded_mass" in data else 0.0,
         )
 
 
@@ -153,17 +181,16 @@ class DensityMatrix:
         return {
             "delta": self.delta,
             "n_min": self.n_min,
-            "entries": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.entries
-            ],
+            "entries": _pairs_out(self.entries),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DensityMatrix":
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in data["entries"]]
+        return cls(
+            delta=_number_field(data, "delta", float),
+            n_min=_number_field(data, "n_min", operator.index),
+            entries=_pairs_in(data.get("entries"), 2, "entries"),
         )
-        return cls(delta=data["delta"], n_min=data["n_min"], entries=entries)
 
 
 def basis_state(m: int, delta: float = 0.0) -> FourierState:

@@ -9,7 +9,7 @@ range where their error terms are controlled.
 """
 
 from dataclasses import dataclass
-from math import ceil, exp, pi, sqrt
+from math import ceil, exp, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class ThermalParams:
     def half_width(self) -> int:
         if self.window_half_width is not None:
             return self.window_half_width
-        return ceil(sqrt(33.0 / self.eps_beta)) + 5
+        # for a subnormal eps_beta the ratio overflows, never its root
+        ratio = 33.0 / self.eps_beta
+        return ceil(sqrt(ratio) if isfinite(ratio) else sqrt(33.0) / sqrt(self.eps_beta)) + 5
 
 
 def partition_function(tp: ThermalParams) -> float:

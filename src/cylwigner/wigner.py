@@ -148,7 +148,7 @@ class CardinalSeries:
         return values.reshape(shape)
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "m_min": self.m_min, "b": [float(v) for v in self.b]}
+        return {"delta": self.delta, "m_min": self.m_min, "b": self.b.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CardinalSeries":
@@ -240,20 +240,17 @@ def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
     return phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
 
 
-def wigner_function(state: FourierState, at) -> float:
-    """Wigner function of a pure state; real, bounded by 1/pi."""
+def wigner_function(obj, at) -> float:
+    """Wigner function of a pure state or of a density matrix,
+    ``tr[rho V(theta, p)]``; real, bounded by 1/pi."""
     pt = _as_point(at)
-    A, n_min, delta = _coefficient_matrix(state)
+    A, n_min, delta = _coefficient_matrix(obj)
     value = phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
     return float(_require_real(value))
 
 
-def wigner_density(rho: DensityMatrix, at) -> float:
-    """Wigner function of a mixed state, ``tr[rho V(theta, p)]``."""
-    pt = _as_point(at)
-    A, n_min, delta = _coefficient_matrix(rho)
-    value = phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
-    return float(_require_real(value))
+# the mixed-state name of the same function
+wigner_density = wigner_function
 
 
 def _grid_axes(theta_axis, p_axis):
@@ -387,7 +384,7 @@ def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
     return float(np.abs(np.vdot(ca, cb)) ** 2)
 
 
-def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: int | None = None) -> DensityMatrix:
+def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> DensityMatrix:
     """Rebuild a density matrix from a Wigner density sampled on one grid.
 
     ``V`` is a grid sampler: called once with the axes pair
@@ -414,9 +411,7 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: in
     if n_max < n_min:
         raise ValueError("empty reconstruction window")
     K = n_max - n_min + 1
-    if order is None:
-        order = oscillation_order(2.0 * (K - 1))
-    rule = gauss_legendre_rule(order)
+    rule = gauss_legendre_rule(oscillation_order(2.0 * (K - 1)))
     nodes = pi * rule.nodes
     weights = pi * rule.weights
     # distinct momentum samples (k+l)/2 + delta, one per anti-diagonal
@@ -447,21 +442,20 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0, order: in
     return out
 
 
-def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray, o_n_min: int | None = None) -> float:
+def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray) -> float:
     """Expectation value via the phase-space trace-product pairing.
 
     The pairing ``2 pi int int tr[rho V] tr[O V]`` contracts the angle
     integral to a Kronecker delta and the momentum integral to sinc
     orthonormality, leaving the symmetrized window contraction
     ``(1/2) tr[rho O + O rho]``.  ``O`` must be Hermitian on the window
-    of ``rho`` (``o_n_min`` defaults to the window start)."""
+    of ``rho``."""
     O = np.asarray(O, dtype=np.complex128)
     if O.ndim != 2 or O.shape[0] != O.shape[1]:
         raise ValueError("operator must be a square matrix")
     if np.max(np.abs(O - O.conj().T)) > 1e-12:
         raise ValueError("operator must be Hermitian")
-    o_n_min = rho.n_min if o_n_min is None else int(o_n_min)
-    if o_n_min != rho.n_min or O.shape != rho.entries.shape:
+    if O.shape != rho.entries.shape:
         raise ValueError("operator window must match the density-matrix window")
     value = 0.5 * (np.trace(rho.entries @ O) + np.trace(O @ rho.entries))
     return float(_require_real(value, tol=1e-10))

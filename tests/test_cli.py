@@ -1,13 +1,15 @@
 """Command-line interface: figure data, marginals, reconstruction,
 verification report, exit codes, and output determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cylwigner.cli import RunConfig, main
+from cylwigner.cli import RunConfig, _build_parser, main
 from cylwigner.specfun import bessel_i, sinc_pi
 
 
@@ -42,6 +44,15 @@ class TestRunConfig:
     def test_non_finite_hbar_rejected(self, hbar):
         with pytest.raises(ValueError, match="finite"):
             RunConfig(command="fig1", hbar=hbar)
+
+    def test_parser_and_config_name_the_same_options(self):
+        # RunConfig holds every default: an option the parser adds without
+        # a RunConfig field, or the other way round, would let them drift
+        parser = _build_parser()
+        options = [a for a in parser._actions if a.dest not in ("help", "version")]
+        assert {a.dest for a in options} == {f.name for f in dataclasses.fields(RunConfig)}
+        assert all(a.default is argparse.SUPPRESS for a in options)
+        assert _build_parser() is parser
 
 
 class TestFig1:
@@ -308,6 +319,14 @@ class TestExitCodes:
         assert "K=363318055" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_eps_beta_is_refused_as_oversized(self, tmp_path, capsys):
+        # 33 / eps_beta overflows a double; the window is still sized and refused
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", "1e-320", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thermal window K=")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
     @pytest.mark.parametrize(
         "entries, reason",
@@ -333,6 +352,32 @@ class TestExitCodes:
         assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "norm^2 5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ({"delta": 0.0, "n_min": 0, "coeffs": [1, 0]}, "'coeffs'"),
+            ({"delta": 0.0, "n_min": 0, "coeffs": [["a", "b"]]}, "'coeffs'"),
+            ({"delta": 0.0, "n_min": 0, "entries": [[1, 0]]}, "'entries'"),
+            ({"delta": None, "n_min": 0, "coeffs": [[1, 0]]}, "'delta'"),
+            ({"delta": 0.0, "n_min": None, "coeffs": [[1, 0]]}, "'n_min'"),
+            ({"delta": 0.0, "n_min": 2.5, "coeffs": [[1, 0]]}, "'n_min' is missing or not an integer"),
+            ({"n_min": 0, "coeffs": [[1, 0]]}, "'delta'"),
+            ({"delta": 0.0, "entries": [[[1, 0]]]}, "'n_min'"),
+            (5, "object"),
+        ],
+        ids=["flat-coeffs", "text-coeffs", "flat-entries", "null-delta", "null-n_min",
+             "fractional-n_min", "missing-delta", "missing-n_min", "number"],
+    )
+    def test_malformed_state_json_is_two(self, tmp_path, capsys, command, payload, reason):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
         assert not out.exists()
 
 

@@ -5,6 +5,8 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylwigner.specfun import bessel_i
 from cylwigner.states import (
@@ -252,6 +254,73 @@ class TestSerialization:
         payload = cat_state(0.5).to_dict()
         assert set(payload) == {"delta", "n_min", "coeffs", "discarded_mass"}
         assert all(len(pair) == 2 for pair in payload["coeffs"])
+
+
+# the extremes a JSON payload must carry exactly: signed zero, the smallest
+# subnormal and the largest magnitudes, besides any other finite double
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _per_entry_state_dict(state):
+    return {
+        "delta": state.delta,
+        "n_min": state.n_min,
+        "coeffs": [[float(c.real), float(c.imag)] for c in state.coeffs],
+        "discarded_mass": float(state.discarded_mass),
+    }
+
+
+def _per_entry_density_dict(rho):
+    return {
+        "delta": rho.delta,
+        "n_min": rho.n_min,
+        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in rho.entries],
+    }
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _same_text(a, b):
+    # a plain bool: pytest's diff of two long texts would take minutes on
+    # every failing example hypothesis tries
+    return a == b
+
+
+class TestPairCodec:
+    """``[re, im]`` pairs out and in: exact, and the bytes of writing each
+    entry out by itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_EXACT_FLOATS, _EXACT_FLOATS), min_size=1, max_size=40), st.integers(-50, 50))
+    def test_state_round_trip_is_exact(self, pairs, n_min):
+        state = FourierState(delta=0.25, n_min=n_min, coeffs=[complex(re, im) for re, im in pairs])
+        text = _dumped(state.to_dict())
+        assert _same_text(text, _dumped(_per_entry_state_dict(state)))
+        back = FourierState.from_dict(json.loads(text))
+        assert (back.delta, back.n_min) == (state.delta, state.n_min)
+        assert _same_bits(back.coeffs, state.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.lists(_EXACT_FLOATS, min_size=1, max_size=17))
+    def test_density_round_trip_is_exact(self, K, pool):
+        # K x K entries are too many to draw one by one: a drawn pool of
+        # parts is repeated over the window
+        parts = np.resize(np.array(pool), (K, K, 2))
+        rho = DensityMatrix(delta=0.5, n_min=-3, entries=parts.view(np.complex128)[..., 0])
+        text = _dumped(rho.to_dict())
+        assert _same_text(text, _dumped(_per_entry_density_dict(rho)))
+        back = DensityMatrix.from_dict(json.loads(text))
+        assert (back.delta, back.n_min) == (rho.delta, rho.n_min)
+        assert _same_bits(back.entries, rho.entries)
 
 
 class TestImmutability:
