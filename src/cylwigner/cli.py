@@ -24,6 +24,7 @@ from .specfun import bessel_i, sinc_pi
 from .states import (
     DensityMatrix,
     FourierState,
+    _real_view,
     basis_state,
     cat_state,
     pure_density,
@@ -152,13 +153,78 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_arrays(obj, field: str = ""):
+    """``obj`` with each array replaced by its real view (``_real_view``);
+    ``ValueError`` naming the field of an array that JSON text cannot hold
+    as ``json`` would write it: not float64 or complex128, or not finite."""
+    if isinstance(obj, dict):
+        return {key: _json_arrays(value, f"{field}.{key}" if field else key) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_arrays(value, f"{field}[{i}]") for i, value in enumerate(obj)]
+    if not isinstance(obj, np.ndarray):
+        return obj
+    if obj.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"JSON field {field!r} has dtype {obj.dtype}, not float64 or complex128")
+    arr = _real_view(obj)
+    # min and max are NaN or infinite when any value is, with no temporary
+    if arr.size and not (isfinite(arr.min()) and isfinite(arr.max())):
+        raise ValueError(f"JSON field {field!r} has a non-finite value")
+    return arr
+
+
+def _array_template(shape: tuple, level: int) -> str:
+    """The ``%r`` template of a nested list of ``shape`` opened at indent
+    ``level``, laid out as ``json.dumps(indent=2)`` lays it out; ``%r`` of a
+    finite float is the text ``json`` writes for it."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    items = ("," + pad).join([_array_template(shape[1:], level + 1)] * shape[0])
+    return "[" + pad + items + "\n" + "  " * level + "]"
+
+
+def _stream_json(obj, level: int, write) -> None:
+    """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64
+    array as its nested list: a 1-D array in one piece, a deeper one a
+    first-axis row at a time, each from one ``%`` template."""
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim < 2 or obj.shape[0] == 0:
+            write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
+            return
+        template = _array_template(obj.shape[1:], level + 1)
+        for i, row in enumerate(obj):
+            write(("[" if i == 0 else ",") + pad + template % tuple(row.ravel().tolist()))
+    elif isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
+            _stream_json(obj[key], level + 1, write)
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            write(("[" if i == 0 else ",") + pad)
+            _stream_json(value, level + 1, write)
+    else:
+        # a scalar or an empty container
+        write(json.dumps(obj))
+        return
+    write(pad[:-2] + ("}" if isinstance(obj, dict) else "]"))
+
+
 def _write_json(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Stream ``payload`` as the text of ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n"``.  Its arrays are checked before the output file
+    is opened; beyond them, the memory held is one array row's text."""
+    payload = _json_arrays(payload)
     if out is None:
-        sys.stdout.write(text)
+        _stream_json(payload, 0, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            _stream_json(payload, 0, fh.write)
+            fh.write("\n")
 
 
 def _select_state(cfg: RunConfig):
@@ -223,12 +289,9 @@ def _cmd_marginals(cfg: RunConfig) -> dict:
     momentum = marginal_momentum(obj)
     source_key = "state" if isinstance(obj, FourierState) else "density_matrix"
     return {
-        "angle_marginal": {
-            "theta": thetas.tolist(),
-            "value": np.atleast_1d(angle).tolist(),
-        },
-        "momentum_marginal": momentum.to_dict(),
-        source_key: obj.to_dict(),
+        "angle_marginal": {"theta": thetas, "value": np.atleast_1d(angle)},
+        "momentum_marginal": momentum._json_fields(),
+        source_key: obj._json_fields(),
     }
 
 
@@ -240,7 +303,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> dict:
     )
     max_err = float(np.max(np.abs(rebuilt.entries - rho.entries)))
     return {
-        "density_matrix": rebuilt.to_dict(),
+        "density_matrix": rebuilt._json_fields(),
         "max_abs_error": max_err,
         "trace": rebuilt.trace(),
     }

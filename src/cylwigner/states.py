@@ -30,19 +30,36 @@ __all__ = [
 ]
 
 # rows of the Hermiticity residual computed at a time: each temporary holds
-# at most this many rows of the window, however large K is
-_HERM_BLOCK_ROWS = 256
+# at most this many rows of the window, however large K is (at K = 1161 a
+# block and its modulus take 8% of the window's bytes)
+_HERM_BLOCK_ROWS = 64
 
 
 def _frozen_array(values, dtype):
+    # a read-only array that owns its data is held as is, anything else is
+    # copied: no caller keeps a writable handle on the stored array
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-def _pairs_out(z: np.ndarray) -> list:
-    """A complex array as nested ``[re, im]`` pairs, read through a real view."""
-    return z.view(np.float64).reshape(z.shape + (2,)).tolist()
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """A complex128 array as its real view with a trailing ``[re, im]`` axis;
+    any other array as it is."""
+    return z.view(np.float64).reshape(z.shape + (2,)) if z.dtype == np.complex128 else z
+
+
+def _plain(fields: dict) -> dict:
+    """``fields`` with each array as nested lists, complex entries as
+    ``[re, im]`` pairs: the ``to_dict`` form of a ``_json_fields`` dict."""
+    return {key: _real_view(v).tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
 
 
 def _pairs_in(pairs, ndim: int, field: str) -> np.ndarray:
@@ -109,13 +126,16 @@ class FourierState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
-    def to_dict(self) -> dict:
+    def _json_fields(self) -> dict:
         return {
             "delta": self.delta,
             "n_min": self.n_min,
-            "coeffs": _pairs_out(self.coeffs),
+            "coeffs": self.coeffs,
             "discarded_mass": float(self.discarded_mass),
         }
+
+    def to_dict(self) -> dict:
+        return _plain(self._json_fields())
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierState":
@@ -177,12 +197,11 @@ class DensityMatrix:
         if np.min(self.entries.diagonal().real) < -1e-12:
             raise ValueError("density matrix has a negative diagonal entry")
 
+    def _json_fields(self) -> dict:
+        return {"delta": self.delta, "n_min": self.n_min, "entries": self.entries}
+
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n_min": self.n_min,
-            "entries": _pairs_out(self.entries),
-        }
+        return _plain(self._json_fields())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DensityMatrix":

@@ -96,8 +96,9 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     needed = 16 * (2 * N + 1) ** 2  # complex128 entries
     if needed > _MAX_DENSE_BYTES:
         raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
-    lam = _gibbs_series(tp).b
-    out = DensityMatrix(delta=0.0, n_min=-N, entries=np.diag(lam.astype(np.complex128)))
+    entries = np.diag(_gibbs_series(tp).b.astype(np.complex128))
+    entries.setflags(write=False)  # read-only and owned: held, not copied
+    out = DensityMatrix(delta=0.0, n_min=-N, entries=entries)
     out.validate(herm_tol=1e-14, trace_tol=1e-12)
     return out
 

@@ -30,7 +30,7 @@ from ._kernels import (
     sinc_pi_array,
 )
 from .specfun import gauss_legendre_rule, oscillation_order, sinc_pi
-from .states import DensityMatrix, FourierState, evaluate_wavefunction
+from .states import DensityMatrix, FourierState, _plain, evaluate_wavefunction
 
 __all__ = [
     "PhasePoint",
@@ -147,8 +147,11 @@ class CardinalSeries:
             return float(values[0])
         return values.reshape(shape)
 
+    def _json_fields(self) -> dict:
+        return {"delta": self.delta, "m_min": self.m_min, "b": self.b}
+
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "m_min": self.m_min, "b": self.b.tolist()}
+        return _plain(self._json_fields())
 
     @classmethod
     def from_dict(cls, data: dict) -> "CardinalSeries":

@@ -2,15 +2,23 @@
 verification report, exit codes, and output determinism."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cylwigner.cli import RunConfig, _build_parser, main
+from cylwigner import cli
+from cylwigner.cli import RunConfig, _build_parser, _cmd_marginals, _write_json, main
 from cylwigner.specfun import bessel_i, sinc_pi
+from cylwigner.states import FourierState, pure_density, von_mises_state
 
 
 def run_cli(*args):
@@ -389,12 +397,14 @@ class TestOutputSinks:
             ("--command", "fig2", "--alpha", "0.3", "--theta-list=-1.0,0.5"),
             ("--command", "fig3", "--s", "2.0", "--pe", "0.4"),
             ("--command", "thermal", "--eps-beta", "0.1", "--theta-list=0,1"),
+            ("--command", "marginals", "--state", "vonmises", "--s", "1.5", "--theta-steps", "9"),
+            ("--command", "reconstruct", "--state", "cat", "--alpha", "0.3"),
         ],
-        ids=["fig1", "fig2", "fig3", "thermal"],
+        ids=["fig1", "fig2", "fig3", "thermal", "marginals", "reconstruct"],
     )
     def test_stdout_equals_out_file(self, args, tmp_path, capsys):
         args = args + ("--p-steps", "41")
-        out = tmp_path / "grid.csv"
+        out = tmp_path / "output"
         assert run_cli(*args, "--out", str(out)) == 0
         assert capsys.readouterr().out == ""
         assert run_cli(*args) == 0
@@ -404,6 +414,153 @@ class TestOutputSinks:
         out = tmp_path / "fig3.csv"
         assert run_cli("--command", "fig3", "--s", "400", "--out", str(out)) == 2
         assert not out.exists()
+
+
+# subnormal and the largest magnitudes, besides any other finite double
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_ARRAYS = hnp.arrays(np.float64, _SHAPES, elements=_EXACT_FLOATS) | hnp.arrays(
+    np.complex128, _SHAPES, elements=st.builds(complex, _EXACT_FLOATS, _EXACT_FLOATS)
+)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _EXACT_FLOATS | st.text(max_size=4) | _ARRAYS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+def _listed(obj):
+    """``obj`` with its arrays as nested lists, complex entries as [re, im]."""
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return np.stack([obj.real, obj.imag], axis=-1).tolist()
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_listed(value) for value in obj]
+    return obj
+
+
+def _written(payload) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_json(payload, None)
+    return buf.getvalue()
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _mixed_state_path(tmp_path):
+    # a 60/40 mixture of a von Mises state and its copy turned in angle
+    vm = von_mises_state(0.8, 0.0)
+    turned = vm.coeffs * np.exp(0.7j * np.arange(vm.coeffs.size))
+    entries = 0.6 * np.outer(vm.coeffs, vm.coeffs.conj()) + 0.4 * np.outer(turned, turned.conj())
+    path = tmp_path / "mixed.json"
+    pairs = np.stack([entries.real, entries.imag], axis=-1).tolist()
+    path.write_text(json.dumps({"delta": 0.0, "n_min": vm.n_min, "entries": pairs}))
+    return path
+
+
+class TestJsonWriter:
+    """The streamed JSON is the text of ``json.dumps(indent=2,
+    sort_keys=True)`` of the payload's list form, to the byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOADS)
+    @example(
+        {
+            "\u00e9t\u00e9": [1, 2.5, True, None, []],
+            "\u03c0": {"z": (), "a": {}},
+            "pairs": np.array([[complex(-0.0, 5e-324)], [complex(1e308, -1e308)]]),
+            "cube": np.arange(24.0).reshape(2, 3, 4) - 11.5,
+        }
+    )
+    def test_bytes_match_json_dumps(self, payload):
+        want = json.dumps(_listed(payload), indent=2, sort_keys=True) + "\n"
+        # a plain bool: pytest's diff of two long texts is slow per example
+        assert (_written(payload) == want) is True
+
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.array([0.5, np.nan]), "non-finite"),
+            (np.array([[1.0 + 0.0j, complex(0.0, -np.inf)]]), "non-finite"),
+            (np.arange(3), "dtype int64"),
+            (np.array([True, False]), "dtype bool"),
+        ],
+        ids=["nan", "complex-inf", "int", "bool"],
+    )
+    def test_unwritable_array_is_refused_by_field(self, array, message, capsys):
+        with pytest.raises(ValueError, match=rf"'outer\.inner\[1\]' .*{message}"):
+            _write_json({"outer": {"inner": [np.zeros(2), array]}}, None)
+        assert capsys.readouterr().out == ""
+
+    def test_failed_json_command_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_marginals", lambda cfg: {"value": np.array([np.inf])})
+        out = tmp_path / "marg.json"
+        assert run_cli("--command", "marginals", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--command", "marginals", "--state", "basis", "--m", "2", "--delta", "0.25"),
+            ("--command", "marginals", "--state", "cat", "--alpha", "0.3"),
+            ("--command", "marginals", "--state", "vonmises", "--s", "1.5", "--pe", "0.4"),
+            ("--command", "marginals", "--state", "thermal", "--eps-beta", "0.5"),
+            ("--command", "reconstruct", "--state", "vonmises", "--s", "0.8"),
+            ("--command", "reconstruct", "--state", "thermal", "--eps-beta", "1.0"),
+            ("--command", "verify"),
+        ],
+        ids=["marg-basis", "marg-cat", "marg-vonmises", "marg-thermal", "rec-vonmises", "rec-thermal", "verify"],
+    )
+    def test_command_output_is_canonical(self, args, tmp_path):
+        out = tmp_path / "out.json"
+        assert run_cli(*args, "--out", str(out)) == 0
+        text = out.read_text(encoding="ascii")
+        assert text == _canonical(text)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_reconstruct_state_json_output_is_canonical(self, kind, tmp_path):
+        if kind == "pure":
+            path = tmp_path / "pure.json"
+            path.write_text(json.dumps(von_mises_state(0.8, 1.3).to_dict()))
+        else:
+            path = _mixed_state_path(tmp_path)
+        out = tmp_path / "out.json"
+        assert run_cli("--command", "reconstruct", "--state-json", str(path), "--out", str(out)) == 0
+        text = out.read_text(encoding="ascii")
+        assert text == _canonical(text)
+        assert json.loads(text)["max_abs_error"] <= 1e-8
+
+    def test_writer_memory_is_one_row(self, tmp_path):
+        # K = 301: the list form and the text of the echoed matrix each take
+        # several MB; the writer holds one row of text at a time
+        K = 301
+        coeffs = np.exp(1j * np.linspace(0.0, 3.0, K)) * np.linspace(1.0, 2.0, K)
+        state = FourierState(delta=0.25, n_min=-150, coeffs=coeffs / np.linalg.norm(coeffs))
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(pure_density(state).to_dict()))
+        payload = _cmd_marginals(RunConfig(command="marginals", state_json=str(path)))
+        out = tmp_path / "marg.json"
+        tracemalloc.start()
+        try:
+            _write_json(payload, str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 4 * 2**20
+        assert peak < 2**20
 
 
 class TestDeterminism:

@@ -334,6 +334,21 @@ class TestImmutability:
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
 
+    def test_density_does_not_follow_a_writable_source(self):
+        source = np.diag([0.25, 0.75]).astype(np.complex128)
+        held_back = source.view()
+        held_back.setflags(write=False)  # read-only, but its base is not
+        for entries in (source, held_back):
+            rho = DensityMatrix(delta=0.0, n_min=0, entries=entries)
+            source[0, 0] = 9.0
+            assert rho.entries[0, 0] == 0.25 and not rho.entries.flags.writeable
+            source[0, 0] = 0.25
+
+    def test_density_holds_a_frozen_owned_array(self):
+        entries = np.diag([0.25, 0.75]).astype(np.complex128)
+        entries.setflags(write=False)
+        assert DensityMatrix(delta=0.0, n_min=0, entries=entries).entries is entries
+
     def test_structural_validation(self):
         with pytest.raises(ValueError):
             FourierState(delta=1.5, n_min=0, coeffs=np.array([1.0]))

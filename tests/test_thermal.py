@@ -104,6 +104,18 @@ class TestThermalDensity:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_gibbs_window_is_held_once(self):
+        # K = 1161: the diagonal matrix is built once and not copied again
+        tracemalloc.start()
+        try:
+            rho = thermal_density(ThermalParams(1e-4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        K = rho.entries.shape[0]
+        assert K == 1161
+        assert peak < 1.25 * 16 * K**2
+
     def test_validate_holds_no_window_sized_temporary(self):
         # K = 1161: the Hermiticity residual is taken over blocks of rows
         rho = thermal_density(ThermalParams(1e-4))
