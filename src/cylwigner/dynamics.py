@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, FourierState
+from .states import DensityMatrix, FourierState, _frozen_array
 from .wigner import _as_point, _coefficient_matrix, _require_real, wigner_matrix_element
 from ._kernels import phase_space_sum_point
 
@@ -39,10 +39,9 @@ class DiagonalHamiltonian:
     epsilon: float | None = None
 
     def __post_init__(self):
-        eig = np.array(self.eigenvalues, dtype=np.float64)
+        eig = _frozen_array(self.eigenvalues, np.float64)
         if eig.ndim != 1 or eig.size == 0 or not np.all(np.isfinite(eig)):
             raise ValueError("eigenvalues must be a finite 1-D array")
-        eig.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "n_min", int(self.n_min))
         object.__setattr__(self, "delta", float(self.delta))

@@ -45,8 +45,8 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        nodes = np.array(self.nodes, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if np.any(np.diff(nodes) <= 0):

@@ -35,12 +35,12 @@ __all__ = [
 _HERM_BLOCK_ROWS = 64
 
 
-def _frozen_array(values, dtype):
-    # a read-only array that owns its data is held as is, anything else is
-    # copied: no caller keeps a writable handle on the stored array
+def _frozen_array(values, dtype=None):
+    # a read-only array that owns its data (of ``dtype``, if given) is held as
+    # is, anything else is copied: no caller keeps a writable handle on it
     if (
         isinstance(values, np.ndarray)
-        and values.dtype == dtype
+        and (dtype is None or values.dtype == dtype)
         and values.flags.owndata
         and not values.flags.writeable
     ):
@@ -294,8 +294,11 @@ def state_expectation_L(state: FourierState) -> float:
 
 
 def pure_density(state: FourierState) -> DensityMatrix:
-    """Projector ``rho_mn = c_m conj(c_n)`` onto a normalized state."""
+    """Projector ``rho_mn = c_m conj(c_n)`` onto a normalized state; Hermitian
+    by construction, so only its trace ``||c||^2`` is checked, in O(K)."""
+    tr = np.vdot(state.coeffs, state.coeffs)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density matrix trace {tr} differs from 1")
     rho = np.outer(state.coeffs, state.coeffs.conj())
-    out = DensityMatrix(delta=state.delta, n_min=state.n_min, entries=rho)
-    out.validate(herm_tol=1e-12, trace_tol=1e-10)
-    return out
+    rho.setflags(write=False)  # read-only and owned: held, not copied
+    return DensityMatrix(delta=state.delta, n_min=state.n_min, entries=rho)

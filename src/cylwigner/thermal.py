@@ -14,7 +14,7 @@ from math import ceil, exp, isfinite, pi, sqrt
 import numpy as np
 
 from ._kernels import TWO_PI, sinc_pi_array
-from .specfun import theta3
+from .specfun import theta3, theta3_jacobi
 from .states import DensityMatrix
 from .wigner import CardinalSeries, _as_point
 
@@ -68,7 +68,11 @@ def partition_function(tp: ThermalParams) -> float:
     """Boltzmann sum ``sum_n exp(-n^2 eps_beta)`` via the theta-3 sum.
 
     Tends to 1 from above at low temperature and to
-    ``sqrt(pi/eps_beta)`` at high temperature."""
+    ``sqrt(pi/eps_beta)`` at high temperature.  Below ``eps_beta = 1`` it
+    takes the modular form, as the nome ``exp(-eps_beta)`` would lose about
+    ``1e-16/eps_beta`` relative; from 1 up the shorter nome series."""
+    if tp.eps_beta < 1.0:
+        return theta3_jacobi(0.0, tp.eps_beta)
     return theta3(0.0, exp(-tp.eps_beta))
 
 
@@ -77,13 +81,18 @@ def _gibbs_series(tp: ThermalParams) -> CardinalSeries:
     cardinal series: ``series(p) / 2 pi`` is the thermal Wigner function.
 
     Raises ``ValueError``, before allocating, when the weight vector would
-    exceed 256 MiB."""
+    exceed 256 MiB, and when the weights' mass (the Gibbs trace, checked
+    here once, in O(K)) is off 1 by more than 1e-12: too narrow a window."""
     N = tp.half_width
     needed = 8 * (2 * N + 1)  # float64 weights
     if needed > _MAX_DENSE_BYTES:
         raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
     n = np.arange(-N, N + 1, dtype=np.float64)
     lam = np.exp(-(n**2) * tp.eps_beta) / partition_function(tp)
+    mass = float(np.sum(lam))
+    if abs(mass - 1.0) > 1e-12:
+        raise ValueError(f"thermal window K={2 * N + 1} holds Gibbs mass {mass!r}, not 1")
+    lam.setflags(write=False)  # read-only and owned: held, not copied
     return CardinalSeries(delta=0.0, m_min=-N, b=lam)
 
 
@@ -91,16 +100,15 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``.
 
     Raises ``ValueError``, before allocating, when the dense window would
-    exceed 256 MiB."""
+    exceed 256 MiB.  A real non-negative diagonal is exactly Hermitian: only
+    the weights' mass is checked, once, in O(K), where they are made."""
     N = tp.half_width
     needed = 16 * (2 * N + 1) ** 2  # complex128 entries
     if needed > _MAX_DENSE_BYTES:
         raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
     entries = np.diag(_gibbs_series(tp).b.astype(np.complex128))
     entries.setflags(write=False)  # read-only and owned: held, not copied
-    out = DensityMatrix(delta=0.0, n_min=-N, entries=entries)
-    out.validate(herm_tol=1e-14, trace_tol=1e-12)
-    return out
+    return DensityMatrix(delta=0.0, n_min=-N, entries=entries)
 
 
 def thermal_wigner(tp: ThermalParams, at) -> float:

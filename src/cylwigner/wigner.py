@@ -30,7 +30,7 @@ from ._kernels import (
     sinc_pi_array,
 )
 from .specfun import gauss_legendre_rule, oscillation_order, sinc_pi
-from .states import DensityMatrix, FourierState, _plain, evaluate_wavefunction
+from .states import DensityMatrix, FourierState, _frozen_array, _plain, evaluate_wavefunction
 
 __all__ = [
     "PhasePoint",
@@ -109,13 +109,13 @@ class CardinalSeries:
         delta = float(self.delta)
         if not (0.0 <= delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        b = np.array(self.b, dtype=np.float64)
+        b = _frozen_array(self.b, np.float64)
         if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)):
             raise ValueError("b must be a finite non-empty 1-D array")
         if np.min(b) < -1e-12:
             raise ValueError("cardinal series samples must be non-negative")
-        b = np.clip(b, 0.0, None)
-        b.setflags(write=False)
+        if np.min(b) <= 0.0:  # roundoff negatives and -0.0 are held as +0.0
+            b = _frozen_array(np.clip(b, 0.0, None))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "m_min", int(self.m_min))
         object.__setattr__(self, "b", b)
@@ -135,6 +135,8 @@ class CardinalSeries:
         and runs of centres when one column is longer)."""
         shape = np.shape(p)
         pv = np.asarray(p, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(pv)):
+            raise ValueError("momenta must be finite")
         rows = min(self.b.size, _SERIES_BLOCK)
         cols = max(1, _SERIES_BLOCK // rows)
         values = np.zeros(pv.size)
@@ -167,13 +169,11 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        theta_axis = np.array(self.theta_axis, dtype=np.float64)
-        p_axis = np.array(self.p_axis, dtype=np.float64)
-        values = np.array(self.values)
+        theta_axis = _frozen_array(self.theta_axis, np.float64)
+        p_axis = _frozen_array(self.p_axis, np.float64)
+        values = _frozen_array(self.values)
         if values.shape != (theta_axis.size, p_axis.size):
             raise ValueError("values shape must be (len(theta_axis), len(p_axis))")
-        for arr in (theta_axis, p_axis, values):
-            arr.setflags(write=False)
         object.__setattr__(self, "theta_axis", theta_axis)
         object.__setattr__(self, "p_axis", p_axis)
         object.__setattr__(self, "values", values)
@@ -272,6 +272,7 @@ def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=Non
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
     # a cross function is complex in general, also when bra == ket folds it real
     values = values.astype(np.complex128, copy=False)
+    values.setflags(write=False)  # the kernel's fresh output: held, not copied
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
 
 
@@ -279,8 +280,9 @@ def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     """Real-valued Wigner grid of a state or density matrix."""
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
     A, n_min, delta = _coefficient_matrix(obj)
-    values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
-    return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=_require_real(values))
+    values = _require_real(phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis))
+    values.setflags(write=False)  # the kernel's fresh output: held, not copied
+    return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
 
 
 # entries of one theta row that are formatted and written at a time, so the

@@ -44,6 +44,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             DiagonalHamiltonian(n_min=0, eigenvalues=np.array([np.inf]))
 
+    def test_holds_a_frozen_owned_array_and_copies_others(self):
+        frozen = np.array([0.0, 1.0, 4.0])
+        frozen.setflags(write=False)
+        assert DiagonalHamiltonian(n_min=0, eigenvalues=frozen).eigenvalues is frozen
+        source = np.array([0.0, 1.0, 4.0])
+        H = DiagonalHamiltonian(n_min=0, eigenvalues=source)
+        assert not np.shares_memory(H.eigenvalues, source) and source.flags.writeable
+        assert not H.eigenvalues.flags.writeable
+
 
 class TestEvolveState:
     def test_zero_time_identity(self):

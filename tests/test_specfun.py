@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylwigner.specfun import (
+    QuadratureRule,
     bessel_i,
     bessel_i_scaled,
     gauss_legendre_rule,
@@ -72,6 +73,14 @@ class TestQuadrature:
         assert abs(np.sum(rule.weights) - 2.0) <= 1e-14
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(np.abs(rule.nodes) < 1.0)
+
+    def test_rule_copies_the_callers_arrays(self):
+        nodes = np.array([-0.5, 0.5])
+        weights = np.array([1.0, 1.0])
+        rule = QuadratureRule(nodes=nodes, weights=weights, order=2)
+        for given, held in ((nodes, rule.nodes), (weights, rule.weights)):
+            assert given.flags.writeable and not np.shares_memory(given, held)
+            assert not held.flags.writeable
 
     def test_monomial_exactness(self):
         # order N integrates polynomials through degree 2N-1 exactly

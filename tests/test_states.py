@@ -1,6 +1,7 @@
 """State construction, wavefunction evaluation, and density matrices."""
 
 import json
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -200,6 +201,20 @@ class TestPureDensity:
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_built_without_a_window_sized_validate(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("DensityMatrix.validate called")
+
+        monkeypatch.setattr(DensityMatrix, "validate", refuse)
+        rho = pure_density(von_mises_state(2.0, 0.4))
+        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+
+    def test_unnormalized_state_refused(self):
+        # ||c||^2 = 1.1: the O(K) trace check keeps the refusal and its message
+        state = FourierState(delta=0.0, n_min=0, coeffs=np.array([sqrt(0.6), sqrt(0.5)]))
+        with pytest.raises(ValueError, match="differs from 1"):
+            pure_density(state)
+
     def test_validation_rejects_bad_matrices(self):
         bad = DensityMatrix(delta=0.0, n_min=0, entries=np.array([[0.5, 0.5], [0.1, 0.5]]))
         with pytest.raises(ValueError):
@@ -343,6 +358,18 @@ class TestImmutability:
             source[0, 0] = 9.0
             assert rho.entries[0, 0] == 0.25 and not rho.entries.flags.writeable
             source[0, 0] = 0.25
+
+    def test_pure_density_holds_its_projector_once(self):
+        # K = 831: the projector is built read-only and held, not copied
+        state = von_mises_state(100.0, 0.0)
+        tracemalloc.start()
+        try:
+            rho = pure_density(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.entries.shape == (831, 831) and not rho.entries.flags.writeable
+        assert peak < 1.25 * rho.entries.nbytes
 
     def test_density_holds_a_frozen_owned_array(self):
         entries = np.diag([0.25, 0.75]).astype(np.complex128)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from cylwigner.specfun import integrate_interval, sinc_pi, theta3, theta3_jacobi
+from cylwigner.states import DensityMatrix
 from cylwigner.thermal import (
     ThermalParams,
+    _gibbs_series,
     high_temp_wigner,
     low_temp_wigner,
     partition_function,
@@ -74,6 +76,22 @@ class TestPartitionFunction:
         assert via_series == pytest.approx(direct, rel=1e-11)
         assert via_modular == pytest.approx(direct, rel=1e-11)
 
+    @pytest.mark.parametrize("eb", [1e-10, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.01, 0.5, 0.999, 1.0, 3.0, 40.0])
+    def test_matches_direct_sum_at_every_temperature(self, eb):
+        # the nome exp(-eb) would lose about 1e-16/eb: 1.4e-8 relative at 1e-9
+        tp = ThermalParams(eb)
+        n = np.arange(-tp.half_width, tp.half_width + 1).astype(float)
+        direct = float(np.sum(np.exp(-(n**2) * eb)))
+        assert abs(partition_function(tp) / direct - 1.0) <= 1e-14
+        assert abs(float(np.sum(_gibbs_series(tp).b)) - 1.0) <= 1e-14
+
+    def test_form_switches_at_one(self):
+        # from eps_beta = 1 up the nome series stays, so those outputs keep their bits
+        for eb in (1.0, 1.5, 7.0):
+            assert partition_function(ThermalParams(eb)) == theta3(0.0, exp(-eb))
+        for eb in (0.3, 0.999):
+            assert partition_function(ThermalParams(eb)) == theta3_jacobi(0.0, eb)
+
 
 class TestThermalDensity:
     def test_boltzmann_ratio(self):
@@ -115,6 +133,24 @@ class TestThermalDensity:
         K = rho.entries.shape[0]
         assert K == 1161
         assert peak < 1.25 * 16 * K**2
+
+    def test_built_without_a_window_sized_validate(self, monkeypatch):
+        # the weights' mass is checked in O(K) where they are made; a diagonal
+        # of real non-negative weights needs no K^2 Hermiticity pass
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("DensityMatrix.validate called")
+
+        monkeypatch.setattr(DensityMatrix, "validate", refuse)
+        rho = thermal_density(ThermalParams(0.01))
+        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+
+    def test_narrow_window_refused_naming_k(self):
+        # K = 7 at eps_beta = 0.01 holds about 40% of the Gibbs mass
+        tp = ThermalParams(0.01, window_half_width=3)
+        with pytest.raises(ValueError, match=r"K=7 "):
+            thermal_density(tp)
+        with pytest.raises(ValueError, match=r"K=7 "):
+            thermal_wigner(tp, (0.0, 0.0))
 
     def test_validate_holds_no_window_sized_temporary(self):
         # K = 1161: the Hermiticity residual is taken over blocks of rows

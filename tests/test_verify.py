@@ -1,14 +1,15 @@
 """Verification-suite module API and its cross-routes."""
 
-from math import pi
+from math import exp, pi
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner.specfun import sinc_pi
-from cylwigner.states import DensityMatrix, FourierState
+from cylwigner import thermal, verify
+from cylwigner.specfun import sinc_pi, theta3
+from cylwigner.states import DensityMatrix, FourierState, von_mises_state
 from cylwigner.verify import (
     InvariantCheck,
     angle_marginal_via_swap,
@@ -84,3 +85,34 @@ def test_angle_marginal_routes_agree(window, thetas):
 def test_momentum_marginal_routes_agree(window, p):
     obj = _random_source(window)
     assert abs(marginal_momentum(obj)(p) - momentum_marginal_via_quadrature(obj, p)) <= 1e-9
+
+
+def _failed(checks) -> set:
+    return {c.invariant_id for c in checks if not c.passed}
+
+
+def test_von_mises_normalization_checks_the_state(monkeypatch):
+    # the invariant must see the state itself, not a Bessel identity; only
+    # s > 1 is spoilt, so the other state checks (s <= 0.8) still run
+    def unnormalized(s, p_e, window_half_width=None):
+        state = von_mises_state(s, p_e, window_half_width)
+        scale = 1.0 + 1e-8 if s > 1.0 else 1.0
+        return FourierState(delta=state.delta, n_min=state.n_min, coeffs=state.coeffs * scale)
+
+    monkeypatch.setattr(verify, "von_mises_state", unnormalized)
+    assert "states.von_mises_normalization" in _failed(verify._state_checks(1.0, np.random.default_rng(0)))
+
+
+def test_von_mises_normalization_checks_the_dropped_mass(monkeypatch):
+    def leaky(s, p_e, window_half_width=None):
+        state = von_mises_state(s, p_e, window_half_width)
+        return FourierState(delta=state.delta, n_min=state.n_min, coeffs=state.coeffs, discarded_mass=1e-9)
+
+    monkeypatch.setattr(verify, "von_mises_state", leaky)
+    assert "states.von_mises_normalization" in _failed(verify._state_checks(1.0, np.random.default_rng(0)))
+
+
+def test_partition_cross_routes_see_the_nome_rounding(monkeypatch):
+    # theta3 at the nome exp(-eps_beta) is off by 2.4e-10 at eps_beta = 1e-7
+    monkeypatch.setattr(thermal, "partition_function", lambda tp: theta3(0.0, exp(-tp.eps_beta)))
+    assert "thermal.partition_cross_routes" in _failed(verify._thermal_checks(1.0, np.random.default_rng(0)))

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylwigner import wigner
+from cylwigner._kernels import phase_space_sum_grid
 from cylwigner.specfun import bessel_i, gauss_legendre_rule, sinc_pi
 from cylwigner.states import (
     DensityMatrix,
@@ -348,6 +350,23 @@ class TestCardinalSeries:
         np.testing.assert_allclose(series(ps), pointwise, rtol=0.0, atol=1e-14)
         direct = series.b @ sinc_pi(ps[None, :] - (series.indices + series.delta)[:, None])
         np.testing.assert_allclose(series(ps), direct, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momenta_rejected(self, bad):
+        series = marginal_momentum(cat_state(0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            series(bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            series(np.array([0.0, bad, 1.0]))
+
+    def test_holds_a_frozen_owned_array_and_copies_others(self):
+        b = np.array([0.25, 0.5, 0.25])
+        b.setflags(write=False)
+        assert CardinalSeries(delta=0.0, m_min=-1, b=b).b is b
+        source = np.array([0.25, 0.5, 0.25])
+        series = CardinalSeries(delta=0.0, m_min=-1, b=source)
+        assert not np.shares_memory(series.b, source) and source.flags.writeable
+        assert not series.b.flags.writeable
 
     def test_output_shapes(self):
         series = CardinalSeries(delta=0.0, m_min=-1, b=np.array([0.25, 0.5, 0.25]))
@@ -747,6 +766,59 @@ class TestGrids:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             WignerGrid(theta_axis=np.zeros(2), p_axis=np.zeros(3), values=np.zeros((3, 2)))
+
+    def test_holds_a_frozen_owned_array(self):
+        values = np.ones((2, 3))
+        values.setflags(write=False)
+        assert WignerGrid(theta_axis=np.zeros(2), p_axis=np.zeros(3), values=values).values is values
+
+    def test_copies_a_writable_array_or_a_view(self):
+        source = np.ones((2, 6))
+        frozen_view = source[:, ::2]
+        frozen_view.setflags(write=False)  # read-only, but its base is not
+        for values in (source[:, :3], frozen_view, source[:, :3].copy()):
+            grid = WignerGrid(theta_axis=np.zeros(2), p_axis=np.zeros(3), values=values)
+            assert grid.values is not values and not np.shares_memory(grid.values, source)
+            assert not grid.values.flags.writeable
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize(
+        "grid_of",
+        [
+            lambda thetas, ps: wigner_grid(von_mises_state(0.5, 0.6), thetas, ps),
+            lambda thetas, ps: moyal_grid(cat_state(0.0), basis_state(1), thetas, ps),
+        ],
+        ids=["wigner", "moyal"],
+    )
+    def test_kernel_output_held_not_copied(self, grid_of, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(phase_space_sum_grid(*args))
+            return made[-1]
+
+        monkeypatch.setattr(wigner, "phase_space_sum_grid", recording)
+        grid = grid_of(np.array([0.0, 0.5]), np.array([-1.0, 0.0, 1.0]))
+        assert grid.values is made[0]
+
+    @pytest.mark.parametrize(
+        "grid_of",
+        [
+            lambda thetas, ps: wigner_grid(von_mises_state(0.5, 0.6), thetas, ps),
+            lambda thetas, ps: wigner_grid(pure_density(cat_state(0.0)), thetas, ps),
+            lambda thetas, ps: moyal_grid(cat_state(0.0), basis_state(1), thetas, ps),
+            lambda thetas, ps: moyal_grid(cat_state(0.0), cat_state(0.0), thetas, ps),
+        ],
+        ids=["wigner_state", "wigner_density", "moyal", "moyal_same"],
+    )
+    def test_values_read_only_and_caller_axes_untouched(self, grid_of):
+        thetas = np.array([0.0, 0.5])
+        ps = np.array([-1.0, 0.0, 1.0])
+        grid = grid_of(thetas, ps)
+        assert not grid.values.flags.writeable
+        for given, held in ((thetas, grid.theta_axis), (ps, grid.p_axis)):
+            assert given.flags.writeable and not np.shares_memory(given, held)
+            assert not held.flags.writeable
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("axis", ["theta", "p"])
