@@ -5,126 +5,17 @@ angle and a continuous angular momentum, with exact momentum-direction
 integral reduction, both marginals, probability extraction, overlap and
 expectation pairings, density-matrix reconstruction, diagonal-time
 evolution, and thermal states.
+
+The public names are those each module lists in its ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    DiagonalHamiltonian,
-    evolve_density,
-    evolve_state,
-    k_matrix_element,
-    quadratic_hamiltonian,
-    wigner_time_derivative,
-)
-from .specfun import (
-    QuadratureRule,
-    bessel_i,
-    gauss_legendre_rule,
-    integrate_interval,
-    integrate_theta,
-    sinc_pi,
-    theta3,
-    theta3_jacobi,
-)
-from .states import (
-    DensityMatrix,
-    FourierState,
-    basis_state,
-    cat_state,
-    evaluate_wavefunction,
-    pure_density,
-    state_expectation_L,
-    von_mises_state,
-)
-from .thermal import (
-    ThermalParams,
-    high_temp_wigner,
-    low_temp_wigner,
-    partition_function,
-    thermal_density,
-    thermal_wigner,
-)
-from .wigner import (
-    CardinalSeries,
-    PhasePoint,
-    UncertaintyProduct,
-    WignerGrid,
-    angular_momentum_operator,
-    cosine_operator,
-    default_p_axis,
-    default_theta_axis,
-    expectation_via_phase_space,
-    extract_probability,
-    identity_operator,
-    marginal_angle,
-    marginal_momentum,
-    moyal_function,
-    moyal_grid,
-    overlap_from_wigner,
-    reconstruct_density,
-    rescale_hbar,
-    sine_operator,
-    uncertainty_product,
-    wigner_density,
-    wigner_function,
-    wigner_grid,
-    wigner_matrix_element,
-    write_grid_csv,
-)
+from . import dynamics, specfun, states, thermal, wigner
+from .dynamics import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .states import *  # noqa: F403
+from .thermal import *  # noqa: F403
+from .wigner import *  # noqa: F403
 
-__all__ = [
-    "QuadratureRule",
-    "bessel_i",
-    "gauss_legendre_rule",
-    "integrate_interval",
-    "integrate_theta",
-    "sinc_pi",
-    "theta3",
-    "theta3_jacobi",
-    "DensityMatrix",
-    "FourierState",
-    "basis_state",
-    "cat_state",
-    "evaluate_wavefunction",
-    "pure_density",
-    "state_expectation_L",
-    "von_mises_state",
-    "CardinalSeries",
-    "PhasePoint",
-    "UncertaintyProduct",
-    "WignerGrid",
-    "angular_momentum_operator",
-    "cosine_operator",
-    "default_p_axis",
-    "default_theta_axis",
-    "expectation_via_phase_space",
-    "extract_probability",
-    "identity_operator",
-    "marginal_angle",
-    "marginal_momentum",
-    "moyal_function",
-    "moyal_grid",
-    "overlap_from_wigner",
-    "reconstruct_density",
-    "rescale_hbar",
-    "sine_operator",
-    "uncertainty_product",
-    "wigner_density",
-    "wigner_function",
-    "wigner_grid",
-    "wigner_matrix_element",
-    "write_grid_csv",
-    "DiagonalHamiltonian",
-    "evolve_density",
-    "evolve_state",
-    "k_matrix_element",
-    "quadratic_hamiltonian",
-    "wigner_time_derivative",
-    "ThermalParams",
-    "high_temp_wigner",
-    "low_temp_wigner",
-    "partition_function",
-    "thermal_density",
-    "thermal_wigner",
-]
+__all__ = specfun.__all__ + states.__all__ + wigner.__all__ + dynamics.__all__ + thermal.__all__

@@ -132,9 +132,10 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    # numpy scans a boolean mask on a fast path; a float or complex A (often
-    # the transposed view of a DensityMatrix) is tested element by element
-    rows, cols = np.nonzero(A != 0)
+    K = A.shape[0]
+    # numpy scans a flat boolean mask on a fast path, and divmod splits the
+    # row-major flat indices into the same (rows, cols) as a 2-D nonzero
+    rows, cols = np.divmod(np.flatnonzero(A != 0), K)
     vals = A[rows, cols]
     hermitian = vals.size == 0 or (
         np.max(np.abs(vals - np.conj(A[cols, rows]))) <= _HERMITIAN_TOL
@@ -149,7 +150,6 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
         vals = vals / TWO_PI
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
-    K = A.shape[0]
     span = np.arange(2 * K - 1)
     ds, d_row = _compact(diag + (K - 1), span)
     ds -= K - 1

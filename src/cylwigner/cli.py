@@ -24,6 +24,8 @@ from .specfun import bessel_i, sinc_pi
 from .states import (
     DensityMatrix,
     FourierState,
+    _check_delta,
+    _check_hbar,
     _real_view,
     basis_state,
     cat_state,
@@ -86,10 +88,8 @@ class RunConfig:
             raise ValueError(f"p range must be finite, got [{self.p_min}, {self.p_max}]")
         if not (self.p_min < self.p_max):
             raise ValueError("p range must be non-empty")
-        if not (isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
+        _check_hbar(self.hbar)
+        _check_delta(self.delta)
 
     @property
     def p_axis(self) -> np.ndarray:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, FourierState, _frozen_array
-from .wigner import _as_point, _coefficient_matrix, _require_real, wigner_matrix_element
+from .states import DensityMatrix, FourierState, _check_delta, _check_hbar, _frozen_array
+from .wigner import _as_point, _require_real, _window, wigner_matrix_element
 from ._kernels import phase_space_sum_point
 
 __all__ = [
@@ -39,12 +39,13 @@ class DiagonalHamiltonian:
     epsilon: float | None = None
 
     def __post_init__(self):
+        # delta first: a quadratic spectrum at a NaN delta has NaN eigenvalues
+        object.__setattr__(self, "delta", _check_delta(self.delta))
         eig = _frozen_array(self.eigenvalues, np.float64)
         if eig.ndim != 1 or eig.size == 0 or not np.all(np.isfinite(eig)):
             raise ValueError("eigenvalues must be a finite 1-D array")
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "n_min", int(self.n_min))
-        object.__setattr__(self, "delta", float(self.delta))
 
     @property
     def n_max(self) -> int:
@@ -57,10 +58,21 @@ class DiagonalHamiltonian:
             return float(self.epsilon * (n + self.delta) ** 2)
         raise ValueError(f"index {n} outside the Hamiltonian window")
 
-    def covers(self, n_min: int, n_max: int) -> bool:
-        if self.epsilon is not None:
-            return True
-        return self.n_min <= n_min and n_max <= self.n_max
+    def energies(self, n_min: int, n_max: int) -> np.ndarray:
+        """``energy(n)`` for every ``n`` in ``[n_min, n_max]``, bit for bit,
+        as one array; ``ValueError`` for an index outside a window that has
+        no quadratic form to extend it."""
+        n = np.arange(n_min, n_max + 1)
+        stored = (self.n_min <= n) & (n <= self.n_max)
+        if stored.all():
+            return self.eigenvalues[n_min - self.n_min : n_max - self.n_min + 1]
+        if self.epsilon is None:
+            raise ValueError("Hamiltonian window does not cover the state window")
+        # float_power is the libm pow of a Python float's ``** 2``; the
+        # x * x of np.power can differ from it in the last bit
+        out = self.epsilon * np.float_power(n + self.delta, 2)
+        out[stored] = self.eigenvalues[n[stored] - self.n_min]
+        return out
 
 
 def quadratic_hamiltonian(epsilon: float, n_min: int, n_max: int, delta: float = 0.0) -> DiagonalHamiltonian:
@@ -76,20 +88,17 @@ def quadratic_hamiltonian(epsilon: float, n_min: int, n_max: int, delta: float =
     )
 
 
-def _window_energies(H: DiagonalHamiltonian, n_min: int, n_max: int) -> np.ndarray:
-    if not H.covers(n_min, n_max):
-        raise ValueError("Hamiltonian window does not cover the state window")
-    return np.array([H.energy(n) for n in range(n_min, n_max + 1)])
+def _scaled_time(t: float, hbar: float) -> float:
+    """``t / hbar`` for a finite ``t`` and a valid ``hbar``."""
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    return t / _check_hbar(hbar)
 
 
 def evolve_state(state: FourierState, H: DiagonalHamiltonian, t: float, hbar: float = 1.0) -> FourierState:
     """Phase evolution ``c_n(t) = exp(-i E_n t / hbar) c_n``; norm exact."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
-    energies = _window_energies(H, state.n_min, state.n_max)
-    phases = np.exp(-1j * energies * (t / hbar))
+    tau = _scaled_time(t, hbar)
+    phases = np.exp(-1j * H.energies(state.n_min, state.n_max) * tau)
     return FourierState(
         delta=state.delta,
         n_min=state.n_min,
@@ -103,14 +112,11 @@ def evolve_density(rho: DensityMatrix, H: DiagonalHamiltonian, t: float, hbar: f
 
     Trace and Hermiticity are preserved exactly; diagonal entries never
     move."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
-    energies = _window_energies(H, rho.n_min, rho.n_max)
+    tau = _scaled_time(t, hbar)
+    energies = H.energies(rho.n_min, rho.n_max)
     # phase of the energy *difference*: the diagonal factor is exactly 1,
     # so populations never move even by roundoff
-    phase = np.exp(-1j * (energies[:, None] - energies[None, :]) * (t / hbar))
+    phase = np.exp(-1j * (energies[:, None] - energies[None, :]) * tau)
     return DensityMatrix(delta=rho.delta, n_min=rho.n_min, entries=phase * rho.entries)
 
 
@@ -130,8 +136,8 @@ def wigner_time_derivative(state: FourierState, H: DiagonalHamiltonian, at) -> f
     Contracts the coefficient matrix against the generator matrix; for
     any stationary state (single energy shell) the value is zero."""
     pt = _as_point(at)
-    A, n_min, delta = _coefficient_matrix(state)
-    energies = _window_energies(H, state.n_min, state.n_max)
+    A, n_min, delta = _window(state)
+    energies = H.energies(state.n_min, state.n_max)
     gen = 1j * (energies[:, None] - energies[None, :])
     value = phase_space_sum_point(A * gen, n_min, delta, pt.theta, pt.p)
     return float(_require_real(value))

@@ -21,12 +21,10 @@ __all__ = [
     "gauss_legendre_rule",
     "sinc_pi",
     "bessel_i",
-    "bessel_i_scaled",
     "theta3",
     "theta3_jacobi",
     "integrate_theta",
     "integrate_interval",
-    "oscillation_order",
 ]
 
 # series term / nome cutoffs chosen so truncation sits below double roundoff
@@ -34,6 +32,7 @@ _THETA_TERM_CUTOFF = 1e-16
 _JACOBI_SWITCH_Q = exp(-1.0)
 _BESSEL_Z_LIMIT = 700.0
 _BESSEL_N_LIMIT = 10**6
+_MIN_OSCILLATION_ORDER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +234,11 @@ def integrate_interval(f, a: float, b: float, order: int = 64):
     return _apply_rule(f, float(a), float(b), order)
 
 
-def oscillation_order(max_frequency: float, base: int = 64) -> int:
+def oscillation_order(max_frequency: float) -> int:
     """Quadrature order that resolves ``exp(i nu theta)`` on [-pi, pi].
 
     Empirically order ~ 2.2 nu + margin reaches 1e-13 absolute error;
-    used by routines that pick their order from a window span.
+    used by routines that pick their order from a window span.  Never
+    below ``_MIN_OSCILLATION_ORDER``.
     """
-    return max(base, int(ceil(2.2 * max_frequency)) + 16)
+    return max(_MIN_OSCILLATION_ORDER, int(ceil(2.2 * max_frequency)) + 16)

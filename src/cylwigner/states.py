@@ -86,10 +86,47 @@ def _number_field(data: dict, field: str, kind):
 
 
 def _check_delta(delta: float) -> float:
+    """The covering parameter as a float; ``ValueError`` outside [0, 1)."""
     delta = float(delta)
     if not np.isfinite(delta) or not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     return delta
+
+
+def _check_hbar(hbar: float) -> float:
+    """The momentum scale as a float; ``ValueError`` unless finite and positive."""
+    hbar = float(hbar)
+    if not (np.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"hbar must be finite and positive, got {hbar}")
+    return hbar
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array of at least one dimension; ``ValueError``
+    naming ``what`` when one is not finite."""
+    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _union(a, b) -> tuple:
+    """The index window ``(n_min, n_max)`` that spans the windows of ``a``
+    and ``b``; ``ValueError`` when their coverings differ."""
+    if a.delta != b.delta:
+        raise ValueError("states must share the covering parameter delta")
+    return min(a.n_min, b.n_min), max(a.n_max, b.n_max)
+
+
+def _on_window(state, n_min: int, n_max: int) -> np.ndarray:
+    """The coefficients of ``state`` on the window ``[n_min, n_max]``, which
+    contains the state's own: ``state.coeffs`` itself when the windows
+    match, else a zero-padded copy."""
+    if (n_min, n_max) == (state.n_min, state.n_max):
+        return state.coeffs
+    c = np.zeros(n_max - n_min + 1, dtype=np.complex128)
+    c[state.n_min - n_min : state.n_max - n_min + 1] = state.coeffs
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,16 +312,12 @@ def evaluate_wavefunction(state: FourierState, phi):
 
     ``phi`` may be a scalar or array; values outside [-pi, pi) follow
     the quasi-periodic continuation ``psi(phi + 2 pi) =
-    exp(i 2 pi delta) psi(phi)`` automatically.
+    exp(i 2 pi delta) psi(phi)`` automatically.  A non-finite angle raises
+    ``ValueError``.
     """
-    shape = np.shape(phi)
-    ph = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     freqs = state.indices + state.delta
-    values = state.coeffs @ np.exp(1j * np.outer(freqs, ph.ravel()))
-    values = values.reshape(ph.shape)
-    if shape == ():
-        return complex(values[0])
-    return values.reshape(shape)
+    values = state.coeffs @ np.exp(1j * np.outer(freqs, _finite(phi, "angles")))
+    return values.item() if np.ndim(phi) == 0 else values.reshape(np.shape(phi))
 
 
 def state_expectation_L(state: FourierState) -> float:

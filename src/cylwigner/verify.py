@@ -36,7 +36,7 @@ from .states import (
     pure_density,
     von_mises_state,
 )
-from .wigner import CardinalSeries, _coefficient_matrix, _require_real
+from .wigner import CardinalSeries, _require_real, _window
 
 __all__ = [
     "InvariantCheck", "run_verification", "report_as_json_entries",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _SEED = 20260808
+# Gauss-Legendre orders of the angle quadratures in the cross-routes
+_PROBABILITY_ORDER = 96
+_PAIR_ORDER = 64
+_TOTAL_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def _example_states():
 # second routes to analytic results of cylwigner.wigner, for the checks below
 
 
-def extract_probability_via_quadrature(omega: CardinalSeries, m: int, order: int = 96) -> float:
+def extract_probability_via_quadrature(omega: CardinalSeries, m: int) -> float:
     """Independent route to :func:`cylwigner.wigner.extract_probability`.
 
     The sinc pair integral over all momenta is swapped into the finite
@@ -86,12 +90,12 @@ def extract_probability_via_quadrature(omega: CardinalSeries, m: int, order: int
     total = 0.0
     for k, b in zip(omega.indices, omega.b):
         nu = k - m
-        pair = integrate_theta(lambda a, nu=nu: np.exp(1j * nu * a), order=order) / TWO_PI
+        pair = integrate_theta(lambda a, nu=nu: np.exp(1j * nu * a), order=_PROBABILITY_ORDER) / TWO_PI
         total += b * float(_require_real(pair, tol=1e-10))
     return total
 
 
-def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0, order: int = 64) -> complex:
+def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0) -> complex:
     """``2 pi`` times the phase-space product integral of V_kl and V_mn.
 
     The angle factor is integrated numerically by Gauss-Legendre while
@@ -99,21 +103,19 @@ def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0, ord
     spacing; the result is ``delta_{kn} delta_{lm}`` up to quadrature
     error."""
     nu = (l - k) + (n - m)
-    angle = integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=order)
+    angle = integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=_PAIR_ORDER)
     momentum = sinc_pi_array(0.5 * ((k + l) - (m + n)))
     return complex(angle * momentum / TWO_PI)
 
 
-def momentum_marginal_via_quadrature(obj, p: float, order: int | None = None) -> float:
+def momentum_marginal_via_quadrature(obj, p: float) -> float:
     """Angle quadrature of the Wigner function at fixed momentum.
 
     Cross-route for :func:`cylwigner.wigner.marginal_momentum`: integrates
     the grid evaluation over theta instead of reading off the diagonal
     samples."""
-    A, n_min, delta = _coefficient_matrix(obj)
-    if order is None:
-        order = oscillation_order(float(A.shape[0] - 1))
-    rule = gauss_legendre_rule(order)
+    A, n_min, delta = _window(obj)
+    rule = gauss_legendre_rule(oscillation_order(float(A.shape[0] - 1)))
     nodes = pi * rule.nodes
     weights = pi * rule.weights
     values = phase_space_sum_grid(A, n_min, delta, nodes, np.array([float(p)]))[:, 0]
@@ -126,29 +128,25 @@ def angle_marginal_via_swap(obj, theta):
     Each window element integrates over p to ``(1/2pi) exp(i(n-m)theta)``
     exactly, so the marginal is the phase-weighted window contraction.
     Cross-route for :func:`cylwigner.wigner.marginal_angle`."""
-    A, n_min, delta = _coefficient_matrix(obj)
-    shape = np.shape(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    A, n_min, delta = _window(obj)
     K = A.shape[0]
     # sum_d exp(i d theta) * (sum of the d-th diagonal of A)
     diag_sums = np.array([np.sum(np.diagonal(A, offset=d)) for d in range(-(K - 1), K)])
-    phases = np.exp(1j * np.outer(th, np.arange(-(K - 1), K)))
+    phases = np.exp(1j * np.outer(np.asarray(theta, dtype=np.float64), np.arange(-(K - 1), K)))
     values = _require_real(phases @ diag_sums, tol=1e-10) / TWO_PI
-    if shape == ():
-        return float(values[0])
-    return values.reshape(shape)
+    return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
 
 
 def total_integral(obj) -> float:
     """Full phase-space integral, reduced analytically to the trace."""
-    A, _, _ = _coefficient_matrix(obj)
+    A, _, _ = _window(obj)
     return float(_require_real(np.trace(A), tol=1e-10))
 
 
-def total_integral_via_quadrature(obj, order: int = 96) -> float:
+def total_integral_via_quadrature(obj) -> float:
     """Cross-route for :func:`total_integral`: the exact momentum swap
     followed by numerical angle quadrature."""
-    return float(integrate_theta(lambda th: angle_marginal_via_swap(obj, th), order=order))
+    return float(integrate_theta(lambda th: angle_marginal_via_swap(obj, th), order=_TOTAL_ORDER))
 
 
 # ---------------------------------------------------------------- specfun

@@ -30,7 +30,18 @@ from ._kernels import (
     sinc_pi_array,
 )
 from .specfun import gauss_legendre_rule, oscillation_order, sinc_pi
-from .states import DensityMatrix, FourierState, _frozen_array, _plain, evaluate_wavefunction
+from .states import (
+    DensityMatrix,
+    FourierState,
+    _check_delta,
+    _check_hbar,
+    _finite,
+    _frozen_array,
+    _on_window,
+    _plain,
+    _union,
+    evaluate_wavefunction,
+)
 
 __all__ = [
     "PhasePoint",
@@ -106,9 +117,7 @@ class CardinalSeries:
     b: np.ndarray
 
     def __post_init__(self):
-        delta = float(self.delta)
-        if not (0.0 <= delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
+        delta = _check_delta(self.delta)
         b = _frozen_array(self.b, np.float64)
         if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)):
             raise ValueError("b must be a finite non-empty 1-D array")
@@ -133,10 +142,7 @@ class CardinalSeries:
         array of the shape of ``p`` otherwise.  The sinc table is built in
         blocks of at most ``_SERIES_BLOCK`` entries (whole momentum columns,
         and runs of centres when one column is longer)."""
-        shape = np.shape(p)
-        pv = np.asarray(p, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(pv)):
-            raise ValueError("momenta must be finite")
+        pv = _finite(p, "momenta").ravel()
         rows = min(self.b.size, _SERIES_BLOCK)
         cols = max(1, _SERIES_BLOCK // rows)
         values = np.zeros(pv.size)
@@ -145,9 +151,7 @@ class CardinalSeries:
             centers = np.arange(self.m_min + lo, self.m_min + lo + b.size) + self.delta
             for start in range(0, pv.size, cols):
                 values[start:start + cols] += b @ sinc_pi_array(pv[start:start + cols] - centers[:, None])
-        if shape == ():
-            return float(values[0])
-        return values.reshape(shape)
+        return values.item() if np.ndim(p) == 0 else values.reshape(np.shape(p))
 
     def _json_fields(self) -> dict:
         return {"delta": self.delta, "m_min": self.m_min, "b": self.b}
@@ -200,33 +204,24 @@ def _require_real(values, tol: float = _IMAG_RESIDUE_TOL):
     return np.real(values)
 
 
-def _coefficient_matrix(obj):
-    """Window matrix A with value = sum_{m,n} A_mn V_mn(theta, p)."""
-    if isinstance(obj, FourierState):
-        return np.outer(obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
-    if isinstance(obj, DensityMatrix):
+def _window(obj, ket=None):
+    """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p): the
+    pair ``(obj, ket)`` of states, a state ``obj`` as the pair ``(obj,
+    obj)``, or a density matrix ``obj``."""
+    if isinstance(obj, DensityMatrix) and ket is None:
         # tr[rho V] = sum_mn rho_mn V_nm; entries are read-only, so a view
         return obj.entries.T, obj.n_min, obj.delta
-    raise TypeError("expected a FourierState or DensityMatrix")
-
-
-def _union_moyal_matrix(bra: FourierState, ket: FourierState):
-    if bra.delta != ket.delta:
-        raise ValueError("bra and ket must share the covering parameter delta")
-    n_min = min(bra.n_min, ket.n_min)
-    n_max = max(bra.n_max, ket.n_max)
-    K = n_max - n_min + 1
-    A = np.zeros((K, K), dtype=np.complex128)
-    rows = slice(bra.n_min - n_min, bra.n_max - n_min + 1)
-    cols = slice(ket.n_min - n_min, ket.n_max - n_min + 1)
-    A[rows, cols] = np.outer(bra.coeffs.conj(), ket.coeffs)
-    return A, n_min, bra.delta
+    if not isinstance(obj, FourierState):
+        raise TypeError("expected a FourierState or DensityMatrix")
+    ket = obj if ket is None else ket
+    n_min, n_max = _union(obj, ket)
+    A = np.outer(_on_window(obj, n_min, n_max).conj(), _on_window(ket, n_min, n_max))
+    return A, n_min, obj.delta
 
 
 def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     """Matrix element V_mn at a phase-space point; bounded by 1/2pi."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
+    delta = _check_delta(delta)
     pt = _as_point(at)
     s = sinc_pi_array(pt.p - 0.5 * (m + n + 2.0 * delta))
     return complex(np.exp(1j * (n - m) * pt.theta) * s / TWO_PI)
@@ -239,7 +234,7 @@ def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
     Wigner function of the state.
     """
     pt = _as_point(at)
-    A, n_min, delta = _union_moyal_matrix(bra, ket)
+    A, n_min, delta = _window(bra, ket)
     return phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
 
 
@@ -247,7 +242,7 @@ def wigner_function(obj, at) -> float:
     """Wigner function of a pure state or of a density matrix,
     ``tr[rho V(theta, p)]``; real, bounded by 1/pi."""
     pt = _as_point(at)
-    A, n_min, delta = _coefficient_matrix(obj)
+    A, n_min, delta = _window(obj)
     value = phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
     return float(_require_real(value))
 
@@ -259,16 +254,14 @@ wigner_density = wigner_function
 def _grid_axes(theta_axis, p_axis):
     """The given axes as float arrays (the defaults where ``None``); every
     coordinate must be finite, as for :class:`PhasePoint`."""
-    theta_axis = default_theta_axis() if theta_axis is None else np.asarray(theta_axis, float)
-    p_axis = default_p_axis() if p_axis is None else np.asarray(p_axis, float)
-    if not (np.all(np.isfinite(theta_axis)) and np.all(np.isfinite(p_axis))):
-        raise ValueError("phase-space coordinates must be finite")
-    return theta_axis, p_axis
+    theta_axis = default_theta_axis() if theta_axis is None else theta_axis
+    p_axis = default_p_axis() if p_axis is None else p_axis
+    return _finite(theta_axis, "phase-space coordinates"), _finite(p_axis, "phase-space coordinates")
 
 
 def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=None) -> WignerGrid:
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
-    A, n_min, delta = _union_moyal_matrix(bra, ket)
+    A, n_min, delta = _window(bra, ket)
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
     # a cross function is complex in general, also when bra == ket folds it real
     values = values.astype(np.complex128, copy=False)
@@ -279,7 +272,7 @@ def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=Non
 def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     """Real-valued Wigner grid of a state or density matrix."""
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
-    A, n_min, delta = _coefficient_matrix(obj)
+    A, n_min, delta = _window(obj)
     values = _require_real(phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis))
     values.setflags(write=False)  # the kernel's fresh output: held, not copied
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
@@ -335,20 +328,17 @@ def marginal_angle(obj, theta):
     """Angle marginal ``(1/2pi)|psi(theta)|^2`` (or the rho bilinear).
 
     Computed analytically from the coefficients, never by momentum
-    quadrature.  Accepts scalar or array ``theta``.
+    quadrature.  Accepts scalar or array ``theta``; a non-finite angle
+    raises ``ValueError``.
     """
     if isinstance(obj, FourierState):
         psi = evaluate_wavefunction(obj, theta)
         return np.abs(psi) ** 2 / TWO_PI
     if isinstance(obj, DensityMatrix):
-        shape = np.shape(theta)
-        th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        phases = np.exp(1j * np.outer(obj.indices + obj.delta, th))
+        phases = np.exp(1j * np.outer(obj.indices + obj.delta, _finite(theta, "angles")))
         tmp = obj.entries @ phases.conj()
         values = _require_real(np.sum(phases * tmp, axis=0)) / TWO_PI
-        if shape == ():
-            return float(values[0])
-        return values.reshape(shape)
+        return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
     raise TypeError("expected a FourierState or DensityMatrix")
 
 
@@ -378,15 +368,8 @@ def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
     """``2 pi`` times the phase-space product integral of two Wigner
     functions, reduced analytically onto the coefficient windows; equals
     ``|(a, b)|^2``."""
-    if a.delta != b.delta:
-        raise ValueError("states must share the covering parameter delta")
-    n_min = min(a.n_min, b.n_min)
-    n_max = max(a.n_max, b.n_max)
-    ca = np.zeros(n_max - n_min + 1, dtype=np.complex128)
-    cb = np.zeros_like(ca)
-    ca[a.n_min - n_min : a.n_max - n_min + 1] = a.coeffs
-    cb[b.n_min - n_min : b.n_max - n_min + 1] = b.coeffs
-    return float(np.abs(np.vdot(ca, cb)) ** 2)
+    n_min, n_max = _union(a, b)
+    return float(np.abs(np.vdot(_on_window(a, n_min, n_max), _on_window(b, n_min, n_max))) ** 2)
 
 
 def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> DensityMatrix:
@@ -412,7 +395,7 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
     (window too small for the source state) is reported as a warning on the
     returned matrix.
     """
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max, delta = int(n_min), int(n_max), _check_delta(delta)
     if n_max < n_min:
         raise ValueError("empty reconstruction window")
     K = n_max - n_min + 1
@@ -472,6 +455,7 @@ def identity_operator(n_min: int, n_max: int) -> np.ndarray:
 
 def angular_momentum_operator(n_min: int, n_max: int, delta: float = 0.0) -> np.ndarray:
     """Diagonal matrix of momentum eigenvalues ``n + delta``."""
+    delta = _check_delta(delta)
     return np.diag((np.arange(n_min, n_max + 1) + delta).astype(np.complex128))
 
 
@@ -507,9 +491,7 @@ def uncertainty_product(state: FourierState) -> UncertaintyProduct:
     pad = 2
     n_min = state.n_min - pad
     n_max = state.n_max + pad
-    K = n_max - n_min + 1
-    c = np.zeros(K, dtype=np.complex128)
-    c[pad : pad + state.coeffs.size] = state.coeffs
+    c = _on_window(state, n_min, n_max)
     S = sine_operator(n_min, n_max)
     lvals = np.arange(n_min, n_max + 1) + state.delta
     s_psi = S @ c
@@ -530,6 +512,5 @@ def rescale_hbar(p_physical, hbar: float, m: int):
     At ``hbar = 1`` this is the usual ``sinc_pi(p - m)``; as
     ``hbar -> 0`` with ``hbar m`` fixed, ``(1/hbar)`` times the result
     concentrates its unit mass at ``p = hbar m``."""
-    if not np.isfinite(hbar) or hbar <= 0.0:
-        raise ValueError("hbar must be positive")
+    hbar = _check_hbar(hbar)
     return sinc_pi((np.asarray(p_physical, dtype=np.float64) - hbar * m) / hbar)

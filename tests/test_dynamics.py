@@ -15,7 +15,17 @@ from cylwigner.dynamics import (
 )
 from cylwigner.states import FourierState, basis_state, cat_state, pure_density, von_mises_state
 from cylwigner.thermal import ThermalParams, thermal_density
-from cylwigner.wigner import wigner_density, wigner_function, wigner_grid, wigner_matrix_element
+from cylwigner.wigner import (
+    angular_momentum_operator,
+    rescale_hbar,
+    wigner_density,
+    wigner_function,
+    wigner_grid,
+    wigner_matrix_element,
+)
+
+BAD_DELTAS = [-0.1, 1.0, 5.0, float("nan")]
+BAD_HBARS = [0.0, -1.0, float("inf"), float("nan")]
 
 
 def superposition_02() -> FourierState:
@@ -52,6 +62,40 @@ class TestHamiltonian:
         H = DiagonalHamiltonian(n_min=0, eigenvalues=source)
         assert not np.shares_memory(H.eigenvalues, source) and source.flags.writeable
         assert not H.eigenvalues.flags.writeable
+
+
+    @pytest.mark.parametrize("delta", BAD_DELTAS)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: DiagonalHamiltonian(n_min=0, eigenvalues=np.array([0.0, 1.0, 4.0]), delta=d),
+            lambda d: quadratic_hamiltonian(1.0, 0, 2, delta=d),
+            lambda d: angular_momentum_operator(0, 2, d),
+        ],
+        ids=["DiagonalHamiltonian", "quadratic_hamiltonian", "angular_momentum_operator"],
+    )
+    def test_delta_outside_the_covering_refused(self, build, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+            build(delta)
+
+    @pytest.mark.parametrize(
+        "epsilon,delta", [(0.5, 0.0), (0.731, 0.37), (1.9, 0.999), (3e-3, 0.5)]
+    )
+    def test_energies_match_energy_bit_for_bit(self, epsilon, delta):
+        # the wide windows hold thousands of extended values, where a square
+        # taken as x * x differs from the per-index x ** 2 in the last bit
+        H = quadratic_hamiltonian(epsilon, -3, 4, delta=delta)
+        for lo, hi in ((-3, 4), (-1, 2), (0, 0), (-6, 1), (2, 9), (-9, -4), (-2500, 2500)):
+            want = np.array([H.energy(n) for n in range(lo, hi + 1)])
+            assert H.energies(lo, hi).tobytes() == want.tobytes()
+
+    def test_tabulated_energies_cover_their_window_only(self):
+        H = DiagonalHamiltonian(n_min=-1, eigenvalues=np.array([0.5, -1.0, 4.0, 2.5]))
+        assert H.energies(-1, 2).tolist() == [0.5, -1.0, 4.0, 2.5]
+        assert H.energies(0, 1).tolist() == [-1.0, 4.0]
+        for lo, hi in ((-2, 1), (0, 3), (5, 6)):
+            with pytest.raises(ValueError, match="does not cover"):
+                H.energies(lo, hi)
 
 
 class TestEvolveState:
@@ -222,3 +266,19 @@ class TestEvolveDensity:
         H = DiagonalHamiltonian(n_min=0, eigenvalues=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             evolve_density(pure_density(cat_state(0.0)), H, 1.0)
+
+
+class TestHbarRule:
+    @pytest.mark.parametrize("hbar", BAD_HBARS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: evolve_state(cat_state(0.3), quadratic_hamiltonian(1.0, -1, 1), 1.0, hbar=h),
+            lambda h: evolve_density(pure_density(cat_state(0.3)), quadratic_hamiltonian(1.0, -1, 1), 1.0, hbar=h),
+            lambda h: rescale_hbar(np.linspace(-2.0, 2.0, 5), h, 1),
+        ],
+        ids=["evolve_state", "evolve_density", "rescale_hbar"],
+    )
+    def test_invalid_hbar_refused_with_one_message(self, call, hbar):
+        with pytest.raises(ValueError, match=f"^hbar must be finite and positive, got {hbar}$"):
+            call(hbar)

@@ -1,16 +1,18 @@
-"""Public names: every module's ``__all__`` resolves, the cross-routes
-live only in the verifier, every name the benchmark tracer wraps exists,
-and the traced reconstruction samples its grid once."""
+"""Public names: every module's ``__all__`` resolves, the package's is
+their concatenation, the cross-routes live only in the verifier, every
+name the benchmark tracer wraps exists, and the traced reconstruction
+samples its grid once."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import cylwigner
-from cylwigner import cli, verify, wigner
+from cylwigner import cli, dynamics, specfun, states, thermal, verify, wigner
 
 MODULES = ["cylwigner"] + [
     f"cylwigner.{info.name}" for info in pkgutil.iter_modules(cylwigner.__path__) if info.name != "__main__"
@@ -30,6 +32,22 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_all_concatenates_the_module_lists():
+    lists = [specfun.__all__, states.__all__, wigner.__all__, dynamics.__all__, thermal.__all__]
+    assert cylwigner.__all__ == [name for names in lists for name in names]
+    assert len(set(cylwigner.__all__)) == len(cylwigner.__all__) == 53
+
+
+def test_package_binds_only_its_public_names():
+    # the wildcard imports bring in each module's __all__ and nothing else:
+    # bessel_i_scaled and oscillation_order stay module-level names
+    public = {
+        name for name, value in vars(cylwigner).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(cylwigner.__all__)
+    assert "bessel_i_scaled" not in specfun.__all__ and "oscillation_order" not in specfun.__all__
 
 
 @pytest.mark.parametrize("route", CROSS_ROUTES)

@@ -170,6 +170,17 @@ class TestEvaluateWavefunction:
         phis = np.linspace(-1, 1, 6).reshape(2, 3)
         assert evaluate_wavefunction(st, phis).shape == (2, 3)
 
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan, [0.0, np.nan], np.array([[1.0], [np.inf]])])
+    def test_non_finite_angles_rejected(self, phi):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            evaluate_wavefunction(von_mises_state(0.6, 0.3), phi)
+
+    def test_scalar_angle_gives_a_complex(self):
+        st = von_mises_state(0.6, 0.3)
+        value = evaluate_wavefunction(st, 0.7)
+        assert type(value) is complex
+        assert value == pytest.approx(evaluate_wavefunction(st, np.array([0.7, 1.2]))[0], abs=1e-15)
+
 
 class TestExpectationL:
     def test_basis_eigenvalue(self):

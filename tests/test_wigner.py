@@ -252,6 +252,20 @@ class TestMarginals:
         want = (1 + np.cos(2 * thetas)) / TWO_PI
         assert np.max(np.abs(marginal_angle(cat, thetas) - want)) <= 1e-13
 
+    @pytest.mark.parametrize("obj", [von_mises_state(0.5, 0.7), pure_density(cat_state(0.4))], ids=["state", "density"])
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, [np.nan, 0.0], np.array([[0.0, 1.0], [-np.inf, 2.0]])])
+    def test_non_finite_angles_rejected(self, obj, theta):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            marginal_angle(obj, theta)
+
+    @pytest.mark.parametrize("obj", [von_mises_state(0.5, 0.7), pure_density(cat_state(0.4))], ids=["state", "density"])
+    def test_scalar_and_array_angles_keep_their_form(self, obj):
+        assert isinstance(marginal_angle(obj, 0.3), float)
+        thetas = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        values = marginal_angle(obj, thetas)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == pytest.approx(marginal_angle(obj, 1.0), abs=1e-15)
+
     def test_von_mises_angle_marginal(self):
         s = 0.5
         vm = von_mises_state(s, 0.7)
@@ -526,6 +540,18 @@ class TestReconstructionSampler:
     def _grid(self, axes):
         return wigner_grid(self.CAT, *axes).values
 
+    @pytest.mark.parametrize("delta", [-0.1, 1.0, 5.0, np.nan])
+    def test_delta_refused_before_sampling(self, delta):
+        calls = []
+
+        def sampler(axes):
+            calls.append(axes)
+            return np.zeros((len(axes[0]), len(axes[1])))
+
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+            reconstruct_density(sampler, 0, 2, delta)
+        assert calls == []
+
     def test_called_once_with_the_quadrature_axes(self):
         calls = []
 
@@ -719,6 +745,67 @@ class TestRequireReal:
             match=r"^imaginary residue 1\.000e-11 exceeds 1\.0e-12; refusing to take real part$",
         ):
             _require_real(values)
+
+
+def _zero_filled_window(bra, ket):
+    """The dense union window of a state pair: zeros, then the bra-ket block."""
+    n_min = min(bra.n_min, ket.n_min)
+    K = max(bra.n_max, ket.n_max) - n_min + 1
+    A = np.zeros((K, K), dtype=np.complex128)
+    rows = slice(bra.n_min - n_min, bra.n_max - n_min + 1)
+    cols = slice(ket.n_min - n_min, ket.n_max - n_min + 1)
+    A[rows, cols] = np.outer(bra.coeffs.conj(), ket.coeffs)
+    return A, n_min
+
+
+def _zero_filled_coeffs(state, n_min, n_max):
+    c = np.zeros(n_max - n_min + 1, dtype=np.complex128)
+    c[state.n_min - n_min : state.n_max - n_min + 1] = state.coeffs
+    return c
+
+
+# windows [7, 9], [8, 12] (overlapping, offset) and [-4, -3] (disjoint)
+_LOW = FourierState(delta=0.3, n_min=7, coeffs=np.array([0.6, 0.48j, 0.64]))
+_HIGH = FourierState(
+    delta=0.3, n_min=8, coeffs=np.array([0.1 + 0.2j, -0.4, 0.5j, 0.3 - 0.1j, 0.2]) / np.sqrt(0.6)
+)
+_FAR = FourierState(delta=0.3, n_min=-4, coeffs=np.array([0.8, -0.6j]))
+_WINDOW_PAIRS = [(_LOW, _HIGH), (_HIGH, _LOW), (_LOW, _FAR), (_FAR, _HIGH), (_HIGH, _HIGH)]
+
+
+class TestWindows:
+    """Offset and disjoint windows: values equal those of zero-filled dense
+    windows and padded coefficient vectors."""
+
+    @pytest.mark.parametrize("bra,ket", _WINDOW_PAIRS)
+    def test_moyal_grid_equals_the_zero_filled_window(self, bra, ket):
+        thetas, ps = np.linspace(-3.0, 3.0, 13), np.linspace(-6.0, 14.0, 41)
+        A, n_min = _zero_filled_window(bra, ket)
+        want = phase_space_sum_grid(A, n_min, 0.3, thetas, ps).astype(np.complex128)
+        assert np.array_equal(moyal_grid(bra, ket, thetas, ps).values, want)
+        pt = PhasePoint(2.0, 8.2)
+        assert moyal_function(bra, ket, pt) == complex(
+            phase_space_sum_grid(A, n_min, 0.3, np.array([pt.theta]), np.array([pt.p]))[0, 0]
+        )
+
+    @pytest.mark.parametrize("a,b", _WINDOW_PAIRS)
+    def test_overlap_equals_the_padded_inner_product(self, a, b):
+        n_min, n_max = min(a.n_min, b.n_min), max(a.n_max, b.n_max)
+        ca, cb = _zero_filled_coeffs(a, n_min, n_max), _zero_filled_coeffs(b, n_min, n_max)
+        assert overlap_from_wigner(a, b) == float(np.abs(np.vdot(ca, cb)) ** 2)
+        assert overlap_from_wigner(_LOW, _FAR) == 0.0
+
+    @pytest.mark.parametrize(
+        "state,lhs,rhs",
+        [
+            (_LOW, 0.23599627228938638, 0.08799984604938252),
+            (von_mises_state(0.8, -11.7), 0.09606858389606338, 0.09606858389608146),
+        ],
+    )
+    def test_uncertainty_on_offset_windows(self, state, lhs, rhs):
+        u = uncertainty_product(state)
+        assert u.lhs == pytest.approx(lhs, rel=1e-13)
+        assert u.rhs == pytest.approx(rhs, rel=1e-13)
 
 
 class TestGrids:
