@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, FourierState, _check_delta, _check_hbar, _frozen_array
+from .states import DensityMatrix, FourierState, _check_delta, _check_hbar, _check_index, _frozen_array
 from .wigner import _as_point, _require_real, _window, wigner_matrix_element
 from ._kernels import phase_space_sum_point
 
@@ -45,31 +45,27 @@ class DiagonalHamiltonian:
         if eig.ndim != 1 or eig.size == 0 or not np.all(np.isfinite(eig)):
             raise ValueError("eigenvalues must be a finite 1-D array")
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "n_min", int(self.n_min))
+        object.__setattr__(self, "n_min", _check_index(self.n_min, "n_min"))
 
     @property
     def n_max(self) -> int:
         return self.n_min + self.eigenvalues.size - 1
 
     def energy(self, n: int) -> float:
-        if self.n_min <= n <= self.n_max:
-            return float(self.eigenvalues[n - self.n_min])
-        if self.epsilon is not None:
-            return float(self.epsilon * (n + self.delta) ** 2)
-        raise ValueError(f"index {n} outside the Hamiltonian window")
+        return float(self.energies(n, n)[0])
 
     def energies(self, n_min: int, n_max: int) -> np.ndarray:
-        """``energy(n)`` for every ``n`` in ``[n_min, n_max]``, bit for bit,
-        as one array; ``ValueError`` for an index outside a window that has
-        no quadratic form to extend it."""
+        """``E_n`` for every ``n`` in ``[n_min, n_max]`` as one array: the
+        stored values inside the window, ``epsilon (n + delta)^2`` outside
+        it; ``ValueError`` for an index outside a window that has no
+        quadratic form to extend it."""
         n = np.arange(n_min, n_max + 1)
         stored = (self.n_min <= n) & (n <= self.n_max)
         if stored.all():
             return self.eigenvalues[n_min - self.n_min : n_max - self.n_min + 1]
         if self.epsilon is None:
-            raise ValueError("Hamiltonian window does not cover the state window")
-        # float_power is the libm pow of a Python float's ``** 2``; the
-        # x * x of np.power can differ from it in the last bit
+            window = f"[{self.n_min}, {self.n_max}]"
+            raise ValueError(f"Hamiltonian window {window} does not cover [{n_min}, {n_max}]")
         out = self.epsilon * np.float_power(n + self.delta, 2)
         out[stored] = self.eigenvalues[n[stored] - self.n_min]
         return out
@@ -79,12 +75,11 @@ def quadratic_hamiltonian(epsilon: float, n_min: int, n_max: int, delta: float =
     """Rotor spectrum ``E_n = epsilon (n + delta)^2`` on a window."""
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
-    n = np.arange(int(n_min), int(n_max) + 1)
+    n_min, n_max, epsilon = _check_index(n_min, "n_min"), _check_index(n_max, "n_max"), float(epsilon)
+    n = np.arange(n_min, n_max + 1)
+    # the same float_power as the extension outside the window in energies
     return DiagonalHamiltonian(
-        n_min=int(n_min),
-        eigenvalues=epsilon * (n + delta) ** 2,
-        delta=delta,
-        epsilon=float(epsilon),
+        n_min=n_min, eigenvalues=epsilon * np.float_power(n + delta, 2), delta=delta, epsilon=epsilon
     )
 
 

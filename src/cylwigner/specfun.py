@@ -119,7 +119,9 @@ def bessel_i(n: int, z: float) -> float:
     """
     if not np.isfinite(z):
         raise ValueError("bessel_i requires finite z")
-    n = abs(int(n))
+    from .states import _check_index  # states imports this module
+
+    n = abs(_check_index(n, "n"))
     if n > _BESSEL_N_LIMIT:
         raise OverflowError("bessel_i order out of supported range")
     if abs(z) > _BESSEL_Z_LIMIT:

@@ -62,17 +62,21 @@ def _plain(fields: dict) -> dict:
     return {key: _real_view(v).tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
 
 
-def _pairs_in(pairs, ndim: int, field: str) -> np.ndarray:
-    """The complex ``ndim``-D array that nested ``[re, im]`` pairs spell;
-    ``ValueError`` naming ``field`` when they spell none."""
+def _numbers_in(values, ndim: int, field: str, pairs: bool = True) -> np.ndarray:
+    """The ``ndim``-D array that nested numbers spell: complex from ``[re,
+    im]`` pairs, else float; ``ValueError`` naming ``field`` when they spell
+    none."""
+    tail = (2,) if pairs else ()
     try:
-        arr = np.asarray(pairs)
-        ok = arr.dtype.kind in "biuf" and arr.shape[ndim:] == (2,)
+        arr = np.asarray(values)
+        ok = arr.dtype.kind in "biuf" and arr.ndim == ndim + len(tail) and arr.shape[ndim:] == tail
     except ValueError:  # ragged nesting
         ok = False
     if not ok:
-        raise ValueError(f"state JSON field {field!r} must be a {ndim}-D array of [re, im] number pairs")
-    return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+        form = "[re, im] number pairs" if pairs else "numbers"
+        raise ValueError(f"state JSON field {field!r} must be a {ndim}-D array of {form}")
+    arr = arr.astype(np.float64, copy=False)
+    return arr.view(np.complex128)[..., 0] if pairs else arr
 
 
 def _number_field(data: dict, field: str, kind):
@@ -91,6 +95,15 @@ def _check_delta(delta: float) -> float:
     if not np.isfinite(delta) or not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     return delta
+
+
+def _check_index(value, what: str) -> int:
+    """A window index or size as a Python int; ``ValueError`` naming
+    ``what`` for anything that is not an integer (an integral float too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_hbar(hbar: float) -> float:
@@ -144,7 +157,7 @@ class FourierState:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _check_delta(self.delta))
-        object.__setattr__(self, "n_min", int(self.n_min))
+        object.__setattr__(self, "n_min", _check_index(self.n_min, "n_min"))
         coeffs = _frozen_array(self.coeffs, np.complex128)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-D array")
@@ -179,7 +192,7 @@ class FourierState:
         return cls(
             delta=_number_field(data, "delta", float),
             n_min=_number_field(data, "n_min", operator.index),
-            coeffs=_pairs_in(data.get("coeffs"), 1, "coeffs"),
+            coeffs=_numbers_in(data.get("coeffs"), 1, "coeffs"),
             # payloads written before the field was serialized lack it
             discarded_mass=_number_field(data, "discarded_mass", float) if "discarded_mass" in data else 0.0,
         )
@@ -195,7 +208,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _check_delta(self.delta))
-        object.__setattr__(self, "n_min", int(self.n_min))
+        object.__setattr__(self, "n_min", _check_index(self.n_min, "n_min"))
         entries = _frozen_array(self.entries, np.complex128)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ValueError("entries must be a non-empty square matrix")
@@ -245,13 +258,13 @@ class DensityMatrix:
         return cls(
             delta=_number_field(data, "delta", float),
             n_min=_number_field(data, "n_min", operator.index),
-            entries=_pairs_in(data.get("entries"), 2, "entries"),
+            entries=_numbers_in(data.get("entries"), 2, "entries"),
         )
 
 
 def basis_state(m: int, delta: float = 0.0) -> FourierState:
     """Angular-momentum eigenstate: ``c_m = 1`` on the window ``[m, m]``."""
-    return FourierState(delta=delta, n_min=int(m), coeffs=np.array([1.0 + 0.0j]))
+    return FourierState(delta=delta, n_min=_check_index(m, "m"), coeffs=np.array([1.0 + 0.0j]))
 
 
 def cat_state(alpha: float = 0.0) -> FourierState:
@@ -289,10 +302,13 @@ def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) 
         raise ValueError("von_mises_state requires s > 0")
     n_e = floor(p_e)
     delta = p_e - n_e
-    if delta >= 1.0:  # guard against floor rounding at representable boundaries
+    if delta >= 1.0:  # -2**-54 <= p_e < 0, where 1 + p_e rounds to 1: the nearest split is 0 + 0
         n_e += 1
-        delta = p_e - n_e
-    half = von_mises_window_half_width(s) if window_half_width is None else int(window_half_width)
+        delta = 0.0
+    if window_half_width is None:
+        half = von_mises_window_half_width(s)
+    else:
+        half = _check_index(window_half_width, "window_half_width")
     if half < 1:
         raise ValueError("window_half_width must be positive")
     # scaled values: the factors exp(s) / sqrt(exp(2 s)) cancel exactly

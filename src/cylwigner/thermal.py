@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3, theta3_jacobi
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_index
 from .wigner import CardinalSeries, _as_point
 
 __all__ = [
@@ -50,7 +50,7 @@ class ThermalParams:
             raise ValueError("eps_beta must be positive")
         object.__setattr__(self, "eps_beta", eb)
         if self.window_half_width is not None:
-            w = int(self.window_half_width)
+            w = _check_index(self.window_half_width, "window_half_width")
             if w < 1:
                 raise ValueError("window_half_width must be positive")
             object.__setattr__(self, "window_half_width", w)

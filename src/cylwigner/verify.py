@@ -12,6 +12,7 @@ a negative control of the suite itself.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import product
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -152,62 +153,61 @@ def total_integral_via_quadrature(obj) -> float:
 # ---------------------------------------------------------------- specfun
 
 
-def _sinc_checks(sinc_fn, tol_scale: float, rng) -> list[InvariantCheck]:
+def _sinc_checks(sinc_fn, rng) -> list[InvariantCheck]:
     out = []
     ms = np.arange(-50, 51)
     vals = np.array([sinc_fn(float(m)) for m in ms])
     want = (ms == 0).astype(float)
-    out.append(_check("specfun.sinc_kronecker", np.max(np.abs(vals - want)), 1e-15 * tol_scale))
+    out.append(_check("specfun.sinc_kronecker", np.max(np.abs(vals - want)), 1e-15))
 
     xs = rng.uniform(-5.0, 5.0, size=100)
     worst = 0.0
     for x in xs:
         integral = integrate_theta(lambda a, x=x: np.exp(1j * x * a), order=64) / TWO_PI
         worst = max(worst, abs(integral - sinc_fn(float(x))))
-    out.append(_check("specfun.sinc_fourier_identity", worst, 1e-12 * tol_scale))
+    out.append(_check("specfun.sinc_fourier_identity", worst, 1e-12))
 
+    # the pairs (m, n) in [-10, 10]^2 enter only through d = n - m
     worst = 0.0
-    for m in range(-10, 11):
-        for n in range(-10, 11):
-            swap = integrate_theta(lambda a, d=n - m: np.exp(1j * d * a), order=96) / TWO_PI
-            target = sinc_fn(float(n - m))
-            want = 1.0 if m == n else 0.0
-            worst = max(worst, abs(swap - want), abs(target - want))
-    out.append(_check("specfun.sinc_orthonormality_swap", worst, 1e-12 * tol_scale))
+    for d in range(-20, 21):
+        swap = integrate_theta(lambda a, d=d: np.exp(1j * d * a), order=96) / TWO_PI
+        want = 1.0 if d == 0 else 0.0
+        worst = max(worst, abs(swap - want), abs(sinc_fn(float(d)) - want))
+    out.append(_check("specfun.sinc_orthonormality_swap", worst, 1e-12))
     return out
 
 
-def _quadrature_checks(tol_scale: float) -> list[InvariantCheck]:
+def _quadrature_checks() -> list[InvariantCheck]:
     out = []
     worst = 0.0
     for order in (8, 16, 64, 128):
         rule = gauss_legendre_rule(order)
         worst = max(worst, abs(np.sum(rule.weights) - 2.0))
-    out.append(_check("specfun.quadrature_weight_sum", worst, 1e-14 * tol_scale))
+    out.append(_check("specfun.quadrature_weight_sum", worst, 1e-14))
 
     worst = 0.0
     for k in range(16):  # order 8 is exact through degree 15
         got = integrate_interval(lambda x, k=k: x**k, -1.0, 1.0, order=8)
         want = 0.0 if k % 2 else 2.0 / (k + 1)
         worst = max(worst, abs(got - want))
-    out.append(_check("specfun.quadrature_monomial_exactness", worst, 1e-14 * tol_scale))
+    out.append(_check("specfun.quadrature_monomial_exactness", worst, 1e-14))
 
     worst = max(
         abs(integrate_theta(lambda t: np.ones_like(t)) - TWO_PI),
         abs(integrate_theta(lambda t: np.cos(3 * t))),
         abs(integrate_theta(lambda t: np.cos(t) ** 2) - pi),
     )
-    out.append(_check("specfun.quadrature_trig_values", worst, 1e-12 * tol_scale))
+    out.append(_check("specfun.quadrature_trig_values", worst, 1e-12))
     return out
 
 
-def _bessel_checks(tol_scale: float) -> list[InvariantCheck]:
+def _bessel_checks() -> list[InvariantCheck]:
     out = []
     worst = 0.0
     for s in (0.25, 0.5, 1.0, 2.0, 3.0):
         total = sum(bessel_i(k, s) ** 2 for k in range(-40, 41))
         worst = max(worst, abs(total / bessel_i(0, 2 * s) - 1.0))
-    out.append(_check("specfun.bessel_square_sum", worst, 1e-10 * tol_scale))
+    out.append(_check("specfun.bessel_square_sum", worst, 1e-10))
 
     worst = 0.0
     for n, z in ((0, 1.0), (1, 0.5), (3, 2.0), (5, 10.0), (0, 20.0), (8, 16.0)):
@@ -215,11 +215,11 @@ def _bessel_checks(tol_scale: float) -> list[InvariantCheck]:
             lambda t, n=n, z=z: np.exp(z * np.cos(t)) * np.cos(n * t), order=96
         ) / TWO_PI
         worst = max(worst, abs(bessel_i(n, z) - integral) / abs(integral))
-    out.append(_check("specfun.bessel_integral_representation", worst, 1e-12 * tol_scale))
+    out.append(_check("specfun.bessel_integral_representation", worst, 1e-12))
     return out
 
 
-def _theta3_checks(tol_scale: float) -> list[InvariantCheck]:
+def _theta3_checks() -> list[InvariantCheck]:
     out = []
     zs = np.linspace(-6.0, 6.0, 121)
     min_val = min(theta3(z, q) for q in (0.1, 0.5, 0.9) for z in zs)
@@ -231,29 +231,27 @@ def _theta3_checks(tol_scale: float) -> list[InvariantCheck]:
             direct = theta3(z, exp(-eb))
             trans = theta3_jacobi(z, eb)
             worst = max(worst, abs(trans - direct) / abs(direct))
-    out.append(_check("specfun.theta3_jacobi_agreement", worst, 1e-12 * tol_scale))
+    out.append(_check("specfun.theta3_jacobi_agreement", worst, 1e-12))
     return out
 
 
 # ----------------------------------------------------------------- states
 
 
-def _state_checks(tol_scale: float, rng) -> list[InvariantCheck]:
+def _state_checks(rng) -> list[InvariantCheck]:
     out = []
     worst = 0.0
     for s in (0.25, 0.5, 1.0, 2.0, 400.0):
         # a unit norm, and no more dropped mass than the default window's 1e-12
         state = von_mises_state(s, 0.0)
         worst = max(worst, abs(state.norm() ** 2 - 1.0) + max(0.0, state.discarded_mass - 1e-12))
-    out.append(_check("states.von_mises_normalization", worst, 1e-10 * tol_scale))
+    out.append(_check("states.von_mises_normalization", worst, 1e-10))
 
     low = von_mises_state(0.8, 0.3)
     high = von_mises_state(0.8, 1.3)
     profile_diff = np.max(np.abs(low.coeffs - high.coeffs))
     shift_diff = abs((high.n_min - low.n_min) - 1)
-    out.append(
-        _check("states.coefficient_delta_independence", profile_diff + shift_diff, 1e-15 * tol_scale)
-    )
+    out.append(_check("states.coefficient_delta_independence", profile_diff + shift_diff, 1e-15))
 
     worst = 0.0
     for _ in range(20):
@@ -263,21 +261,21 @@ def _state_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         lhs = evaluate_wavefunction(state, phi + TWO_PI)
         rhs = np.exp(1j * TWO_PI * state.delta) * evaluate_wavefunction(state, phi)
         worst = max(worst, abs(lhs - rhs))
-    out.append(_check("states.quasi_periodicity", worst, 1e-12 * tol_scale))
+    out.append(_check("states.quasi_periodicity", worst, 1e-12))
 
     worst = 0.0
     for _, state in _example_states():
         rho = pure_density(state)
         worst = max(worst, np.max(np.abs(rho.entries @ rho.entries - rho.entries)))
         worst = max(worst, np.max(np.abs(rho.entries - rho.entries.conj().T)))
-    out.append(_check("states.pure_density_idempotence", worst, 1e-10 * tol_scale))
+    out.append(_check("states.pure_density_idempotence", worst, 1e-10))
     return out
 
 
 # ----------------------------------------------------------------- wigner
 
 
-def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
+def _wigner_checks(rng) -> list[InvariantCheck]:
     out = []
     worst_h = 0.0
     worst_b = 0.0
@@ -290,27 +288,29 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         v_nm = wigner.wigner_matrix_element(n, m, delta, pt)
         worst_h = max(worst_h, abs(v_mn - np.conj(v_nm)))
         worst_b = max(worst_b, abs(v_mn) - 1.0 / TWO_PI)
-    out.append(_check("wigner.element_hermiticity", worst_h, 1e-14 * tol_scale))
-    out.append(_check("wigner.element_bound", max(0.0, worst_b), 1e-15 * tol_scale))
+    out.append(_check("wigner.element_hermiticity", worst_h, 1e-14))
+    out.append(_check("wigner.element_bound", max(0.0, worst_b), 1e-15))
 
-    worst = 0.0
+    # 1000 random points, each on one state; every state is then checked on
+    # the grid of its own angles x its own momenta, which holds its points
     states = [state for _, state in _example_states()]
+    drawn = [([], []) for _ in states]
     for _ in range(1000):
-        state = states[int(rng.integers(0, len(states)))]
-        pt = (float(rng.uniform(-pi, pi)), float(rng.uniform(-8, 8)))
-        worst = max(worst, abs(wigner.wigner_function(state, pt)) - 1.0 / pi)
-    out.append(_check("wigner.state_bound", max(0.0, worst), 1e-12 * tol_scale))
+        thetas, ps = drawn[int(rng.integers(0, len(states)))]
+        thetas.append(float(rng.uniform(-pi, pi)))
+        ps.append(float(rng.uniform(-8, 8)))
+    worst = max(
+        float(np.max(np.abs(wigner.wigner_grid(state, thetas, ps).values)))
+        for state, (thetas, ps) in zip(states, drawn)
+    )
+    out.append(_check("wigner.state_bound", max(0.0, worst - 1.0 / pi), 1e-12))
 
     worst = 0.0
-    idx = range(-2, 3)
-    for k in idx:
-        for l in idx:
-            for m in idx:
-                for n in idx:
-                    got = wigner_pair_integral(k, l, m, n, delta=0.25)
-                    want = 1.0 if (k == n and l == m) else 0.0
-                    worst = max(worst, abs(got - want))
-    out.append(_check("wigner.pair_orthogonality", worst, 1e-10 * tol_scale))
+    for k, l, m, n in product(range(-2, 3), repeat=4):
+        got = wigner_pair_integral(k, l, m, n, delta=0.25)
+        want = 1.0 if (k == n and l == m) else 0.0
+        worst = max(worst, abs(got - want))
+    out.append(_check("wigner.pair_orthogonality", worst, 1e-10))
 
     worst_ratio = 0.0
     for delta in (0.0, 0.37):
@@ -325,7 +325,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
     for _, state in _example_states():
         worst = max(worst, abs(total_integral(state) - 1.0))
         worst = max(worst, abs(total_integral_via_quadrature(state) - 1.0))
-    out.append(_check("wigner.normalization_total_integral", worst, 1e-10 * tol_scale))
+    out.append(_check("wigner.normalization_total_integral", worst, 1e-10))
 
     worst = 0.0
     for _, state in _example_states():
@@ -335,7 +335,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
                 worst,
                 abs(momentum_marginal_via_quadrature(state, float(p)) - series(float(p))),
             )
-    out.append(_check("wigner.marginal_momentum_consistency", worst, 1e-9 * tol_scale))
+    out.append(_check("wigner.marginal_momentum_consistency", worst, 1e-9))
 
     worst = 0.0
     thetas = np.linspace(-pi, pi, 37)
@@ -344,7 +344,7 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         swapped = angle_marginal_via_swap(state, thetas)
         worst = max(worst, float(np.max(np.abs(direct - swapped))))
         worst = max(worst, max(0.0, -float(np.min(direct))))
-    out.append(_check("wigner.marginal_angle_consistency", worst, 1e-9 * tol_scale))
+    out.append(_check("wigner.marginal_angle_consistency", worst, 1e-9))
 
     worst = 0.0
     for _ in range(50):
@@ -356,25 +356,20 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         a = wigner.wigner_matrix_element(m, n, delta, (theta, p))
         b = wigner.wigner_matrix_element(m + 1, n + 1, delta, (theta, p + 1.0))
         worst = max(worst, abs(a - b))
-    out.append(_check("wigner.delta_shift_covariance", worst, 1e-14 * tol_scale))
+    out.append(_check("wigner.delta_shift_covariance", worst, 1e-14))
 
     cat = cat_state(0.0)
     thetas = np.linspace(-pi, pi, 37)
-    worst = max(
-        float(np.max(np.abs([TWO_PI * wigner.wigner_function(cat, (t, 0.0)) - np.cos(2 * t) for t in thetas]))),
-        float(np.max(np.abs([TWO_PI * wigner.wigner_function(cat, (t, 1.0)) - 0.5 for t in thetas]))),
-        float(np.max(np.abs([TWO_PI * wigner.wigner_function(cat, (t, -1.0)) - 0.5 for t in thetas]))),
-    )
-    out.append(_check("wigner.cat_special_values", worst, 1e-10 * tol_scale))
+    grid = TWO_PI * wigner.wigner_grid(cat, thetas, [0.0, 1.0, -1.0]).values
+    want = np.column_stack([np.cos(2 * thetas), np.full((thetas.size, 2), 0.5)])
+    out.append(_check("wigner.cat_special_values", np.max(np.abs(grid - want)), 1e-10))
 
     s = 0.5
     vm = von_mises_state(s, 0.0)
     norm = TWO_PI * bessel_i(0, 2 * s)
-    worst = 0.0
-    for dp in np.linspace(-4.0, 4.0, 33):
-        got = wigner.wigner_function(vm, (pi / 2, dp))
-        worst = max(worst, abs(got - sinc_pi(dp) / norm))
-    out.append(_check("wigner.von_mises_axis_values", worst, 1e-9 * tol_scale))
+    dps = np.linspace(-4.0, 4.0, 33)
+    got = wigner.wigner_grid(vm, [pi / 2], dps).values[0]
+    out.append(_check("wigner.von_mises_axis_values", np.max(np.abs(got - sinc_pi(dps) / norm)), 1e-9))
 
     worst = 0.0
     for _, state in (("cat", cat), ("von_mises", von_mises_state(0.5, 0.6, window_half_width=8))):
@@ -383,14 +378,14 @@ def _wigner_checks(tol_scale: float, rng) -> list[InvariantCheck]:
             lambda axes: wigner.wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta
         )
         worst = max(worst, float(np.max(np.abs(rebuilt.entries - rho.entries))))
-    out.append(_check("wigner.reconstruction_round_trip", worst, 1e-8 * tol_scale))
+    out.append(_check("wigner.reconstruction_round_trip", worst, 1e-8))
     return out
 
 
 # --------------------------------------------------------------- dynamics
 
 
-def _dynamics_checks(tol_scale: float) -> list[InvariantCheck]:
+def _dynamics_checks() -> list[InvariantCheck]:
     out = []
     H = dynamics.quadratic_hamiltonian(1.0, -25, 25)
     cat = cat_state(0.0)
@@ -403,17 +398,11 @@ def _dynamics_checks(tol_scale: float) -> list[InvariantCheck]:
         e0 = sum(H.energy(n) * abs(c) ** 2 for n, c in zip(vm.indices, vm.coeffs))
         e1 = sum(H.energy(n) * abs(c) ** 2 for n, c in zip(evolved.indices, evolved.coeffs))
         worst = max(worst, abs(e1 - e0))
-    out.append(_check("dynamics.unitarity_energy_conservation", worst, 1e-12 * tol_scale))
+    out.append(_check("dynamics.unitarity_energy_conservation", worst, 1e-12))
 
     two_step = dynamics.evolve_state(dynamics.evolve_state(vm, H, 0.7), H, 0.55)
     one_step = dynamics.evolve_state(vm, H, 1.25)
-    out.append(
-        _check(
-            "dynamics.group_law",
-            float(np.max(np.abs(two_step.coeffs - one_step.coeffs))),
-            1e-12 * tol_scale,
-        )
-    )
+    out.append(_check("dynamics.group_law", np.max(np.abs(two_step.coeffs - one_step.coeffs)), 1e-12))
 
     worst = 0.0
     for pt in ((0.0, 0.0), (0.7, 1.3), (-2.1, -0.4)):
@@ -439,7 +428,7 @@ def _dynamics_checks(tol_scale: float) -> list[InvariantCheck]:
         ):
             grid = wigner.wigner_grid(obj, theta_axis, p_axis).values
             worst = max(worst, float(np.max(np.abs(grid - base_grids[name]))))
-    out.append(_check("dynamics.stationary_states", worst, 1e-12 * tol_scale))
+    out.append(_check("dynamics.stationary_states", worst, 1e-12))
 
     sup = FourierState(delta=0.0, n_min=0, coeffs=np.array([1.0, 0.0, 1.0]) / sqrt(2.0))
     dt = 1e-4
@@ -449,14 +438,14 @@ def _dynamics_checks(tol_scale: float) -> list[InvariantCheck]:
         minus = wigner.wigner_function(dynamics.evolve_state(sup, H, -dt), pt)
         fd = (plus - minus) / (2.0 * dt)
         worst = max(worst, abs(fd - dynamics.wigner_time_derivative(sup, H, pt)))
-    out.append(_check("dynamics.finite_difference_generator", worst, 1e-6 * tol_scale))
+    out.append(_check("dynamics.finite_difference_generator", worst, 1e-6))
     return out
 
 
 # ---------------------------------------------------------------- thermal
 
 
-def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
+def _thermal_checks(rng) -> list[InvariantCheck]:
     out = []
     worst = 0.0
     for eb in (1e-7, 1e-5, 0.01, 0.1, 1.0, 10.0, 40.0):
@@ -467,7 +456,7 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         if eb >= 0.01:  # the nome exp(-eb) rounds eb away: about 1e-16/eb relative
             routes.append(theta3(0.0, exp(-eb)))
         worst = max(worst, *(abs(v - ref) / ref for v in routes))
-    out.append(_check("thermal.partition_cross_routes", worst, 1e-11 * tol_scale))
+    out.append(_check("thermal.partition_cross_routes", worst, 1e-11))
 
     worst_ratio = 0.0
     for eb in (3.0, 5.0, 8.0):
@@ -487,8 +476,8 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         worst = max(worst, abs(approx / exact - 1.0))
     gauss_integral = sqrt(pi * tp.eps_beta) / (2.0 * pi**2) * sqrt(pi / tp.eps_beta)
     worst_gauss = abs(gauss_integral - 1.0 / TWO_PI)
-    out.append(_check("thermal.high_temp_agreement", worst, 1e-3 * tol_scale))
-    out.append(_check("thermal.high_temp_gaussian_mass", worst_gauss, 1e-15 * tol_scale))
+    out.append(_check("thermal.high_temp_agreement", worst, 1e-3))
+    out.append(_check("thermal.high_temp_gaussian_mass", worst_gauss, 1e-15))
 
     worst = 0.0
     for _ in range(50):
@@ -498,7 +487,7 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         got = integrate_interval(lambda a, p=p: np.cos(a) * np.cos(p * a), 0.0, pi, order=96)
         want = -0.5 * pi * sinc_pi(p) * (p / (p + 1.0) + p / (p - 1.0))
         worst = max(worst, abs(got - want))
-    out.append(_check("thermal.cosine_integral_identity", worst, 1e-10 * tol_scale))
+    out.append(_check("thermal.cosine_integral_identity", worst, 1e-10))
 
     tp = thermal.ThermalParams(1.0)
     rho = thermal.thermal_density(tp)
@@ -508,7 +497,7 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         abs(wigner.extract_probability(series, m) - lam[m - rho.n_min])
         for m in range(rho.n_min, rho.n_max + 1)
     )
-    out.append(_check("thermal.sinc_projection_recovery", worst, 1e-12 * tol_scale))
+    out.append(_check("thermal.sinc_projection_recovery", worst, 1e-12))
 
     small = thermal.ThermalParams(1.0, window_half_width=8)
     rho_small = thermal.thermal_density(small)
@@ -520,36 +509,33 @@ def _thermal_checks(tol_scale: float, rng) -> list[InvariantCheck]:
         return np.tile(small_series(ps) / TWO_PI, (len(thetas), 1))
 
     rebuilt = wigner.reconstruct_density(thermal_sampler, rho_small.n_min, rho_small.n_max, 0.0)
-    out.append(
-        _check(
-            "thermal.reconstruction_round_trip",
-            float(np.max(np.abs(rebuilt.entries - rho_small.entries))),
-            1e-8 * tol_scale,
-        )
-    )
+    residual = np.max(np.abs(rebuilt.entries - rho_small.entries))
+    out.append(_check("thermal.reconstruction_round_trip", residual, 1e-8))
     return out
 
 
+# every pinned tolerance is multiplied by the profile's factor
 _PROFILES = {"default": 1.0, "loose": 10.0}
 
 
 def run_verification(profile: str = "default", sinc_fn=None) -> list[InvariantCheck]:
-    """Run every invariant check and return the report records."""
+    """Run every invariant check and return the report records, each
+    tolerance scaled by the profile's factor."""
     if profile not in _PROFILES:
         raise ValueError(f"unknown tolerance profile {profile!r}")
-    tol_scale = _PROFILES[profile]
+    scale = _PROFILES[profile]
     rng = np.random.default_rng(_SEED)
-    sinc = sinc_pi if sinc_fn is None else sinc_fn
-    checks: list[InvariantCheck] = []
-    checks += _sinc_checks(sinc, tol_scale, rng)
-    checks += _quadrature_checks(tol_scale)
-    checks += _bessel_checks(tol_scale)
-    checks += _theta3_checks(tol_scale)
-    checks += _state_checks(tol_scale, rng)
-    checks += _wigner_checks(tol_scale, rng)
-    checks += _dynamics_checks(tol_scale)
-    checks += _thermal_checks(tol_scale, rng)
-    return checks
+    checks = [
+        *_sinc_checks(sinc_pi if sinc_fn is None else sinc_fn, rng),
+        *_quadrature_checks(),
+        *_bessel_checks(),
+        *_theta3_checks(),
+        *_state_checks(rng),
+        *_wigner_checks(rng),
+        *_dynamics_checks(),
+        *_thermal_checks(rng),
+    ]
+    return [_check(c.invariant_id, c.residual, c.tolerance * scale) for c in checks]
 
 
 def report_as_json_entries(checks: list[InvariantCheck]) -> list[dict]:

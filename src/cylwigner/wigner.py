@@ -17,6 +17,7 @@ Angle-direction integrals use fixed-order Gauss-Legendre quadrature.
 Evaluation functions are pure and keep no shared mutable state.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 from math import pi
@@ -35,8 +36,11 @@ from .states import (
     FourierState,
     _check_delta,
     _check_hbar,
+    _check_index,
     _finite,
     _frozen_array,
+    _number_field,
+    _numbers_in,
     _on_window,
     _plain,
     _union,
@@ -126,7 +130,7 @@ class CardinalSeries:
         if np.min(b) <= 0.0:  # roundoff negatives and -0.0 are held as +0.0
             b = _frozen_array(np.clip(b, 0.0, None))
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "m_min", int(self.m_min))
+        object.__setattr__(self, "m_min", _check_index(self.m_min, "m_min"))
         object.__setattr__(self, "b", b)
 
     @property
@@ -161,7 +165,11 @@ class CardinalSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CardinalSeries":
-        return cls(delta=data["delta"], m_min=data["m_min"], b=np.asarray(data["b"]))
+        return cls(
+            delta=_number_field(data, "delta", float),
+            m_min=_number_field(data, "m_min", operator.index),
+            b=_numbers_in(data.get("b"), 1, "b", pairs=False),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +366,7 @@ def extract_probability(omega: CardinalSeries, m: int) -> float:
     Equals the full-line integral of ``omega(p) sinc_pi(p - m - delta)``
     by the orthonormality of unit-spaced sinc functions (cross-route:
     :func:`cylwigner.verify.extract_probability_via_quadrature`)."""
-    m = int(m)
+    m = _check_index(m, "m")
     if m < omega.m_min or m > omega.m_max:
         return 0.0
     return float(omega.b[m - omega.m_min])
@@ -395,7 +403,8 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
     (window too small for the source state) is reported as a warning on the
     returned matrix.
     """
-    n_min, n_max, delta = int(n_min), int(n_max), _check_delta(delta)
+    n_min, n_max = _check_index(n_min, "n_min"), _check_index(n_max, "n_max")
+    delta = _check_delta(delta)
     if n_max < n_min:
         raise ValueError("empty reconstruction window")
     K = n_max - n_min + 1
@@ -511,6 +520,12 @@ def rescale_hbar(p_physical, hbar: float, m: int):
 
     At ``hbar = 1`` this is the usual ``sinc_pi(p - m)``; as
     ``hbar -> 0`` with ``hbar m`` fixed, ``(1/hbar)`` times the result
-    concentrates its unit mass at ``p = hbar m``."""
+    concentrates its unit mass at ``p = hbar m``.  Where the scaled
+    argument overflows (a finite ``p`` at an extreme ``hbar``) the value is
+    sinc's limit 0, as ``|sinc| < 2e-309`` there."""
     hbar = _check_hbar(hbar)
-    return sinc_pi((np.asarray(p_physical, dtype=np.float64) - hbar * m) / hbar)
+    p = np.asarray(p_physical, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        x = (p - hbar * m) / hbar
+    # sinc_pi vanishes exactly at the integer 1
+    return sinc_pi(np.where(np.isinf(x) & np.isfinite(p), 1.0, x))

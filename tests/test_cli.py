@@ -90,6 +90,12 @@ class TestFig1:
         assert rows[1.0] == 1.0  # peak at hbar * m
         assert rows[1.5] == 0.0  # first rescaled node
 
+    @pytest.mark.parametrize("flags", [("--hbar=1e-310",), ("--hbar=1e308", "--m=2")])
+    def test_extreme_hbar(self, flags, tmp_path):
+        out = tmp_path / "fig1x.csv"
+        assert run_cli("--command", "fig1", *flags, "--p-steps=5", "--out", str(out)) == 0
+        assert all(abs(v) <= 2e-309 for _, p, v in read_csv(out) if p != 0.0)
+
 
 class TestFig2:
     def test_caption_values(self, tmp_path):
@@ -143,6 +149,9 @@ class TestFig3:
 
     def test_normalization_constant(self):
         assert bessel_i(0, 1.0) == pytest.approx(1.2661, abs=5e-5)
+
+    def test_tiny_negative_mean_momentum(self, tmp_path):
+        assert run_cli("--command", "fig3", "--pe=-1e-20", "--p-steps=5", "--out", str(tmp_path / "f3.csv")) == 0
 
     def test_peak_sits_at_mean_momentum(self, tmp_path):
         out = tmp_path / "fig3pe.csv"

@@ -89,6 +89,14 @@ class TestHamiltonian:
             want = np.array([H.energy(n) for n in range(lo, hi + 1)])
             assert H.energies(lo, hi).tobytes() == want.tobytes()
 
+    def test_spectrum_is_the_same_on_any_window(self):
+        # the stored window and its extension use one arithmetic for the square
+        small = quadratic_hamiltonian(0.731, -3, 4, delta=0.37)
+        wide = quadratic_hamiltonian(0.731, -3000, 3000, delta=0.37)
+        values = np.array([small.energy(n) for n in range(-3000, 3001)])
+        assert values.tobytes() == wide.eigenvalues.tobytes()
+        assert small.energies(-3000, 3000).tobytes() == wide.eigenvalues.tobytes()
+
     def test_tabulated_energies_cover_their_window_only(self):
         H = DiagonalHamiltonian(n_min=-1, eigenvalues=np.array([0.5, -1.0, 4.0, 2.5]))
         assert H.energies(-1, 2).tolist() == [0.5, -1.0, 4.0, 2.5]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from cylwigner.dynamics import DiagonalHamiltonian, quadratic_hamiltonian
 from cylwigner.specfun import bessel_i, sinc_pi, theta3
-from cylwigner.states import basis_state, cat_state, pure_density, von_mises_state
+from cylwigner.states import DensityMatrix, FourierState, basis_state, cat_state, pure_density, von_mises_state
 from cylwigner.thermal import ThermalParams, partition_function, thermal_density
 from cylwigner.verify import (
     angle_marginal_via_swap,
@@ -16,6 +17,7 @@ from cylwigner.verify import (
     momentum_marginal_via_quadrature,
 )
 from cylwigner.wigner import (
+    CardinalSeries,
     extract_probability,
     marginal_angle,
     marginal_momentum,
@@ -190,3 +192,50 @@ class TestHugeEvolutionTimes:
             for _ in range(20):
                 pt = (float(rng.uniform(-pi, pi)), float(rng.uniform(-4, 4)))
                 assert abs(wigner_function(moved, pt)) <= 1 / pi + 1e-12
+
+
+class TestTinyNegativeMeanMomentum:
+    # for -2**-54 <= p_e < 0, p_e - floor(p_e) = 1 + p_e rounds to 1.0
+    @pytest.mark.parametrize("p_e", [-1e-20, -1e-17, -(2.0**-60)])
+    def test_state_splits_to_zero_covering(self, p_e):
+        st = von_mises_state(0.5, p_e)
+        assert st.delta == 0.0
+        assert st.norm() == pytest.approx(1.0, abs=1e-14)
+        assert st.n_min == -st.n_max  # the window is centred on n_e = 0
+
+
+def _sampler(axes):
+    return wigner_grid(basis_state(3), *axes).values
+
+
+# the parameter each site names, and a call that passes it the value v
+_INDEX_SITES = {
+    "FourierState.n_min": ("n_min", lambda v: FourierState(delta=0.0, n_min=v, coeffs=[1.0])),
+    "DensityMatrix.n_min": ("n_min", lambda v: DensityMatrix(delta=0.0, n_min=v, entries=[[1.0]])),
+    "basis_state": ("m", basis_state),
+    "von_mises_state": ("window_half_width", lambda v: von_mises_state(0.5, 0.0, window_half_width=v)),
+    "CardinalSeries.m_min": ("m_min", lambda v: CardinalSeries(0.0, v, [1.0])),
+    "extract_probability": ("m", lambda v: extract_probability(CardinalSeries(0.0, 0, [1.0]), v)),
+    "reconstruct_density.n_min": ("n_min", lambda v: reconstruct_density(_sampler, v, 4)),
+    "reconstruct_density.n_max": ("n_max", lambda v: reconstruct_density(_sampler, -1, v)),
+    "DiagonalHamiltonian.n_min": ("n_min", lambda v: DiagonalHamiltonian(n_min=v, eigenvalues=[1.0])),
+    "quadratic_hamiltonian.n_min": ("n_min", lambda v: quadratic_hamiltonian(1.0, v, 4)),
+    "quadratic_hamiltonian.n_max": ("n_max", lambda v: quadratic_hamiltonian(1.0, -4, v)),
+    "ThermalParams": ("window_half_width", lambda v: ThermalParams(1.0, window_half_width=v)),
+    "bessel_i": ("n", lambda v: bessel_i(v, 1.0)),
+}
+
+
+class TestIndexRule:
+    # an index is an integer: a float, even an integral one, is refused by
+    # name instead of being truncated to another window
+    @pytest.mark.parametrize("value", [2.5, np.float64(3.0)])
+    @pytest.mark.parametrize("site", sorted(_INDEX_SITES))
+    def test_non_integer_index_refused(self, site, value):
+        name, build = _INDEX_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build(value)
+
+    def test_integer_kinds_are_held_as_python_ints(self):
+        st = basis_state(np.int64(2))
+        assert st.n_min == 2 and type(st.n_min) is int

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import thermal, verify
+import cylwigner
+from cylwigner import _kernels, thermal, verify, wigner
 from cylwigner.specfun import sinc_pi, theta3
 from cylwigner.states import DensityMatrix, FourierState, von_mises_state
 from cylwigner.verify import (
@@ -31,6 +32,45 @@ def test_report_entries_shape():
     checks = [InvariantCheck("demo", 0.0, 1.0, True)]
     entries = report_as_json_entries(checks)
     assert entries == [{"invariant_id": "demo", "residual": 0.0, "tolerance": 1.0, "pass": True}]
+
+
+def test_grid_kernel_calls(monkeypatch):
+    # grid-shaped checks read one grid each; the suite made 1,227 kernel
+    # calls when they sampled one point at a time
+    kernel = _kernels.phase_space_sum_grid
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    bindings = [m for m in vars(cylwigner).values() if getattr(m, "phase_space_sum_grid", None) is kernel]
+    assert {m.__name__ for m in bindings} >= {"cylwigner._kernels", "cylwigner.wigner", "cylwigner.verify"}
+    for module in bindings:
+        monkeypatch.setattr(module, "phase_space_sum_grid", counting)
+    run_verification()
+    assert 0 < len(calls) <= 88
+
+
+def test_loose_profile_scales_every_tolerance_tenfold():
+    default = {c.invariant_id: c.tolerance for c in run_verification()}
+    loose = {c.invariant_id: c.tolerance for c in run_verification(profile="loose")}
+    assert list(loose) == list(default)
+    assert all(loose[name] == 10.0 * tol for name, tol in default.items())
+
+
+def test_state_bound_reads_the_grid_of_each_state(monkeypatch):
+    # tripling the grid of the m = 2 basis state puts it at 3/(2 pi) > 1/pi
+    grid = wigner.wigner_grid
+
+    def tripled(obj, *axes):
+        out = grid(obj, *axes)
+        if obj.n_min == 2:
+            return wigner.WignerGrid(out.theta_axis, out.p_axis, 3.0 * out.values)
+        return out
+
+    monkeypatch.setattr(wigner, "wigner_grid", tripled)
+    assert "wigner.state_bound" in _failed(verify._wigner_checks(np.random.default_rng(0)))
 
 
 def test_unknown_profile_rejected():
@@ -100,7 +140,7 @@ def test_von_mises_normalization_checks_the_state(monkeypatch):
         return FourierState(delta=state.delta, n_min=state.n_min, coeffs=state.coeffs * scale)
 
     monkeypatch.setattr(verify, "von_mises_state", unnormalized)
-    assert "states.von_mises_normalization" in _failed(verify._state_checks(1.0, np.random.default_rng(0)))
+    assert "states.von_mises_normalization" in _failed(verify._state_checks(np.random.default_rng(0)))
 
 
 def test_von_mises_normalization_checks_the_dropped_mass(monkeypatch):
@@ -109,10 +149,10 @@ def test_von_mises_normalization_checks_the_dropped_mass(monkeypatch):
         return FourierState(delta=state.delta, n_min=state.n_min, coeffs=state.coeffs, discarded_mass=1e-9)
 
     monkeypatch.setattr(verify, "von_mises_state", leaky)
-    assert "states.von_mises_normalization" in _failed(verify._state_checks(1.0, np.random.default_rng(0)))
+    assert "states.von_mises_normalization" in _failed(verify._state_checks(np.random.default_rng(0)))
 
 
 def test_partition_cross_routes_see_the_nome_rounding(monkeypatch):
     # theta3 at the nome exp(-eps_beta) is off by 2.4e-10 at eps_beta = 1e-7
     monkeypatch.setattr(thermal, "partition_function", lambda tp: theta3(0.0, exp(-tp.eps_beta)))
-    assert "thermal.partition_cross_routes" in _failed(verify._thermal_checks(1.0, np.random.default_rng(0)))
+    assert "thermal.partition_cross_routes" in _failed(verify._thermal_checks(np.random.default_rng(0)))

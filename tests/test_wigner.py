@@ -352,6 +352,23 @@ class TestCardinalSeries:
         with pytest.raises(ValueError):
             CardinalSeries(delta=0.0, m_min=0, b=np.array([0.9, -0.1]))
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"m_min": 0, "b": [1.0]}, "delta"),
+            ({"delta": "x", "m_min": 0, "b": [1.0]}, "delta"),
+            ({"delta": 0.0, "b": [1.0]}, "m_min"),
+            ({"delta": 0.0, "m_min": 1.5, "b": [1.0]}, "m_min"),
+            ({"delta": 0.0, "m_min": 0}, "b"),
+            ({"delta": 0.0, "m_min": 0, "b": [[1.0], [0.5, 0.5]]}, "b"),
+            ({"delta": 0.0, "m_min": 0, "b": ["a", "b"]}, "b"),
+            ({"delta": 0.0, "m_min": 0, "b": [[0.5, 0.5]]}, "b"),
+        ],
+    )
+    def test_malformed_json_names_the_field(self, payload, field):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            CardinalSeries.from_dict(payload)
+
     @pytest.mark.parametrize("K, steps", [(1001, 401), (3 * _SERIES_BLOCK // 2, 3)])
     def test_blocked_evaluation_matches_pointwise(self, K, steps):
         # K = 1001 on 401 momenta spans several blocks of whole columns; a
@@ -719,6 +736,19 @@ class TestRescaleHbar:
             masses.append(mass)
         assert all(a < b for a, b in zip(masses, masses[1:]))
         assert masses[-1] >= 0.95
+
+    @pytest.mark.parametrize("hbar, m", [(1e-310, 0), (1e308, 2)])
+    def test_overflowing_argument_takes_the_limit(self, hbar, m):
+        # (p - hbar m)/hbar overflows for these momenta but 0 at hbar = 1e-310,
+        # the peak; |sinc| < 2e-309 where it overflows
+        ps = np.linspace(-5.0, 5.0, 11)
+        values = rescale_hbar(ps, hbar, m)
+        assert np.all(np.isfinite(values)) and np.max(np.abs(values[ps != 0.0])) <= 2e-309
+        assert rescale_hbar(5.0, hbar, m) == 0.0
+
+    def test_non_finite_momentum_still_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            rescale_hbar(np.inf, 1e-310, 0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
