@@ -268,10 +268,10 @@ def _cmd_fig2(cfg: RunConfig) -> WignerGrid:
 def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
     if cfg.s <= 0:
         raise ValueError("fig3 requires s > 0")
-    thetas = np.asarray(cfg.theta_list or (0.0, pi / 2, -pi / 2, pi, -pi))
-    state = von_mises_state(cfg.s, cfg.pe)
-    grid = wigner_grid(state, thetas, cfg.p_axis)
+    # the scale overflows above s ~ 354: refused before the grid is built
     scale = 2.0 * pi * bessel_i(0, 2.0 * cfg.s)
+    thetas = np.asarray(cfg.theta_list or (0.0, pi / 2, -pi / 2, pi, -pi))
+    grid = wigner_grid(von_mises_state(cfg.s, cfg.pe), thetas, cfg.p_axis)
     return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=scale * grid.values)
 
 

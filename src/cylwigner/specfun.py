@@ -1,15 +1,13 @@
-"""Special functions and fixed-order quadrature.
+"""Special functions.
 
 Everything here is scalar-exact double precision: the normalized sinc
 with snapped integer zeros, the modified Bessel function ``I_n`` and its
 scaled form ``I_n(z) exp(-z)`` for all orders at once (one normalized
-backward recurrence of order ratios, which cannot overflow), the Jacobi
-theta-3 lattice sum with an automatic modular transformation for nomes
-close to 1, and Gauss-Legendre quadrature on fixed intervals.
+backward recurrence of order ratios, which cannot overflow), and the
+Jacobi theta-3 lattice sum with an automatic modular transformation for
+nomes close to 1.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, cos, exp, floor, log, pi, sqrt
 
 import numpy as np
@@ -17,14 +15,10 @@ import numpy as np
 from ._kernels import sinc_pi_array
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_legendre_rule",
     "sinc_pi",
     "bessel_i",
     "theta3",
     "theta3_jacobi",
-    "integrate_theta",
-    "integrate_interval",
 ]
 
 # series term / nome cutoffs chosen so truncation sits below double roundoff
@@ -33,35 +27,6 @@ _JACOBI_SWITCH_Q = exp(-1.0)
 _BESSEL_Z_LIMIT = 700.0
 _BESSEL_N_LIMIT = 10**6
 _MIN_OSCILLATION_ORDER = 64
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre_rule(order: int) -> QuadratureRule:
-    if order < 1:
-        raise ValueError("quadrature order must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
 def sinc_pi(x):
@@ -197,50 +162,11 @@ def theta3_jacobi(z: float, eps_beta: float) -> float:
     return value
 
 
-def _apply_rule(f, a: float, b: float, order: int):
-    rule = gauss_legendre_rule(order)
-    x = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
-    w = 0.5 * (b - a) * rule.weights
-    try:
-        fx = np.asarray(f(x))
-        if fx.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fx = np.asarray([f(xi) for xi in x])
-    if not np.all(np.isfinite(fx)):
-        raise ArithmeticError("integrand produced non-finite values")
-    total = w @ fx
-    if np.iscomplexobj(fx):
-        return complex(total)
-    return float(total)
-
-
-def integrate_theta(f, order: int = 64):
-    """Gauss-Legendre integral of ``f`` over the angle interval [-pi, pi].
-
-    ``f`` may be vectorized over a node array or scalar-only; a minimum
-    order of 8 is enforced.  Real integrands return ``float``, complex
-    ones ``complex``.
-    """
-    if order < 8:
-        raise ValueError("integrate_theta requires order >= 8")
-    return _apply_rule(f, -pi, pi, order)
-
-
-def integrate_interval(f, a: float, b: float, order: int = 64):
-    """Gauss-Legendre integral of ``f`` over a general finite interval."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    return _apply_rule(f, float(a), float(b), order)
-
-
 def oscillation_order(max_frequency: float) -> int:
-    """Quadrature order that resolves ``exp(i nu theta)`` on [-pi, pi].
-
-    Empirically order ~ 2.2 nu + margin reaches 1e-13 absolute error;
-    used by routines that pick their order from a window span.  Never
-    below ``_MIN_OSCILLATION_ORDER``.
+    """Node count of the angle rules that resolve ``exp(i nu theta)`` on
+    [-pi, pi] up to ``|nu| = max_frequency``: about 2.2 nu plus a margin,
+    never below ``_MIN_OSCILLATION_ORDER``.  A Gauss-Legendre rule of this
+    order reaches 1e-13 absolute error; an equispaced rule of ``N`` nodes
+    is exact for every ``|nu| < N``.
     """
     return max(_MIN_OSCILLATION_ORDER, int(ceil(2.2 * max_frequency)) + 16)

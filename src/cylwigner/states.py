@@ -106,6 +106,15 @@ def _check_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_window(n_min: int, size: int) -> None:
+    """``ValueError`` naming the window ``[n_min, n_min + size - 1]`` when
+    it leaves ``|n| < 2**62``: the grid kernel indexes the sums of two
+    window indices in int64."""
+    n_max = n_min + size - 1
+    if n_min <= -(2**62) or n_max >= 2**62:
+        raise ValueError(f"index window [{n_min}, {n_max}] leaves |n| < 2**62, where index sums fit int64")
+
+
 def _check_hbar(hbar: float) -> float:
     """The momentum scale as a float; ``ValueError`` unless finite and positive."""
     hbar = float(hbar)
@@ -163,6 +172,7 @@ class FourierState:
             raise ValueError("coeffs must be a non-empty 1-D array")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
+        _check_window(self.n_min, coeffs.size)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -214,6 +224,7 @@ class DensityMatrix:
             raise ValueError("entries must be a non-empty square matrix")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
+        _check_window(self.n_min, entries.shape[0])
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -12,7 +12,8 @@ density-matrix reconstruction are evaluated *analytically* in the
 momentum direction: integrals over all of p pair band-limited sinc
 combinations, so they reduce exactly to finite sums (momentum-direction
 truncation would cost three to four digits to the slow sinc tail).
-Angle-direction integrals use fixed-order Gauss-Legendre quadrature.
+The angle integral of the reconstruction is an exact equispaced sum,
+taken by one real FFT.
 
 Evaluation functions are pure and keep no shared mutable state.
 """
@@ -30,7 +31,7 @@ from ._kernels import (
     phase_space_sum_point,
     sinc_pi_array,
 )
-from .specfun import gauss_legendre_rule, oscillation_order, sinc_pi
+from .specfun import oscillation_order, sinc_pi
 from .states import (
     DensityMatrix,
     FourierState,
@@ -393,41 +394,47 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
     Each entry is the phase-space pairing of ``V`` with the corresponding
     window element; the momentum integral collapses exactly (the theta
     integral of ``exp(i(l-k)theta) V`` is a cardinal series in p sampled on
-    a unit-spaced grid containing the target point), leaving one
-    Gauss-Legendre angle quadrature per entry:
+    a unit-spaced grid containing the target point), leaving one angle
+    integral per entry:
 
         rho_kl = int dtheta exp(i(l-k)theta) V(theta, (k+l)/2 + delta)
 
-    So ``V`` is sampled on the quadrature nodes times the ``2K - 1``
-    anti-diagonal momenta ``(k+l)/2 + delta``.  A trace deficit beyond 1e-6
-    (window too small for the source state) is reported as a warning on the
-    returned matrix.
+    At a fixed momentum ``V`` is a trigonometric polynomial in theta, so an
+    ``N``-point equispaced sum takes this integral exactly while ``N``
+    exceeds the source window plus ``K - 2``.  ``V`` is sampled on the
+    ``N = oscillation_order(2(K - 1))`` angles ``-pi + 2 pi j / N`` times
+    the ``2K - 1`` anti-diagonal momenta ``(k+l)/2 + delta``, and one real
+    FFT along the angles gives every ``l - k >= 0``; ``l - k < 0`` is its
+    conjugate, so the result is Hermitian by construction.  A trace deficit
+    beyond 1e-6 (window too small for the source state) is reported as a
+    warning on the returned matrix.
     """
     n_min, n_max = _check_index(n_min, "n_min"), _check_index(n_max, "n_max")
     delta = _check_delta(delta)
     if n_max < n_min:
         raise ValueError("empty reconstruction window")
     K = n_max - n_min + 1
-    rule = gauss_legendre_rule(oscillation_order(2.0 * (K - 1)))
-    nodes = pi * rule.nodes
-    weights = pi * rule.weights
+    N = oscillation_order(2.0 * (K - 1))
+    nodes = -pi + TWO_PI * np.arange(N) / N
     # distinct momentum samples (k+l)/2 + delta, one per anti-diagonal
     p_samples = n_min + 0.5 * np.arange(2 * K - 1) + delta
     vals = np.asarray(V((nodes, p_samples)))
-    if vals.shape != (nodes.size, p_samples.size):
+    if vals.shape != (N, p_samples.size):
         raise ValueError(
-            f"sampler returned shape {vals.shape}, expected {(nodes.size, p_samples.size)}"
+            f"sampler returned shape {vals.shape}, expected {(N, p_samples.size)}"
         )
     if np.iscomplexobj(vals):
         raise ValueError("sampler returned complex values; a Wigner density is real")
     vals = vals.astype(np.float64, copy=False)
     if not np.all(np.isfinite(vals)):
         raise ValueError("sampler returned non-finite values")
-    nus = np.arange(-(K - 1), K)
-    # W[nu, t] = sum_g w_g exp(i nu theta_g) vals[g, t]
-    W = (np.exp(1j * np.outer(nus, nodes)) * weights) @ vals
+    # W[nu, t] = (2 pi/N) sum_j exp(i nu theta_j) vals[j, t] for nu = 0..K-1,
+    # where exp(i nu theta_j) = (-1)^nu exp(2 pi i nu j/N)
+    signs = np.where(np.arange(K) % 2, -TWO_PI / N, TWO_PI / N)
+    W = signs[:, None] * np.fft.rfft(vals, axis=0)[:K].conj()
     k, l = np.indices((K, K))
-    rho = W[(l - k) + K - 1, k + l]
+    rho = W[np.abs(l - k), k + l]
+    rho = np.where(l < k, rho.conj(), rho)
     out = DensityMatrix(delta=delta, n_min=n_min, entries=rho)
     deficit = 1.0 - out.trace()
     if abs(deficit) > 1e-6:

@@ -19,14 +19,7 @@ from cylwigner.dynamics import (
     quadratic_hamiltonian,
     wigner_time_derivative,
 )
-from cylwigner.specfun import (
-    bessel_i,
-    integrate_interval,
-    integrate_theta,
-    sinc_pi,
-    theta3,
-    theta3_jacobi,
-)
+from cylwigner.specfun import bessel_i, sinc_pi, theta3, theta3_jacobi
 from cylwigner.states import FourierState, basis_state, cat_state, pure_density, von_mises_state
 from cylwigner.thermal import (
     ThermalParams,
@@ -35,7 +28,12 @@ from cylwigner.thermal import (
     thermal_density,
     thermal_wigner,
 )
-from cylwigner.verify import momentum_marginal_via_quadrature, wigner_pair_integral
+from cylwigner.verify import (
+    integrate_interval,
+    integrate_theta,
+    momentum_marginal_via_quadrature,
+    wigner_pair_integral,
+)
 from cylwigner.wigner import (
     marginal_angle,
     marginal_momentum,

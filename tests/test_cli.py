@@ -266,6 +266,20 @@ class TestReconstructCommand:
         assert data["max_abs_error"] <= 1e-8
         assert data["trace"] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("state", ["basis", "cat", "vonmises", "thermal"])
+    def test_runs_without_a_gauss_legendre_rule(self, tmp_path, monkeypatch, state):
+        def refuse(order):
+            raise AssertionError("reconstruct must not build a Gauss-Legendre rule")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        out = tmp_path / f"rec_{state}.json"
+        assert run_cli(
+            "--command", "reconstruct", "--state", state,
+            "--s", "0.5", "--pe", "0.6", "--eps-beta", "1.0",
+            "--out", str(out),
+        ) == 0
+        assert json.loads(out.read_text())["max_abs_error"] <= 1e-14
+
 
 class TestVerifyCommand:
     def test_report_schema_and_success(self, tmp_path):
@@ -322,6 +336,30 @@ class TestExitCodes:
     def test_overflowing_parameter_is_two(self, capsys):
         assert run_cli("--command", "fig3", "--s", "400") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fig3_scale_refused_before_the_grid(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("fig3 built its grid before its scale")
+
+        monkeypatch.setattr(cli, "wigner_grid", refuse)
+        assert run_cli("--command", "fig3", "--s", "400") == 2
+        assert capsys.readouterr().err == "error: bessel_i argument out of supported range (exp overflow)\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--command", "marginals", "--state", "vonmises", "--pe", "1e20"),
+            ("--command", "fig3", "--pe", "1e20"),
+            ("--command", "reconstruct", "--state", "vonmises", "--pe=-5e18"),
+        ],
+        ids=["marginals", "fig3", "reconstruct"],
+    )
+    def test_window_outside_the_index_range_is_two(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index window [") and "2**62" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_oversized_dense_thermal_window_is_two(self, tmp_path, capsys):
         # --state thermal builds the dense K x K Gibbs matrix, refused above 256 MiB

@@ -1,7 +1,7 @@
 """Public names: every module's ``__all__`` resolves, the package's is
-their concatenation, the cross-routes live only in the verifier, every
-name the benchmark tracer wraps exists, and the traced reconstruction
-samples its grid once."""
+their concatenation, the cross-routes and their quadrature live only in
+the verifier, every name the benchmark tracer wraps exists, and the traced
+reconstruction samples its grid once."""
 
 import importlib
 import importlib.util
@@ -37,7 +37,7 @@ def test_all_names_resolve(name):
 def test_package_all_concatenates_the_module_lists():
     lists = [specfun.__all__, states.__all__, wigner.__all__, dynamics.__all__, thermal.__all__]
     assert cylwigner.__all__ == [name for names in lists for name in names]
-    assert len(set(cylwigner.__all__)) == len(cylwigner.__all__) == 53
+    assert len(set(cylwigner.__all__)) == len(cylwigner.__all__) == 49
 
 
 def test_package_binds_only_its_public_names():
@@ -55,6 +55,14 @@ def test_cross_routes_live_in_verify_only(route):
     assert route in verify.__all__ and callable(getattr(verify, route))
     assert not hasattr(wigner, route)
     assert not hasattr(cylwigner, route)
+
+
+@pytest.mark.parametrize("name", ["gauss_legendre_rule", "integrate_theta", "integrate_interval"])
+def test_quadrature_lives_in_verify_only(name):
+    # the library's integrals are exact finite sums; only the cross-routes integrate numerically
+    assert name in verify.__all__ and callable(getattr(verify, name))
+    assert not hasattr(specfun, name)
+    assert not hasattr(cylwigner, name)
 
 
 def _load_tracing():

@@ -148,6 +148,11 @@ class TestVonMisesState:
         with pytest.raises(ValueError):
             von_mises_state(1.0, 0.0, window_half_width=0)
 
+    @pytest.mark.parametrize("p_e", [1e20, -1e20, 5e18])
+    def test_window_outside_the_index_range_refused(self, p_e):
+        with pytest.raises(ValueError, match=r"index window \[-?\d+, -?\d+\] leaves \|n\| < 2\*\*62"):
+            von_mises_state(0.5, p_e)
+
 
 class TestEvaluateWavefunction:
     def test_basis_state_is_pure_phase(self):
@@ -394,3 +399,19 @@ class TestImmutability:
             FourierState(delta=0.0, n_min=0, coeffs=np.array([]))
         with pytest.raises(ValueError):
             DensityMatrix(delta=0.0, n_min=0, entries=np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n_min, size, ok", [
+        (2**62 - 2, 2, True), (2**62 - 2, 3, False), (1 - 2**62, 2, True), (-(2**62), 1, False),
+    ])
+    def test_window_must_keep_index_sums_in_int64(self, n_min, size, ok):
+        coeffs = np.eye(size)[0]
+        build = [
+            lambda: FourierState(delta=0.0, n_min=n_min, coeffs=coeffs),
+            lambda: DensityMatrix(delta=0.0, n_min=n_min, entries=np.diag(coeffs)),
+        ]
+        for make in build:
+            if ok:
+                assert make().n_min == n_min
+            else:
+                with pytest.raises(ValueError, match=f"index window \\[{n_min}, {n_min + size - 1}\\]"):
+                    make()

@@ -7,7 +7,7 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 
-from cylwigner.specfun import integrate_interval, sinc_pi, theta3, theta3_jacobi
+from cylwigner.specfun import sinc_pi, theta3, theta3_jacobi
 from cylwigner.states import DensityMatrix
 from cylwigner.thermal import (
     ThermalParams,
@@ -18,6 +18,7 @@ from cylwigner.thermal import (
     thermal_density,
     thermal_wigner,
 )
+from cylwigner.verify import integrate_interval
 from cylwigner.wigner import (
     extract_probability,
     marginal_momentum,

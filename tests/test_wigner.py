@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cylwigner import wigner
 from cylwigner._kernels import phase_space_sum_grid
-from cylwigner.specfun import bessel_i, gauss_legendre_rule, sinc_pi
+from cylwigner.specfun import bessel_i, oscillation_order, sinc_pi
 from cylwigner.states import (
     DensityMatrix,
     FourierState,
@@ -27,6 +27,8 @@ from cylwigner.states import (
 from cylwigner.verify import (
     angle_marginal_via_swap,
     extract_probability_via_quadrature,
+    gauss_legendre_rule,
+    integrate_interval,
     momentum_marginal_via_quadrature,
     total_integral,
     total_integral_via_quadrature,
@@ -63,9 +65,8 @@ TWO_PI = 2 * pi
 
 def moyal_by_quadrature(bra, ket, theta, p, order=128):
     """Independent oracle: the half-angle correlation integral."""
-    rule = gauss_legendre_rule(order)
-    nodes = pi * rule.nodes
-    weights = pi * rule.weights
+    nodes, weights = gauss_legendre_rule(order)
+    nodes, weights = pi * nodes, pi * weights
     left = np.conj(evaluate_wavefunction(bra, theta - nodes / 2))
     right = evaluate_wavefunction(ket, theta + nodes / 2)
     integrand = np.exp(-1j * p * nodes) * left * right
@@ -205,8 +206,8 @@ class TestWignerFunction:
         # (2 pi)^-2 I_0(2s)^-1 \int exp(-i(p - pe) x + 2 s cos(theta) cos(x/2)) dx
         s, pe = 0.5, 0.6
         vm = von_mises_state(s, pe)
-        rule = gauss_legendre_rule(128)
-        nodes, weights = pi * rule.nodes, pi * rule.weights
+        nodes, weights = gauss_legendre_rule(128)
+        nodes, weights = pi * nodes, pi * weights
         for theta in (0.0, 0.7, pi / 2, -2.1, pi):
             for p in (pe, pe + 0.4, pe - 1.3, pe + 3.0):
                 integrand = np.exp(
@@ -523,6 +524,20 @@ class TestReconstruction:
             rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, 0, 1, 0.0)
         assert rebuilt.trace() == pytest.approx(0.5, abs=1e-8)
 
+    def test_narrow_window_of_a_wide_state(self):
+        # K = 5 of a K = 55 source: the angle sum must not alias the wider
+        # source into the covered block, and the deficit still warns
+        rho = pure_density(von_mises_state(3.0, 0.0))
+        assert (rho.n_min, rho.n_max) == (-27, 27)
+        with pytest.warns(RuntimeWarning, match="trace deficit"):
+            rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, -2, 2, 0.0)
+        assert np.max(np.abs(rebuilt.entries - rho.entries[25:30, 25:30])) <= 1e-14
+
+    def test_hermitian_by_construction(self):
+        rho = pure_density(von_mises_state(0.5, 0.6, window_half_width=8))
+        rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta)
+        np.testing.assert_array_equal(rebuilt.entries, rebuilt.entries.conj().T)
+
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_density(lambda axes: 0.0, 2, 1, 0.0)
@@ -581,7 +596,9 @@ class TestReconstructionSampler:
         thetas, ps = calls[0]
         # K = 3: the anti-diagonal momenta (k+l)/2 + delta for k, l in -1..1
         np.testing.assert_array_equal(ps, [-1.0, -0.5, 0.0, 0.5, 1.0])
-        assert np.all(np.abs(thetas) < pi)
+        # N = oscillation_order(2(K - 1)) equispaced angles -pi + 2 pi j / N
+        N = oscillation_order(4.0)
+        np.testing.assert_allclose(thetas, -pi + 2 * pi * np.arange(N) / N, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "bad",
@@ -723,8 +740,6 @@ class TestRescaleHbar:
             assert rescale_hbar(hbar * 3, hbar, 3) == 1.0
 
     def test_mass_concentration(self):
-        from cylwigner.specfun import integrate_interval
-
         masses = []
         for hbar in (1.0, 0.3, 0.1, 0.03, 0.01):
             mass = integrate_interval(
