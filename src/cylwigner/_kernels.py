@@ -14,10 +14,14 @@ the sinc row of its centre ``(m+n)/2 + delta``, so the grid is one chain
 imaginary parts of ``A`` and the sinc table.  ``numpy.linalg.multi_dot``
 evaluates the chain in whichever of its two orders takes fewer
 multiplications for the shapes at hand.  Only the nonzero entries of
-``A`` are read, so a banded or diagonal window costs in proportion to its
-band.  A Hermitian window folds ``-d`` onto ``d`` and yields a real grid
-from one phase row per angle; any other window stacks a second set of
-rows for the imaginary part and yields a complex grid.
+``A`` enter the products, so a banded window's chain costs in proportion to
+its band; finding them is one scan of the K x K window.  A diagonal window
+is passed as its 1-D diagonal and costs in proportion to K throughout: no
+K x K array is read or made.  A Hermitian window folds ``-d`` onto ``d``
+and yields a real grid from one phase row per angle; any other window
+stacks a second set of rows for the imaginary part and yields a complex
+grid.  Hermiticity is tested once per pair of mirrored entries, unless the
+caller knows it by construction.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
@@ -122,30 +126,40 @@ def _compact(keys, order):
     return order[kept], position[keys]
 
 
-def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
+def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndarray:
     """Grid evaluation of the windowed sum, shape ``(len(thetas), len(ps))``.
 
     ``A`` is a square window matrix whose row/column index 0 corresponds
-    to basis index ``n_min``.  When ``A`` is Hermitian to within 1e-12
-    the result is a real array; otherwise it is complex.
+    to basis index ``n_min``, or a real 1-D array: the diagonal of a
+    diagonal window, Hermitian by construction.  ``hermitian=None`` tests a
+    square ``A``: Hermitian to within 1e-12 gives a real array, otherwise a
+    complex one.  ``hermitian=True`` says ``A`` is Hermitian by construction
+    (a state's own window ``conj(c) c^T``) and skips the test.
     """
     A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
     K = A.shape[0]
-    # numpy scans a flat boolean mask on a fast path, and divmod splits the
-    # row-major flat indices into the same (rows, cols) as a 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(A != 0), K)
-    vals = A[rows, cols]
-    hermitian = vals.size == 0 or (
-        np.max(np.abs(vals - np.conj(A[cols, rows]))) <= _HERMITIAN_TOL
-    )
+    if A.ndim == 1:
+        rows = cols = np.flatnonzero(A)
+        vals = A[rows]
+        hermitian = True
+    else:
+        # numpy scans a flat boolean mask on a fast path, and divmod splits
+        # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
+        rows, cols = np.divmod(np.flatnonzero(A != 0), K)
+        vals = A[rows, cols]
     diag = cols - rows
+    upper = diag >= 0
+    # the entries on and above the diagonal: all that a Hermitian window needs
+    rows_u, cols_u, vals_u = rows[upper], cols[upper], vals[upper]
+    if hermitian is None:
+        lower = vals.size - vals_u.size
+        hermitian = _hermitian_residual(A, rows_u, cols_u, vals_u, lower) <= _HERMITIAN_TOL
     if hermitian:
         # G[-d] = conj(G[d]): keep d >= 0 and count each d > 0 twice
-        upper = diag >= 0
-        rows, cols, diag = rows[upper], cols[upper], diag[upper]
-        vals = np.where(diag > 0, 1.0 / np.pi, 1.0 / TWO_PI) * vals[upper]
+        rows, cols, diag = rows_u, cols_u, diag[upper]
+        vals = np.where(diag > 0, 1.0 / np.pi, 1.0 / TWO_PI) * vals_u
     else:
         vals = vals / TWO_PI
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
@@ -207,6 +221,23 @@ def _angle_phases(thetas, ds):
     phases = factors.take(q - q0, axis=1)
     phases *= factors.take(J + r, axis=1)
     return phases
+
+
+def _hermitian_residual(A, rows, cols, vals, lower: int) -> float:
+    """Largest ``|A_mn - conj(A_nm)|`` over the nonzero entries of the
+    square ``A``, each mirrored pair compared once.
+
+    ``vals`` are the nonzero entries on and above the diagonal, at ``(rows,
+    cols)``, and ``lower`` counts those below it.  Each entry above meets
+    its mirror.  An entry below with a nonzero mirror was met from above,
+    and those are as many as the nonzero mirrors off the diagonal; only a
+    surplus below (entries with a zero mirror) needs a pass of its own.
+    """
+    mirror = A[cols, rows]
+    residual = float(np.max(np.abs(vals - mirror.conj()), initial=0.0))
+    if lower > np.count_nonzero(mirror) - np.count_nonzero(A.diagonal()):
+        residual = max(residual, float(np.max(np.abs(np.tril(A, -1)[A.T == 0]))))
+    return residual
 
 
 def phase_space_sum_point(A, n_min, delta, theta: float, p: float) -> complex:

@@ -26,6 +26,7 @@ from .states import (
     FourierState,
     _check_delta,
     _check_hbar,
+    _DiagonalRows,
     _real_view,
     basis_state,
     cat_state,
@@ -156,18 +157,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _json_arrays(obj, field: str = ""):
     """``obj`` with each array replaced by its real view (``_real_view``);
     ``ValueError`` naming the field of an array that JSON text cannot hold
-    as ``json`` would write it: not float64 or complex128, or not finite."""
+    as ``json`` would write it: not float64 or complex128, or not finite.
+    ``_DiagonalRows`` are checked by their weights and kept as they are."""
     if isinstance(obj, dict):
         return {key: _json_arrays(value, f"{field}.{key}" if field else key) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_arrays(value, f"{field}[{i}]") for i, value in enumerate(obj)]
-    if not isinstance(obj, np.ndarray):
+    if not isinstance(obj, (np.ndarray, _DiagonalRows)):
         return obj
     if obj.dtype not in (np.float64, np.complex128):
         raise ValueError(f"JSON field {field!r} has dtype {obj.dtype}, not float64 or complex128")
     arr = _real_view(obj)
+    values = arr.weights if isinstance(arr, _DiagonalRows) else arr
     # min and max are NaN or infinite when any value is, with no temporary
-    if arr.size and not (isfinite(arr.min()) and isfinite(arr.max())):
+    if values.size and not (isfinite(values.min()) and isfinite(values.max())):
         raise ValueError(f"JSON field {field!r} has a non-finite value")
     return arr
 
@@ -189,9 +192,10 @@ def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
     ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64
     array as its nested list: a 1-D array in one piece, a deeper one a
-    first-axis row at a time, each from one ``%`` template."""
+    first-axis row at a time, each from one ``%`` template (and
+    ``_DiagonalRows`` a row at a time as they are made)."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, _DiagonalRows)):
         if obj.ndim < 2 or obj.shape[0] == 0:
             write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
             return

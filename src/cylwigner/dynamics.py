@@ -106,9 +106,12 @@ def evolve_density(rho: DensityMatrix, H: DiagonalHamiltonian, t: float, hbar: f
     """von Neumann evolution ``rho_mn(t) = exp(-i(E_m - E_n)t) rho_mn``.
 
     Trace and Hermiticity are preserved exactly; diagonal entries never
-    move."""
+    move, so a diagonal window (held by its weights) is its own evolution,
+    returned as it is in O(K)."""
     tau = _scaled_time(t, hbar)
     energies = H.energies(rho.n_min, rho.n_max)
+    if rho._weights is not None:
+        return rho
     # phase of the energy *difference*: the diagonal factor is exactly 1,
     # so populations never move even by roundoff
     phase = np.exp(-1j * (energies[:, None] - energies[None, :]) * tau)

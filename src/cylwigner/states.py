@@ -52,14 +52,15 @@ def _frozen_array(values, dtype=None):
 
 def _real_view(z: np.ndarray) -> np.ndarray:
     """A complex128 array as its real view with a trailing ``[re, im]`` axis;
-    any other array as it is."""
+    any other array (and ``_DiagonalRows``, a real view already) as it is."""
     return z.view(np.float64).reshape(z.shape + (2,)) if z.dtype == np.complex128 else z
 
 
 def _plain(fields: dict) -> dict:
-    """``fields`` with each array as nested lists, complex entries as
-    ``[re, im]`` pairs: the ``to_dict`` form of a ``_json_fields`` dict."""
-    return {key: _real_view(v).tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
+    """``fields`` with each array (and ``_DiagonalRows``) as nested lists,
+    complex entries as ``[re, im]`` pairs: the ``to_dict`` form of a
+    ``_json_fields`` dict."""
+    return {key: _real_view(v).tolist() if isinstance(v, (np.ndarray, _DiagonalRows)) else v for key, v in fields.items()}
 
 
 def _numbers_in(values, ndim: int, field: str, pairs: bool = True) -> np.ndarray:
@@ -208,13 +209,43 @@ class FourierState:
         )
 
 
+class _DiagonalRows:
+    """The ``_real_view`` of the dense matrix of real diagonal ``weights``,
+    shape ``(K, K, 2)``, without the matrix: iterating yields its ``(K, 2)``
+    rows, each made in one reused buffer as it is reached."""
+
+    dtype = np.dtype(np.float64)
+    ndim = 3
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        self.shape = (weights.size, weights.size, 2)
+
+    def __iter__(self):
+        row = np.zeros(self.shape[1:])
+        for i, w in enumerate(self.weights.tolist()):
+            row[i, 0] = w
+            yield row
+            row[i, 0] = 0.0
+
+    def tolist(self) -> list:
+        return [row.tolist() for row in self]
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace matrix over an integer index window."""
+    """Hermitian unit-trace matrix over an integer index window.
+
+    A diagonal window (a Gibbs density) is held by its real diagonal alone,
+    from the private constructor ``_diagonal``: ``entries`` is then a dense
+    read-only matrix built on each access and not kept, and every other
+    method reads the K weights."""
 
     delta: float
     n_min: int
     entries: np.ndarray
+    # the real diagonal of a window held by it; None for dense entries
+    _weights = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _check_delta(self.delta))
@@ -227,39 +258,75 @@ class DensityMatrix:
         _check_window(self.n_min, entries.shape[0])
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _diagonal(cls, delta: float, n_min: int, weights) -> "DensityMatrix":
+        """The diagonal window of real ``weights``, held as they are (a
+        read-only owned float64 array is not copied); O(K) checks only."""
+        weights = _frozen_array(weights, np.float64)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValueError("weights must be a non-empty 1-D array")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("entries must be finite")
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "delta", _check_delta(delta))
+        object.__setattr__(rho, "n_min", _check_index(n_min, "n_min"))
+        _check_window(rho.n_min, weights.size)
+        object.__setattr__(rho, "_weights", weights)
+        return rho
+
+    def __getattr__(self, name):
+        # reached only when the usual lookup fails: a diagonal window holds
+        # no entries, so they are built from its weights
+        if name != "entries" or self._weights is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = np.diag(self._weights.astype(np.complex128))
+        entries.setflags(write=False)
+        return entries
+
     @property
     def n_max(self) -> int:
-        return self.n_min + self.entries.shape[0] - 1
+        size = self.entries.shape[0] if self._weights is None else self._weights.size
+        return self.n_min + size - 1
 
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
     def trace(self) -> float:
+        if self._weights is not None:
+            return float(np.sum(self._weights))
         return float(np.trace(self.entries).real)
 
     def diagonal(self) -> np.ndarray:
+        if self._weights is not None:
+            return self._weights.copy()
         return self.entries.diagonal().real.copy()
 
     def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> None:
         """Raise ``ValueError`` when Hermiticity/trace/positivity drift."""
-        E = self.entries
-        herm = 0.0
-        for i in range(0, E.shape[0], _HERM_BLOCK_ROWS):
-            block = np.conj(E[:, i : i + _HERM_BLOCK_ROWS].T, order="C")
-            np.subtract(E[i : i + _HERM_BLOCK_ROWS, :], block, out=block)
-            herm = max(herm, float(np.max(np.abs(block))))
-            del block  # free it before the next block is allocated
-        if herm > herm_tol:
-            raise ValueError(f"density matrix not Hermitian (residual {herm:.3e})")
-        tr = np.trace(self.entries)
+        diagonal = self._weights  # a real diagonal is exactly Hermitian
+        if diagonal is None:
+            E = self.entries
+            herm = 0.0
+            for i in range(0, E.shape[0], _HERM_BLOCK_ROWS):
+                block = np.conj(E[:, i : i + _HERM_BLOCK_ROWS].T, order="C")
+                np.subtract(E[i : i + _HERM_BLOCK_ROWS, :], block, out=block)
+                herm = max(herm, float(np.max(np.abs(block))))
+                del block  # free it before the next block is allocated
+            if herm > herm_tol:
+                raise ValueError(f"density matrix not Hermitian (residual {herm:.3e})")
+            diagonal = E.diagonal()
+        tr = np.sum(diagonal)  # np.trace sums the same diagonal
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        if np.min(self.entries.diagonal().real) < -1e-12:
+        if np.min(diagonal.real) < -1e-12:
             raise ValueError("density matrix has a negative diagonal entry")
 
     def _json_fields(self) -> dict:
-        return {"delta": self.delta, "n_min": self.n_min, "entries": self.entries}
+        # a diagonal window's entries stay rows made from its weights: the
+        # CLI writer streams them a row at a time
+        entries = self.entries if self._weights is None else _DiagonalRows(self._weights)
+        return {"delta": self.delta, "n_min": self.n_min, "entries": entries}
 
     def to_dict(self) -> dict:
         return _plain(self._json_fields())

@@ -29,8 +29,8 @@ __all__ = [
 
 _LOW_TEMP_MIN_EB = 3.0
 _HIGH_TEMP_MAX_EB = 0.05
-# largest dense K x K complex128 matrix thermal_density builds (K = 4096),
-# and the largest float64 weight vector behind any thermal value
+# largest dense K x K complex128 matrix a thermal density may expand to
+# (K = 4096), and the largest float64 weight vector behind any thermal value
 _MAX_DENSE_BYTES = 256 * 2**20
 
 
@@ -97,7 +97,8 @@ def _gibbs_series(tp: ThermalParams) -> CardinalSeries:
 
 
 def thermal_density(tp: ThermalParams) -> DensityMatrix:
-    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``.
+    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``, held by its
+    K weights: its dense ``entries`` are built only when read.
 
     Raises ``ValueError``, before allocating, when the dense window would
     exceed 256 MiB.  A real non-negative diagonal is exactly Hermitian: only
@@ -106,9 +107,7 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     needed = 16 * (2 * N + 1) ** 2  # complex128 entries
     if needed > _MAX_DENSE_BYTES:
         raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
-    entries = np.diag(_gibbs_series(tp).b.astype(np.complex128))
-    entries.setflags(write=False)  # read-only and owned: held, not copied
-    return DensityMatrix(delta=0.0, n_min=-N, entries=entries)
+    return DensityMatrix._diagonal(0.0, -N, _gibbs_series(tp).b)
 
 
 def thermal_wigner(tp: ThermalParams, at) -> float:

@@ -216,8 +216,11 @@ def _require_real(values, tol: float = _IMAG_RESIDUE_TOL):
 def _window(obj, ket=None):
     """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p): the
     pair ``(obj, ket)`` of states, a state ``obj`` as the pair ``(obj,
-    obj)``, or a density matrix ``obj``."""
+    obj)``, or a density matrix ``obj``; a diagonal density matrix gives its
+    1-D diagonal, as the grid kernel takes it."""
     if isinstance(obj, DensityMatrix) and ket is None:
+        if obj._weights is not None:
+            return obj._weights, obj.n_min, obj.delta
         # tr[rho V] = sum_mn rho_mn V_nm; entries are read-only, so a view
         return obj.entries.T, obj.n_min, obj.delta
     if not isinstance(obj, FourierState):
@@ -282,7 +285,9 @@ def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     """Real-valued Wigner grid of a state or density matrix."""
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
     A, n_min, delta = _window(obj)
-    values = _require_real(phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis))
+    # a state's own window conj(c) c^T is Hermitian by construction: not tested
+    hermitian = True if isinstance(obj, FourierState) else None
+    values = _require_real(phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis, hermitian))
     values.setflags(write=False)  # the kernel's fresh output: held, not copied
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
 
@@ -344,9 +349,14 @@ def marginal_angle(obj, theta):
         psi = evaluate_wavefunction(obj, theta)
         return np.abs(psi) ** 2 / TWO_PI
     if isinstance(obj, DensityMatrix):
-        phases = np.exp(1j * np.outer(obj.indices + obj.delta, _finite(theta, "angles")))
-        tmp = obj.entries @ phases.conj()
-        values = _require_real(np.sum(phases * tmp, axis=0)) / TWO_PI
+        thetas = _finite(theta, "angles")
+        if obj._weights is not None:
+            # a diagonal window has no coherences: the constant trace / 2 pi
+            values = np.full(thetas.shape, obj.trace() / TWO_PI)
+        else:
+            phases = np.exp(1j * np.outer(obj.indices + obj.delta, thetas))
+            tmp = obj.entries @ phases.conj()
+            values = _require_real(np.sum(phases * tmp, axis=0)) / TWO_PI
         return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
     raise TypeError("expected a FourierState or DensityMatrix")
 
@@ -459,9 +469,10 @@ def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray) -> float:
         raise ValueError("operator must be a square matrix")
     if np.max(np.abs(O - O.conj().T)) > 1e-12:
         raise ValueError("operator must be Hermitian")
-    if O.shape != rho.entries.shape:
+    E = rho.entries  # a diagonal window builds its entries on each read
+    if O.shape != E.shape:
         raise ValueError("operator window must match the density-matrix window")
-    value = 0.5 * (np.trace(rho.entries @ O) + np.trace(O @ rho.entries))
+    value = 0.5 * (np.trace(E @ O) + np.trace(O @ E))
     return float(_require_real(value, tol=1e-10))
 
 

@@ -7,7 +7,6 @@ import dataclasses
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,7 +589,7 @@ class TestJsonWriter:
         assert text == _canonical(text)
         assert json.loads(text)["max_abs_error"] <= 1e-8
 
-    def test_writer_memory_is_one_row(self, tmp_path):
+    def test_writer_memory_is_one_row(self, tmp_path, traced):
         # K = 301: the list form and the text of the echoed matrix each take
         # several MB; the writer holds one row of text at a time
         K = 301
@@ -600,12 +599,7 @@ class TestJsonWriter:
         path.write_text(json.dumps(pure_density(state).to_dict()))
         payload = _cmd_marginals(RunConfig(command="marginals", state_json=str(path)))
         out = tmp_path / "marg.json"
-        tracemalloc.start()
-        try:
-            _write_json(payload, str(out))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(_write_json, payload, str(out))
         assert out.stat().st_size > 4 * 2**20
         assert peak < 2**20
 

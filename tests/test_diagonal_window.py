@@ -1,0 +1,174 @@
+"""A diagonal (Gibbs) window held by its K weights, against the dense
+DensityMatrix of the same diagonal."""
+
+import contextlib
+import io
+from math import pi
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cylwigner import _kernels
+from cylwigner.cli import RunConfig, _cmd_marginals, _write_json
+from cylwigner.dynamics import evolve_density, quadratic_hamiltonian
+from cylwigner.states import DensityMatrix, pure_density, von_mises_state
+from cylwigner.thermal import ThermalParams, thermal_density
+from cylwigner.wigner import (
+    marginal_angle,
+    marginal_momentum,
+    reconstruct_density,
+    wigner_function,
+    wigner_grid,
+)
+
+THETAS = np.linspace(-pi, pi, 7)
+PS = np.linspace(-3.3, 4.1, 9)
+
+diagonals = st.tuples(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).filter(lambda w: sum(w) > 0.0),
+    st.integers(-40, 40),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+def both_kinds(weights, n_min, delta):
+    """The diagonal kind of the normalized ``weights`` and its dense twin."""
+    w = np.array(weights) / np.sum(weights)
+    dense = DensityMatrix(delta=delta, n_min=n_min, entries=np.diag(w).astype(np.complex128))
+    return DensityMatrix._diagonal(delta, n_min, w), dense
+
+
+def written(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(payload, None)
+    return out.getvalue()
+
+
+class TestAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(diagonals)
+    def test_same_values(self, case):
+        diag, dense = both_kinds(*case)
+        assert "entries" not in vars(diag)
+        assert np.array_equal(diag.entries, dense.entries) and not diag.entries.flags.writeable
+        assert (diag.n_min, diag.n_max, diag.delta) == (dense.n_min, dense.n_max, dense.delta)
+        assert np.array_equal(diag.indices, dense.indices)
+        assert diag.trace() == pytest.approx(dense.trace(), abs=1e-15)
+        assert np.array_equal(diag.diagonal(), dense.diagonal())
+        diag.validate()
+        dense.validate()
+
+        got = wigner_grid(diag, THETAS, PS).values
+        want = wigner_grid(dense, THETAS, PS).values
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert wigner_function(diag, (0.4, 1.3)) == wigner_function(dense, (0.4, 1.3))
+
+        angle = marginal_angle(diag, THETAS)
+        assert np.all(angle == diag.trace() / (2 * pi))
+        assert np.max(np.abs(angle - marginal_angle(dense, THETAS))) <= 1e-15
+        assert type(marginal_angle(diag, 0.5)) is float
+
+        a, b = marginal_momentum(diag), marginal_momentum(dense)
+        assert (a.delta, a.m_min) == (b.delta, b.m_min) and np.array_equal(a.b, b.b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(diagonals, st.floats(-3.0, 3.0))
+    def test_evolution_keeps_the_kind(self, case, t):
+        diag, dense = both_kinds(*case)
+        H = quadratic_hamiltonian(0.7, diag.n_min, diag.n_max, delta=diag.delta)
+        evolved = evolve_density(diag, H, t)
+        assert evolved._weights is not None
+        assert np.array_equal(evolved.entries, evolve_density(dense, H, t).entries)
+
+    @settings(max_examples=30, deadline=None)
+    @given(diagonals)
+    def test_reconstruction_round_trip(self, case):
+        diag, dense = both_kinds(*case)
+        window = (diag.n_min, diag.n_max, diag.delta)
+        rebuilt = reconstruct_density(lambda axes: wigner_grid(diag, *axes).values, *window)
+        twin = reconstruct_density(lambda axes: wigner_grid(dense, *axes).values, *window)
+        assert np.array_equal(rebuilt.entries, twin.entries)
+        assert np.max(np.abs(rebuilt.entries - dense.entries)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(diagonals)
+    def test_json_bytes(self, case):
+        diag, dense = both_kinds(*case)
+        assert written({"density_matrix": diag._json_fields()}) == written({"density_matrix": dense._json_fields()})
+        assert diag.to_dict() == dense.to_dict()
+
+    def test_invalid_diagonals_refused_alike(self):
+        for w in ([0.5, 0.25], [1.5, -0.5]):
+            diag = DensityMatrix._diagonal(0.0, 0, w)
+            dense = DensityMatrix(delta=0.0, n_min=0, entries=np.diag(w).astype(np.complex128))
+            for rho in (diag, dense):
+                with pytest.raises(ValueError, match="trace|negative"):
+                    rho.validate()
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix._diagonal(0.0, 0, [1.0, np.nan])
+        with pytest.raises(ValueError, match="delta"):
+            DensityMatrix._diagonal(1.0, 0, [1.0])
+
+
+class TestGibbsWindow:
+    def test_held_by_its_weights(self):
+        rho = thermal_density(ThermalParams(1e-4))
+        assert isinstance(rho, DensityMatrix) and "entries" not in vars(rho)
+        # built on each read, never kept
+        assert rho.entries is not rho.entries
+        assert rho.n_max - rho.n_min + 1 == 1161
+
+    def test_holds_o_k_memory(self, traced):
+        rho, peak = traced(thermal_density, ThermalParams(1e-4))
+        assert peak < 64 * rho.diagonal().size
+
+    def test_grid_memory(self, traced):
+        # K = 1161: the dense window alone would take 21 MiB
+        _, peak = traced(lambda: wigner_grid(thermal_density(ThermalParams(1e-4))))
+        assert peak < 8 * 2**20
+
+    def test_validate_reads_the_weights(self, traced):
+        rho = thermal_density(ThermalParams(1e-4))
+        _, peak = traced(rho.validate)
+        assert peak < 16 * 1161**2 / 4
+
+    def test_marginals_writer_memory(self, tmp_path, traced):
+        # eps_beta = 1e-3: K = 375, the echoed window streamed from its weights
+        cfg = RunConfig(command="marginals", state="thermal", eps_beta=1e-3)
+        out = tmp_path / "marginals.json"
+        _, peak = traced(lambda: _write_json(_cmd_marginals(cfg), str(out)))
+        assert out.stat().st_size > 16 * 375**2
+        assert peak < 16 * 375**2 / 4
+
+
+class TestHermiticityTest:
+    def test_state_windows_are_not_tested(self, monkeypatch):
+        tested = []
+        residual = _kernels._hermitian_residual
+        monkeypatch.setattr(_kernels, "_hermitian_residual", lambda *a: tested.append(1) or residual(*a))
+        wigner_grid(von_mises_state(2.0, 0.3), THETAS, PS)
+        wigner_grid(thermal_density(ThermalParams(0.5)), THETAS, PS)
+        assert not tested
+        wigner_grid(pure_density(von_mises_state(2.0, 0.3)), THETAS, PS)
+        assert tested
+
+    @pytest.mark.parametrize(
+        "entries, real",
+        [
+            ({(1, 0): 1.0}, False),  # below the diagonal only: no entry above meets it
+            ({(1, 0): 1e-13}, True),  # the same within the 1e-12 tolerance
+            ({(0, 1): 1.0}, False),
+            ({(0, 1): 1.0, (1, 0): 1.0, (2, 0): 0.5}, False),
+            ({(0, 1): 1.0j, (1, 0): -1.0j, (2, 2): 0.5}, True),
+            ({(2, 2): 1.0j}, False),
+        ],
+    )
+    def test_each_pair_once(self, entries, real):
+        A = np.zeros((3, 3), dtype=np.complex128)
+        for (m, n), v in entries.items():
+            A[m, n] = v
+        out = _kernels.phase_space_sum_grid(A, 0, 0.25, THETAS, PS)
+        assert np.isrealobj(out) == real

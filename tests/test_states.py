@@ -1,7 +1,6 @@
 """State construction, wavefunction evaluation, and density matrices."""
 
 import json
-import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -375,15 +374,10 @@ class TestImmutability:
             assert rho.entries[0, 0] == 0.25 and not rho.entries.flags.writeable
             source[0, 0] = 0.25
 
-    def test_pure_density_holds_its_projector_once(self):
+    def test_pure_density_holds_its_projector_once(self, traced):
         # K = 831: the projector is built read-only and held, not copied
         state = von_mises_state(100.0, 0.0)
-        tracemalloc.start()
-        try:
-            rho = pure_density(state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rho, peak = traced(pure_density, state)
         assert rho.entries.shape == (831, 831) and not rho.entries.flags.writeable
         assert peak < 1.25 * rho.entries.nbytes
 

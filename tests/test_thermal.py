@@ -1,7 +1,6 @@
 """Thermal rotor states: partition function, Gibbs density, Wigner
 function, and the guarded temperature-regime approximations."""
 
-import tracemalloc
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -112,25 +111,18 @@ class TestThermalDensity:
         cold = thermal_density(ThermalParams(35.0))
         assert cold.diagonal()[-cold.n_min] == pytest.approx(1.0, abs=1e-14)
 
-    def test_oversized_window_refused_before_allocating(self):
+    def test_oversized_window_refused_before_allocating(self, traced):
         # eps_beta = 1e-6 needs K = 11501: 2.1 GB of complex128 entries
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ValueError, match=r"K=11501 needs 2116368016 bytes"):
                 thermal_density(ThermalParams(1e-6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced(refused)
         assert peak < 2**20
 
-    def test_gibbs_window_is_held_once(self):
-        # K = 1161: the diagonal matrix is built once and not copied again
-        tracemalloc.start()
-        try:
-            rho = thermal_density(ThermalParams(1e-4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_gibbs_window_is_held_once(self, traced):
+        # K = 1161: the window is held by its weights, and no dense matrix is made
+        rho, peak = traced(thermal_density, ThermalParams(1e-4))
         K = rho.entries.shape[0]
         assert K == 1161
         assert peak < 1.25 * 16 * K**2
@@ -153,26 +145,21 @@ class TestThermalDensity:
         with pytest.raises(ValueError, match=r"K=7 "):
             thermal_wigner(tp, (0.0, 0.0))
 
-    def test_validate_holds_no_window_sized_temporary(self):
-        # K = 1161: the Hermiticity residual is taken over blocks of rows
-        rho = thermal_density(ThermalParams(1e-4))
-        tracemalloc.start()
-        try:
-            rho.validate()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_validate_holds_no_window_sized_temporary(self, traced):
+        # K = 1161: the Hermiticity residual of dense entries is taken over
+        # blocks of rows (the Gibbs window itself reads its K weights)
+        gibbs = thermal_density(ThermalParams(1e-4))
+        rho = DensityMatrix(delta=0.0, n_min=gibbs.n_min, entries=gibbs.entries)
+        _, peak = traced(rho.validate)
         assert peak < rho.entries.nbytes / 2
 
-    def test_oversized_weight_vector_refused_before_allocating(self):
+    def test_oversized_weight_vector_refused_before_allocating(self, traced):
         # eps_beta = 1e-15 needs K = 363318055 float64 weights: 2.9 GB
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ValueError, match=r"K=363318055 needs 2906544440 bytes"):
                 thermal_wigner(ThermalParams(1e-15), (0.0, 0.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced(refused)
         assert peak < 2**20
 
     def test_window_limit_is_4096(self):

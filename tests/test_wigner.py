@@ -3,7 +3,6 @@ probability extraction, pairings, reconstruction, and bounds."""
 
 import io
 import tempfile
-import tracemalloc
 from math import pi
 from pathlib import Path
 
@@ -406,7 +405,7 @@ class TestCardinalSeries:
         assert type(series(0.5)) is float
         assert series(np.zeros((2, 3))).shape == (2, 3)
 
-    def test_wide_window_memory_is_bounded(self):
+    def test_wide_window_memory_is_bounded(self, traced):
         # the eps_beta = 1e-6 Gibbs series: K = 11501 centres on 401 momenta,
         # a 37 MB sinc table if built at once
         from cylwigner.thermal import ThermalParams, _gibbs_series
@@ -414,12 +413,7 @@ class TestCardinalSeries:
         series = _gibbs_series(ThermalParams(1e-6))
         assert series.b.size == 11501
         ps = np.linspace(-5.0, 5.0, 401)
-        tracemalloc.start()
-        try:
-            series(ps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(series, ps)
         assert peak < 16 * 2**20
 
 
