@@ -109,7 +109,7 @@ def evolve_density(rho: DensityMatrix, H: DiagonalHamiltonian, t: float, hbar: f
     move, so a diagonal window (held by its weights) is its own evolution,
     returned as it is in O(K)."""
     tau = _scaled_time(t, hbar)
-    energies = H.energies(rho.n_min, rho.n_max)
+    energies = H.energies(rho.n_min, rho.n_max)  # H must cover the window
     if rho._weights is not None:
         return rho
     # phase of the energy *difference*: the diagonal factor is exactly 1,
