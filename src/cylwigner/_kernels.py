@@ -6,22 +6,25 @@ coefficient sum of the form
     S(theta, p) = (1/2pi) * sum_{m,n} A[m,n] * exp(i(n-m)theta)
                                      * sinc_pi(p - (m+n)/2 - delta)
 
-evaluated on a rectangular (theta, p) grid.  The sum factors over the
-diagonals ``d = n - m`` of ``A``: each entry lands on its diagonal and on
-the sinc row of its centre ``(m+n)/2 + delta``, so the grid is one chain
-``phases @ M @ table`` of real matrices, the angle phases
-``exp(i d theta)`` as (cos, sin) column pairs, the scattered real and
-imaginary parts of ``A`` and the sinc table.  ``numpy.linalg.multi_dot``
-evaluates the chain in whichever of its two orders takes fewer
-multiplications for the shapes at hand.  Only the nonzero entries of
-``A`` enter the products, so a banded window's chain costs in proportion to
-its band; finding them is one scan of the K x K window.  A diagonal window
-is passed as its 1-D diagonal and costs in proportion to K throughout: no
-K x K array is read or made.  A Hermitian window folds ``-d`` onto ``d``
-and yields a real grid from one phase row per angle; any other window
-stacks a second set of rows for the imaginary part and yields a complex
-grid.  Hermiticity is tested once per pair of mirrored entries, unless the
-caller knows it by construction.
+evaluated on a rectangular (theta, p) grid, and so is every cardinal
+series ``sum_m b_m sinc_pi(p - m - delta)``: the diagonal window ``b`` at
+``theta = 0``, divided by 1 in place of 2 pi.  The divisor scales each
+entry, so a series gives ``b_m`` exactly on its lattice.
+
+The sum factors over the diagonals ``d = n - m`` of ``A``: each entry
+lands on its diagonal and on the sinc row of its centre ``(m+n)/2 +
+delta``, so the grid is one chain ``phases @ M @ table`` of real
+matrices (phases ``exp(i d theta)`` as (cos, sin) column pairs, the real
+and imaginary parts of ``A``, the sinc table), which
+``numpy.linalg.multi_dot`` evaluates in its cheaper order.  Only the
+nonzero entries of ``A`` enter, so a banded window costs in proportion
+to its band; finding them is one scan of the K x K window.
+A diagonal window is passed as its 1-D diagonal and costs O(K); one
+whose sinc table and index arrays would exceed ``_TABLE_BLOCK`` entries
+is summed a slice of weights at a time, each a diagonal window of its own.  A
+Hermitian window (tested once per mirrored pair, unless known by
+construction) folds ``-d`` onto ``d`` and yields a real grid; any other
+window stacks rows for the imaginary part and yields a complex grid.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
@@ -29,10 +32,9 @@ span, so the cosines and sines are taken per table entry, not per
 (angle, diagonal) pair.  The centres all lie on one half-integer lattice
 shifted by ``delta``, so ``sin(pi (p - centre))`` is one of
 ``+-sin(pi f)`` and ``+-cos(pi f)`` for one reduced remainder ``f`` per
-momentum: the sinc table costs one sin row, one cos row and a division,
-with no sine per table entry.  The occupied diagonals and centres are
-found with presence tables over their ``2K - 1`` possible values, not by
-sorting the entries.
+momentum: the sinc table costs one sin row, one cos row and a division.
+The occupied diagonals and centres are found with presence tables over
+their ``2K - 1`` possible values, not by sorting the entries.
 """
 
 import math
@@ -51,6 +53,8 @@ _TAYLOR_CUTOFF = 1e-6
 # largest |A_mn - conj(A_nm)| that still takes the real (Hermitian) path;
 # the same tolerance DensityMatrix.validate applies by default
 _HERMITIAN_TOL = 1e-12
+# entries (4 MiB) of a diagonal-window slice: per weight, len(ps) + about 16
+_TABLE_BLOCK = 2**19
 
 
 def sinc_pi_array(x) -> np.ndarray:
@@ -136,11 +140,22 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
     complex one.  ``hermitian=True`` says ``A`` is Hermitian by construction
     (a state's own window ``conj(c) c^T``) and skips the test.
     """
+    return _windowed_sum(A, n_min, delta, thetas, ps, hermitian, TWO_PI)
+
+
+def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray:
+    """:func:`phase_space_sum_grid` divided by ``divisor`` in place of 2 pi."""
     A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
     K = A.shape[0]
     if A.ndim == 1:
+        per_slice = max(1, _TABLE_BLOCK // (ps.size + 16))
+        if K > per_slice:
+            # the sum does not depend on the angle: its slices add up on one
+            row = sum(_windowed_sum(A[lo:lo + per_slice], n_min + lo, delta, thetas[:1], ps, True, divisor)
+                      for lo in range(0, K, per_slice))
+            return np.repeat(row, thetas.size, axis=0)
         rows = cols = np.flatnonzero(A)
         vals = A[rows]
         hermitian = True
@@ -159,9 +174,9 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
     if hermitian:
         # G[-d] = conj(G[d]): keep d >= 0 and count each d > 0 twice
         rows, cols, diag = rows_u, cols_u, diag[upper]
-        vals = np.where(diag > 0, 1.0 / np.pi, 1.0 / TWO_PI) * vals_u
+        vals = np.where(diag > 0, 2.0 / divisor, 1.0 / divisor) * vals_u
     else:
-        vals = vals / TWO_PI
+        vals = vals / divisor
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
     span = np.arange(2 * K - 1)
@@ -242,5 +257,4 @@ def _hermitian_residual(A, rows, cols, vals, lower: int) -> float:
 
 def phase_space_sum_point(A, n_min, delta, theta: float, p: float) -> complex:
     """Single-point evaluation: the 1x1 grid of :func:`phase_space_sum_grid`."""
-    out = phase_space_sum_grid(A, n_min, delta, np.array([theta]), np.array([p]))
-    return complex(out[0, 0])
+    return complex(phase_space_sum_grid(A, n_min, delta, np.array([theta]), np.array([p]))[0, 0])

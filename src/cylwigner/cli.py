@@ -33,7 +33,7 @@ from .states import (
     pure_density,
     von_mises_state,
 )
-from .thermal import ThermalParams, _gibbs_series, thermal_density
+from .thermal import ThermalParams, _gibbs_window, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
@@ -281,7 +281,7 @@ def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
 
 def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
     # the thermal Wigner function does not depend on theta: one row, repeated
-    row = _gibbs_series(ThermalParams(cfg.eps_beta))(cfg.p_axis) / (2.0 * pi)
+    row = wigner_grid(_gibbs_window(ThermalParams(cfg.eps_beta)), [0.0], cfg.p_axis).values[0]
     thetas = np.asarray(cfg.theta_list or (0.0,))
     return WignerGrid(theta_axis=thetas, p_axis=cfg.p_axis, values=np.tile(row, (thetas.size, 1)))
 

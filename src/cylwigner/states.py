@@ -283,6 +283,10 @@ class DensityMatrix:
         entries.setflags(write=False)
         return entries
 
+    def __repr__(self):  # a diagonal window shows its weights, builds no K x K matrix
+        name, value = ("entries", self.entries) if self._weights is None else ("weights", self._weights)
+        return f"{type(self).__qualname__}(delta={self.delta!r}, n_min={self.n_min!r}, {name}={value!r})"
+
     @property
     def n_max(self) -> int:
         size = self.entries.shape[0] if self._weights is None else self._weights.size

@@ -16,7 +16,7 @@ import numpy as np
 from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3, theta3_jacobi
 from .states import DensityMatrix, _check_index
-from .wigner import CardinalSeries, _as_point
+from .wigner import wigner_function
 
 __all__ = [
     "ThermalParams",
@@ -76,13 +76,11 @@ def partition_function(tp: ThermalParams) -> float:
     return theta3(0.0, exp(-tp.eps_beta))
 
 
-def _gibbs_series(tp: ThermalParams) -> CardinalSeries:
-    """Gibbs weights ``lambda_n = exp(-n^2 eps_beta)/Z`` on the window as a
-    cardinal series: ``series(p) / 2 pi`` is the thermal Wigner function.
-
-    Raises ``ValueError``, before allocating, when the weight vector would
-    exceed 256 MiB, and when the weights' mass (the Gibbs trace, checked
-    here once, in O(K)) is off 1 by more than 1e-12: too narrow a window."""
+def _gibbs_window(tp: ThermalParams) -> DensityMatrix:
+    """Gibbs weights ``lambda_n = exp(-n^2 eps_beta)/Z`` as a diagonal window,
+    with no dense size limit.  Raises ``ValueError``, before allocating, when
+    the weight vector would exceed 256 MiB, and when the weights' mass (the
+    Gibbs trace, checked once, in O(K)) is off 1 by more than 1e-12."""
     N = tp.half_width
     needed = 8 * (2 * N + 1)  # float64 weights
     if needed > _MAX_DENSE_BYTES:
@@ -93,7 +91,7 @@ def _gibbs_series(tp: ThermalParams) -> CardinalSeries:
     if abs(mass - 1.0) > 1e-12:
         raise ValueError(f"thermal window K={2 * N + 1} holds Gibbs mass {mass!r}, not 1")
     lam.setflags(write=False)  # read-only and owned: held, not copied
-    return CardinalSeries(delta=0.0, m_min=-N, b=lam)
+    return DensityMatrix._diagonal(0.0, -N, lam)
 
 
 def thermal_density(tp: ThermalParams) -> DensityMatrix:
@@ -103,18 +101,17 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     Raises ``ValueError``, before allocating, when the dense window would
     exceed 256 MiB.  A real non-negative diagonal is exactly Hermitian: only
     the weights' mass is checked, once, in O(K), where they are made."""
-    N = tp.half_width
-    needed = 16 * (2 * N + 1) ** 2  # complex128 entries
-    if needed > _MAX_DENSE_BYTES:
-        raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
-    return DensityMatrix._diagonal(0.0, -N, _gibbs_series(tp).b)
+    K = 2 * tp.half_width + 1
+    if 16 * K**2 > _MAX_DENSE_BYTES:  # complex128 entries
+        raise ValueError(f"thermal window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
+    return _gibbs_window(tp)
 
 
 def thermal_wigner(tp: ThermalParams, at) -> float:
     """Thermal Wigner function ``(1/2 pi Z) sum_n exp(-n^2 eb) sinc_pi(p-n)``.
 
     Independent of the angle coordinate and even in momentum."""
-    return _gibbs_series(tp)(_as_point(at).p) / TWO_PI
+    return wigner_function(_gibbs_window(tp), at)
 
 
 def low_temp_wigner(tp: ThermalParams, p: float) -> float:

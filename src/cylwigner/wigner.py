@@ -27,6 +27,7 @@ import numpy as np
 
 from ._kernels import (
     TWO_PI,
+    _windowed_sum,
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
@@ -45,7 +46,6 @@ from .states import (
     _on_window,
     _plain,
     _union,
-    evaluate_wavefunction,
 )
 
 __all__ = [
@@ -103,18 +103,14 @@ def _as_point(at) -> PhasePoint:
     return PhasePoint(theta, p)
 
 
-# sinc-table entries a cardinal series evaluates at a time (1 MiB of float64),
-# so its working memory stays bounded however long the window and the axis
-_SERIES_BLOCK = 2**17
-
-
 @dataclass(frozen=True, eq=False)
 class CardinalSeries:
     """Momentum marginal ``omega(p) = sum_m b_m sinc_pi(p - m - delta)``.
 
     Stored by its sample values ``b_m`` on the shifted integer grid;
     evaluation at ``p = m + delta`` returns ``b_m`` exactly because the
-    shifted sinc family interpolates.
+    shifted sinc family interpolates.  It is evaluated as the grid kernel's
+    diagonal window ``b`` at ``theta = 0``, divided by 1 in place of 2 pi.
     """
 
     delta: float
@@ -144,18 +140,8 @@ class CardinalSeries:
 
     def __call__(self, p):
         """The series at scalar or array ``p``: a float for a scalar, an
-        array of the shape of ``p`` otherwise.  The sinc table is built in
-        blocks of at most ``_SERIES_BLOCK`` entries (whole momentum columns,
-        and runs of centres when one column is longer)."""
-        pv = _finite(p, "momenta").ravel()
-        rows = min(self.b.size, _SERIES_BLOCK)
-        cols = max(1, _SERIES_BLOCK // rows)
-        values = np.zeros(pv.size)
-        for lo in range(0, self.b.size, rows):
-            b = self.b[lo:lo + rows]
-            centers = np.arange(self.m_min + lo, self.m_min + lo + b.size) + self.delta
-            for start in range(0, pv.size, cols):
-                values[start:start + cols] += b @ sinc_pi_array(pv[start:start + cols] - centers[:, None])
+        array of the shape of ``p`` otherwise."""
+        values = _windowed_sum(self.b, self.m_min, self.delta, [0.0], _finite(p, "momenta").ravel(), True, 1.0)[0]
         return values.item() if np.ndim(p) == 0 else values.reshape(np.shape(p))
 
     def _json_fields(self) -> dict:
@@ -343,22 +329,22 @@ def marginal_angle(obj, theta):
 
     Computed analytically from the coefficients, never by momentum
     quadrature.  Accepts scalar or array ``theta``; a non-finite angle
-    raises ``ValueError``.
+    raises ``ValueError``.  The phases are taken from ``n - n_min``, exact
+    however far from 0 the window lies: the common ``n_min + delta`` drops out.
     """
-    if isinstance(obj, FourierState):
-        psi = evaluate_wavefunction(obj, theta)
-        return np.abs(psi) ** 2 / TWO_PI
-    if isinstance(obj, DensityMatrix):
-        thetas = _finite(theta, "angles")
-        if obj._weights is not None:
-            # a diagonal window has no coherences: the constant trace / 2 pi
-            values = np.full(thetas.shape, obj.trace() / TWO_PI)
-        else:
-            phases = np.exp(1j * np.outer(obj.indices + obj.delta, thetas))
-            tmp = obj.entries @ phases.conj()
-            values = _require_real(np.sum(phases * tmp, axis=0)) / TWO_PI
-        return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
-    raise TypeError("expected a FourierState or DensityMatrix")
+    if not isinstance(obj, (FourierState, DensityMatrix)):
+        raise TypeError("expected a FourierState or DensityMatrix")
+    thetas = _finite(theta, "angles")
+    if isinstance(obj, DensityMatrix) and obj._weights is not None:
+        # a diagonal window has no coherences: the constant trace / 2 pi
+        values = np.full(thetas.shape, obj.trace() / TWO_PI)
+    elif isinstance(obj, FourierState):
+        values = np.abs(obj.coeffs @ np.exp(1j * np.outer(np.arange(obj.coeffs.size), thetas))) ** 2 / TWO_PI
+    else:
+        phases = np.exp(1j * np.outer(np.arange(obj.entries.shape[0]), thetas))
+        tmp = obj.entries @ phases.conj()
+        values = _require_real(np.sum(phases * tmp, axis=0)) / TWO_PI
+    return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
 
 
 def marginal_momentum(obj) -> CardinalSeries:

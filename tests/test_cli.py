@@ -188,6 +188,19 @@ class TestThermalCommand:
         for _, p, v in rows:
             assert v == pytest.approx(high_temp_wigner(ThermalParams(1e-6), p), rel=1e-3)
 
+    @pytest.mark.parametrize("eps_beta", ["1.0", "0.01", "1e-4"])
+    def test_row_is_the_gibbs_grid(self, tmp_path, eps_beta):
+        # the row and a Gibbs grid are one kernel sum: equal bit for bit
+        from cylwigner.thermal import ThermalParams, thermal_density
+        from cylwigner.wigner import wigner_grid
+
+        out = tmp_path / "thermal.csv"
+        assert run_cli("--command", "thermal", "--eps-beta", eps_beta, "--out", str(out)) == 0
+        p_axis = RunConfig(command="thermal").p_axis
+        grid = wigner_grid(thermal_density(ThermalParams(float(eps_beta))), [0.0], p_axis)
+        rows = np.array(read_csv(out))
+        assert np.array_equal(rows[:, 1], p_axis) and np.array_equal(rows[:, 2], grid.values[0])
+
     def test_never_builds_the_density_matrix(self, tmp_path, monkeypatch):
         def refuse(tp):
             raise AssertionError("thermal_density called")
@@ -217,6 +230,15 @@ class TestMarginalsCommand:
         want = (1 + np.cos(2 * thetas)) / (2 * math.pi)
         assert np.max(np.abs(vals - want)) <= 1e-12
         assert set(data["state"]) == {"delta", "n_min", "coeffs", "discarded_mass"}
+
+    def test_far_window_angle_marginal(self, tmp_path):
+        values = []
+        for pe in ("4.6e18", "0"):
+            out = tmp_path / f"marg_{pe}.json"
+            assert run_cli("--command", "marginals", "--state", "vonmises", "--s", "0.5", "--pe", pe, "--out", str(out)) == 0
+            values.append(np.array(json.loads(out.read_text())["angle_marginal"]["value"]))
+        assert np.ptp(values[1]) > 0.25
+        np.testing.assert_allclose(values[0], values[1], rtol=0.0, atol=1e-15)
 
     def test_thermal_state_family(self, tmp_path):
         out = tmp_path / "marg_thermal.json"
@@ -607,12 +629,14 @@ class TestJsonWriter:
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = (
-            "--command", "fig2", "--p-min", "-3", "--p-max", "3", "--p-steps", "61",
-        )
-        assert run_cli(*args, "--out", str(a)) == 0
-        assert run_cli(*args, "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # the thermal row at K = 11501 is summed in several slices
+        for args in (
+            ("--command", "fig2", "--p-min", "-3", "--p-max", "3", "--p-steps", "61"),
+            ("--command", "thermal", "--eps-beta", "1e-6"),
+        ):
+            assert run_cli(*args, "--out", str(a)) == 0
+            assert run_cli(*args, "--out", str(b)) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_verify_report_deterministic(self, tmp_path):
         a, b = tmp_path / "v1.json", tmp_path / "v2.json"

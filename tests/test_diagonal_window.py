@@ -4,6 +4,7 @@ DensityMatrix of the same diagonal."""
 import contextlib
 import io
 from math import pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestGibbsWindow:
         # K = 1161: the dense window alone would take 21 MiB
         _, peak = traced(lambda: wigner_grid(thermal_density(ThermalParams(1e-4))))
         assert peak < 8 * 2**20
+        # K = 3645 on 10001 momenta: a 292 MB sinc table, summed in slices
+        rho = thermal_density(ThermalParams(1e-5))
+        _, peak = traced(wigner_grid, rho, [0.0, 1.0], np.linspace(-50.0, 50.0, 10001))
+        assert peak < 16 * 2**20
+
+    def test_repr_reads_the_weights(self, traced):
+        rho = thermal_density(ThermalParams(1e-4))
+        text, peak = traced(repr, rho)
+        assert peak < 2**20 and "weights=array(" in text
+        dense = DensityMatrix(delta=0.25, n_min=-1, entries=np.eye(2) / 2)
+        assert repr(dense) == f"DensityMatrix(delta=0.25, n_min=-1, entries={dense.entries!r})"
 
     def test_validate_reads_the_weights(self, traced):
         rho = thermal_density(ThermalParams(1e-4))
@@ -142,6 +154,34 @@ class TestGibbsWindow:
         _, peak = traced(lambda: _write_json(_cmd_marginals(cfg), str(out)))
         assert out.stat().st_size > 16 * 375**2
         assert peak < 16 * 375**2 / 4
+
+
+class TestSlices:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).filter(lambda w: sum(w) > 0.0),
+        st.integers(-40, 40),
+        st.integers(0, 15),
+        st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=12),
+        st.integers(1, 20),
+    )
+    def test_series_and_grid_across_slices(self, weights, n_min, sixteenths, offsets, per_slice):
+        # a budget of per_slice weights splits every window of more into slices
+        w = np.array(weights) / np.sum(weights)
+        delta = sixteenths / 16
+        centres = n_min + np.arange(w.size) + delta
+        ps = np.concatenate([n_min + w.size / 2 + np.array(offsets), centres])
+        rho = DensityMatrix._diagonal(delta, n_min, w)
+        with mock.patch.object(_kernels, "_TABLE_BLOCK", per_slice * (ps.size + 16)):
+            series = marginal_momentum(rho)(ps)
+            grid = wigner_grid(rho, THETAS, ps).values
+        want = w @ np.sinc(ps[None, :] - centres[:, None])
+        assert np.max(np.abs(series - want)) <= 1e-15
+        assert np.max(np.abs(grid - want / (2 * pi))) <= 1e-15
+        # on the dyadic lattice every other term is an exact zero
+        lattice = slice(len(offsets), None)
+        assert np.array_equal(series[lattice], w)
+        assert np.all(grid[:, lattice] == w * (1 / (2 * pi)))
 
 
 class TestHermiticityTest:

@@ -10,7 +10,7 @@ from cylwigner.specfun import sinc_pi, theta3, theta3_jacobi
 from cylwigner.states import DensityMatrix
 from cylwigner.thermal import (
     ThermalParams,
-    _gibbs_series,
+    _gibbs_window,
     high_temp_wigner,
     low_temp_wigner,
     partition_function,
@@ -83,7 +83,7 @@ class TestPartitionFunction:
         n = np.arange(-tp.half_width, tp.half_width + 1).astype(float)
         direct = float(np.sum(np.exp(-(n**2) * eb)))
         assert abs(partition_function(tp) / direct - 1.0) <= 1e-14
-        assert abs(float(np.sum(_gibbs_series(tp).b)) - 1.0) <= 1e-14
+        assert abs(_gibbs_window(tp).trace() - 1.0) <= 1e-14
 
     def test_form_switches_at_one(self):
         # from eps_beta = 1 up the nome series stays, so those outputs keep their bits
@@ -185,10 +185,12 @@ class TestThermalWigner:
         )
 
     def test_matches_density_contraction(self):
-        tp = ThermalParams(1.0)
-        rho = thermal_density(tp)
-        for pt in ((0.0, 0.0), (0.9, 1.3), (-1.2, -2.4)):
-            assert thermal_wigner(tp, pt) == pytest.approx(wigner_density(rho, pt), abs=1e-12)
+        # one kernel sum on both routes: equal bit for bit
+        for eps_beta in (1.0, 1e-2, 1e-4):
+            tp = ThermalParams(eps_beta)
+            rho = thermal_density(tp)
+            for pt in ((0.0, 0.0), (0.9, 1.3), (-1.2, -2.4), (2.0, 0.37)):
+                assert thermal_wigner(tp, pt) == wigner_density(rho, pt)
 
     def test_matches_theta3_integral_form(self):
         # independent route: (1/2 pi^2 Z) \int_0^pi cos(p a) theta3(a/2, q) da

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwigner import wigner
-from cylwigner._kernels import phase_space_sum_grid
+from cylwigner._kernels import _TABLE_BLOCK, phase_space_sum_grid
 from cylwigner.specfun import bessel_i, oscillation_order, sinc_pi
 from cylwigner.states import (
     DensityMatrix,
@@ -57,7 +57,7 @@ from cylwigner.wigner import (
     wigner_matrix_element,
     write_grid_csv,
 )
-from cylwigner.wigner import _CSV_BLOCK, _SERIES_BLOCK, _require_real
+from cylwigner.wigner import _CSV_BLOCK, _require_real
 
 TWO_PI = 2 * pi
 
@@ -279,6 +279,17 @@ class TestMarginals:
         thetas = np.linspace(-pi, pi, 23)
         assert np.allclose(marginal_angle(st, thetas), marginal_angle(rho, thetas), atol=1e-12)
 
+    def test_far_window_matches_the_origin(self):
+        # |p_e| = 4.6e18 is past 2**53, where neighbouring (n + delta) theta
+        # round to one float: the phases come from n - n_min instead
+        thetas = np.linspace(-pi, pi, 9)
+        want = marginal_angle(von_mises_state(0.5, 0.0), thetas)
+        assert np.ptp(want) > 0.25
+        for pe in (4.6e18, -4.6e18):
+            far = von_mises_state(0.5, pe)
+            for obj in (far, pure_density(far)):
+                np.testing.assert_allclose(marginal_angle(obj, thetas), want, rtol=0.0, atol=1e-15)
+
     def test_angle_marginal_nonnegative(self):
         thetas = np.linspace(-pi, pi, 101)
         for st in (basis_state(0), cat_state(0.3), von_mises_state(1.0, 0.2)):
@@ -369,14 +380,14 @@ class TestCardinalSeries:
         with pytest.raises(ValueError, match=f"field '{field}'"):
             CardinalSeries.from_dict(payload)
 
-    @pytest.mark.parametrize("K, steps", [(1001, 401), (3 * _SERIES_BLOCK // 2, 3)])
+    @pytest.mark.parametrize("K, steps", [(2001, 401), (_TABLE_BLOCK // 2, 3)])
     def test_blocked_evaluation_matches_pointwise(self, K, steps):
-        # K = 1001 on 401 momenta spans several blocks of whole columns; a
-        # window longer than one block also splits each column into runs
+        # both windows fill more than one sinc table of _TABLE_BLOCK entries,
+        # so the kernel sums them in slices: two on 401 momenta, ten on 3
         rng = np.random.default_rng(7)
         series = CardinalSeries(delta=0.3, m_min=-(K // 2), b=rng.uniform(0.0, 1.0, K))
         ps = np.linspace(-7.0, 7.0, steps)
-        assert ps.size * K > _SERIES_BLOCK
+        assert ps.size * K > _TABLE_BLOCK
         pointwise = np.array([series(float(p)) for p in ps])
         np.testing.assert_allclose(series(ps), pointwise, rtol=0.0, atol=1e-14)
         direct = series.b @ sinc_pi(ps[None, :] - (series.indices + series.delta)[:, None])
@@ -408,13 +419,19 @@ class TestCardinalSeries:
     def test_wide_window_memory_is_bounded(self, traced):
         # the eps_beta = 1e-6 Gibbs series: K = 11501 centres on 401 momenta,
         # a 37 MB sinc table if built at once
-        from cylwigner.thermal import ThermalParams, _gibbs_series
+        from cylwigner.thermal import ThermalParams, _gibbs_window
 
-        series = _gibbs_series(ThermalParams(1e-6))
+        series = marginal_momentum(_gibbs_window(ThermalParams(1e-6)))
         assert series.b.size == 11501
         ps = np.linspace(-5.0, 5.0, 401)
         _, peak = traced(series, ps)
         assert peak < 16 * 2**20
+        # K = 2**20 weights at one and at three momenta: the index arrays
+        # of a slice count against the budget as its table does
+        series = CardinalSeries(delta=0.0, m_min=-(2**19), b=np.full(2**20, 2.0**-20))
+        for ps in (0.3, np.array([0.3, 1.7, -2.2])):
+            _, peak = traced(series, ps)
+            assert peak < 16 * 2**20
 
 
 class TestExtractProbability:
