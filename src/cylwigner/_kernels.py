@@ -21,10 +21,14 @@ nonzero entries of ``A`` enter, so a banded window costs in proportion
 to its band; finding them is one scan of the K x K window.
 A diagonal window is passed as its 1-D diagonal and costs O(K); one
 whose sinc table and index arrays would exceed ``_TABLE_BLOCK`` entries
-is summed a slice of weights at a time, each a diagonal window of its own.  A
-Hermitian window (tested once per mirrored pair, unless known by
-construction) folds ``-d`` onto ``d`` and yields a real grid; any other
-window stacks rows for the imaginary part and yields a complex grid.
+is summed a slice of weights at a time, each a diagonal window of its own.
+A window whose only occupied diagonal is ``d = 0`` does not depend on the
+angle: it is summed at ``theta = 0`` and the row repeated, so every angle
+gets the same bits.  A Hermitian window (tested once per mirrored pair,
+unless known by construction) folds ``-d`` onto ``d`` and yields a real
+grid; any other window stacks rows for the imaginary part and yields a
+complex grid.  A window beyond ``|n| < 2**51``, where float64 momenta no
+longer hold the half-integer lattice, is refused with ``ValueError``.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
@@ -34,7 +38,8 @@ shifted by ``delta``, so ``sin(pi (p - centre))`` is one of
 ``+-sin(pi f)`` and ``+-cos(pi f)`` for one reduced remainder ``f`` per
 momentum: the sinc table costs one sin row, one cos row and a division.
 The occupied diagonals and centres are found with presence tables over
-their ``2K - 1`` possible values, not by sorting the entries.
+their ``2K - 1`` possible values, not by sorting the entries, and the
+centres are grouped by residue with four strided ranges.
 """
 
 import math
@@ -118,6 +123,18 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     return table
 
 
+def _check_momenta(n_min, n_max) -> None:
+    """``ValueError`` naming the index window ``[n_min, n_max]`` when it
+    leaves ``|n| < 2**51``.  Inside, float64 holds every half-integer
+    momentum ``n + t/2`` with a spacing of at most 1/4 and ``0.5 * (2 n +
+    t)`` is exact; beyond, the momenta leave the half-integer lattice, and
+    sums over the window would be wrong numbers, not errors."""
+    if n_min <= -(2**51) or n_max >= 2**51:
+        raise ValueError(
+            f"index window [{n_min}, {n_max}] leaves |n| < 2**51, where float64 momenta resolve half-integers"
+        )
+
+
 def _compact(keys, order):
     """Distinct values of ``keys`` (integers in ``[0, order.size)``), listed
     in the order of the permutation ``order``, and the position of each key
@@ -149,6 +166,7 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
     K = A.shape[0]
+    _check_momenta(n_min, n_min + K - 1)
     if A.ndim == 1:
         per_slice = max(1, _TABLE_BLOCK // (ps.size + 16))
         if K > per_slice:
@@ -182,10 +200,18 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
     span = np.arange(2 * K - 1)
     ds, d_row = _compact(diag + (K - 1), span)
     ds -= K - 1
-    ts, t_row = _compact(rows + cols, ((2 * n_min + span) & 3).argsort(kind="stable"))
+    # 2 n_min + t cycles through the residues with period 4: residue r
+    # first occurs at t = (r - 2 n_min) mod 4
+    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in range(4)])
+    ts, t_row = _compact(rows + cols, by_residue)
     nd = ds.size
     if nd == 0:
         return np.zeros((thetas.size, ps.size))
+    repeats = None
+    if nd == 1 and ds[0] == 0:
+        # only the diagonal d = 0 is occupied, so the sum does not depend on
+        # the angle: it is summed at theta = 0 and the row repeated
+        thetas, repeats = np.zeros(1), thetas.size
     # every (d, m+n) pair names one entry of A, so one assignment scatters
     # each part: row 2j of M holds the real parts of diagonal ds[j] and row
     # 2j + 1 the negated imaginary parts, against the (cos, sin) column
@@ -204,9 +230,9 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
     out = np.linalg.multi_dot(
         [phases.view(np.float64), M.reshape(2 * nd, -1), _sinc_lattice(ps, n_min, ts, delta)]
     )
-    if hermitian:
-        return out
-    return out[: thetas.size] + 1j * out[thetas.size :]
+    if not hermitian:
+        out = out[: thetas.size] + 1j * out[thetas.size :]
+    return out if repeats is None else np.repeat(out, repeats, axis=0)
 
 
 def _angle_phases(thetas, ds):

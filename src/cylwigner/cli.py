@@ -280,10 +280,7 @@ def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
 
 
 def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
-    # the thermal Wigner function does not depend on theta: one row, repeated
-    row = wigner_grid(_gibbs_window(ThermalParams(cfg.eps_beta)), [0.0], cfg.p_axis).values[0]
-    thetas = np.asarray(cfg.theta_list or (0.0,))
-    return WignerGrid(theta_axis=thetas, p_axis=cfg.p_axis, values=np.tile(row, (thetas.size, 1)))
+    return wigner_grid(_gibbs_window(ThermalParams(cfg.eps_beta)), cfg.theta_list or (0.0,), cfg.p_axis)
 
 
 def _cmd_marginals(cfg: RunConfig) -> dict:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._kernels import (
     TWO_PI,
+    _check_momenta,
     _windowed_sum,
     phase_space_sum_grid,
     phase_space_sum_point,
@@ -284,6 +285,10 @@ def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
 # (about 230 kB of text each) the peak RSS of repeated exports of one
 # 72,581-entry row kept creeping up, by about 30 MB over 100 exports.
 _CSV_BLOCK = 512
+# entries of row text held for reuse (about 1.5 MB): a row whose values occur
+# again later is formatted once and held until its last occurrence, and a
+# repeat that finds no room under this cap is formatted again
+_CSV_HOLD = 2**15
 
 
 def write_grid_csv(grid: WignerGrid, path) -> None:
@@ -293,7 +298,11 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     ``path`` is a file path or a text sink with ``write``.  The text is
     streamed in blocks of at most ``_CSV_BLOCK`` entries of one theta row;
     each axis value is formatted once and each block's values by one
-    ``%`` call.
+    ``%`` call.  A row whose values recur later in the grid, bit for bit (a
+    theta-independent function, or the mirrored rows of a real state), is
+    formatted once into text that leaves only its theta open, filled in at
+    each occurrence and dropped after the last; at most ``_CSV_HOLD``
+    entries are held so, and a repeat beyond them is formatted again.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("CSV emission requires a real-valued grid")
@@ -314,14 +323,52 @@ def _stream_grid_csv(grid: WignerGrid, sink) -> None:
         "%%s,%.17g,%%.17g\n" * len(block) % tuple(block)
         for block in (ps[start:start + _CSV_BLOCK] for start in starts)
     ]
-    sink.write("theta,p,value\n")
-    for theta, row in zip(grid.theta_axis.tolist(), grid.values):
-        theta_text = "%.17g" % theta
+
+    def blocks(row, theta_text):
         for start, template in zip(starts, templates):
             values = row[start:start + _CSV_BLOCK].tolist()
             args = [theta_text] * (2 * len(values))
             args[1::2] = values
-            sink.write(template % tuple(args))
+            yield template % tuple(args)
+
+    first_of, last_of = _repeated_rows(grid.values)
+    held = {}  # first row of a repeated row -> its blocks, theta left open
+    room = _CSV_HOLD
+    sink.write("theta,p,value\n")
+    for i, (theta, row) in enumerate(zip(grid.theta_axis.tolist(), grid.values)):
+        theta_text = "%.17g" % theta
+        first = first_of[i]
+        if first not in held and last_of[first] > i and len(ps) <= room:
+            # the theta field filled with "%s": the row's text with it open
+            held[first] = list(blocks(row, "%s"))
+            room -= len(ps)
+        if first not in held:
+            for text in blocks(row, theta_text):
+                sink.write(text)
+            continue
+        for text in held[first]:
+            sink.write(text.replace("%s", theta_text))
+        if last_of[first] == i:
+            del held[first]
+            room += len(ps)
+
+
+def _repeated_rows(values):
+    """``(first_of, last_of)``: for each row of ``values`` the index of the
+    first row with the same bytes, and for each such first row the index of
+    its last occurrence.  Rows are keyed by the hash of their bytes and
+    confirmed on a hit, so only one row's bytes are held at a time; a row
+    whose hash meets different bytes is taken as a row of its own."""
+    seen = {}  # hash of a row's bytes -> the first row with that hash
+    first_of, last_of = [], {}
+    for i, row in enumerate(values):
+        data = row.tobytes()
+        first = seen.setdefault(hash(data), i)
+        if first != i and values[first].tobytes() != data:
+            first = i
+        first_of.append(first)
+        last_of[first] = i
+    return first_of, last_of
 
 
 def marginal_angle(obj, theta):
@@ -409,6 +456,7 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
     delta = _check_delta(delta)
     if n_max < n_min:
         raise ValueError("empty reconstruction window")
+    _check_momenta(n_min, n_max)
     K = n_max - n_min + 1
     N = oscillation_order(2.0 * (K - 1))
     nodes = -pi + TWO_PI * np.arange(N) / N

@@ -287,6 +287,14 @@ class TestReconstructCommand:
         assert data["max_abs_error"] <= 1e-8
         assert data["trace"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_window_just_inside_the_float_bound(self, tmp_path):
+        out = tmp_path / "rec.json"
+        assert run_cli("--command", "reconstruct", "--state", "vonmises", f"--pe={100 - 2**51}", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert data["density_matrix"]["n_min"] > -(2**51)
+        assert data["max_abs_error"] <= 1e-8
+        assert data["trace"] == pytest.approx(1.0, abs=1e-8)
+
     @pytest.mark.parametrize("state", ["basis", "cat", "vonmises", "thermal"])
     def test_runs_without_a_gauss_legendre_rule(self, tmp_path, monkeypatch, state):
         def refuse(order):
@@ -380,6 +388,15 @@ class TestExitCodes:
         assert run_cli(*args, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: index window [") and "2**62" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_float_unresolvable_window_is_two(self, tmp_path, capsys):
+        # inside |n| < 2**62 but past 2**51, where float64 momenta leave the
+        # half-integer lattice: refused, not reconstructed with trace 41
+        out = tmp_path / "out"
+        assert run_cli("--command", "reconstruct", "--state", "vonmises", "--pe=-4.6e18", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index window [") and "2**51" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_oversized_dense_thermal_window_is_two(self, tmp_path, capsys):

@@ -135,6 +135,16 @@ class TestGibbsWindow:
         _, peak = traced(wigner_grid, rho, [0.0, 1.0], np.linspace(-50.0, 50.0, 10001))
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("eps_beta", [1e-2, 1e-4])
+    def test_every_angle_takes_the_one_angle_row(self, eps_beta):
+        # only the diagonal d = 0 is occupied: the grid is one row, repeated
+        rho = thermal_density(ThermalParams(eps_beta))
+        ps = np.linspace(-5.0, 5.0, 401)
+        grid = wigner_grid(rho, np.linspace(-pi, pi, 181), ps).values
+        for theta in (0.0, -pi):
+            row = wigner_grid(rho, [theta], ps).values
+            assert np.array_equal(grid, np.repeat(row, 181, axis=0))
+
     def test_repr_reads_the_weights(self, traced):
         rho = thermal_density(ThermalParams(1e-4))
         text, peak = traced(repr, rho)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import DensityMatrix, cat_state, wigner_density, wigner_grid
+from cylwigner import DensityMatrix, cat_state, reconstruct_density, wigner_density, wigner_grid
 from cylwigner._kernels import (
     _sinc_lattice,
     phase_space_sum_grid,
@@ -234,6 +234,24 @@ class TestFarWindows:
         _check_against_brute_force(_hermitian(rng, K), n_min, delta, thetas, ps, real=True)
         A = rng.uniform(-1, 1, (K, K)) + 1j * rng.uniform(-1, 1, (K, K))
         _check_against_brute_force(A, n_min, delta, thetas, ps, real=False)
+
+    # beyond |n| < 2**51 float64 momenta n + t/2 + delta leave the
+    # half-integer lattice: such a window is refused, not summed wrongly
+    @pytest.mark.parametrize("n_min, K, ok", [
+        (2**51 - 3, 3, True), (2**51 - 3, 4, False), (1 - 2**51, 2, True), (-(2**51), 1, False),
+    ])
+    def test_float_unresolvable_windows_refused(self, n_min, K, ok):
+        A = np.eye(K) / K
+        sums = [
+            lambda: phase_space_sum_grid(A, n_min, 0.0, [0.4], [float(n_min)]),
+            lambda: reconstruct_density(lambda axes: np.zeros((axes[0].size, axes[1].size)), n_min, n_min + K - 1),
+        ]
+        if ok:
+            assert sums[0]()[0, 0] == pytest.approx(1 / (2 * pi * K), rel=1e-15)
+            return
+        for call in sums:
+            with pytest.raises(ValueError, match=rf"index window \[{n_min}, {n_min + K - 1}\] leaves \|n\| < 2\*\*51"):
+                call()
 
 
 # Axis shapes that steer the product order: with one angle the phases meet

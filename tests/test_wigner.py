@@ -1018,6 +1018,23 @@ def csv_grids(draw):
     )
 
 
+@st.composite
+def repeating_csv_grids(draw):
+    """Grids whose rows come from a pool of 1..3 rows and the first row's
+    twin with the sign of each zero flipped, in any order, often mirrored
+    (the order then reversed and appended) or repeated in a run."""
+    n_p = draw(st.integers(1, 6))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), _csv_floats)
+    pool = draw(st.lists(st.lists(entries, min_size=n_p, max_size=n_p), min_size=1, max_size=3))
+    pool.append([-v if v == 0.0 else v for v in pool[0]])
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        order += order[::-1]
+    thetas = draw(st.lists(_csv_floats, min_size=len(order), max_size=len(order)))
+    ps = draw(st.lists(_csv_floats, min_size=n_p, max_size=n_p))
+    return WignerGrid(theta_axis=np.array(thetas), p_axis=np.array(ps), values=np.array([pool[i] for i in order]))
+
+
 def _reference_csv(grid):
     """Reference formatter, three f-string formats per line: the bytes
     ``write_grid_csv`` must reproduce."""
@@ -1078,6 +1095,37 @@ class TestGridCsv:
     @given(csv_grids(), st.booleans())
     def test_bytes_match_reference(self, grid, to_path):
         assert _written_bytes(grid, to_path) == _reference_csv(grid).encode("ascii")
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeating_csv_grids(), st.integers(1, 3), st.integers(0, 12))
+    def test_repeated_rows_match_reference(self, grid, block, hold):
+        # small blocks split each row; a small hold makes repeats that find
+        # no room be formatted again
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wigner, "_CSV_BLOCK", block)
+            patch.setattr(wigner, "_CSV_HOLD", hold)
+            assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
+
+    def test_held_text_stays_under_the_cap(self, traced):
+        # 4001 rows, row i equal to row 4000 - i: reuse would hold 2000 rows
+        # of text, but the cap keeps the peak near its own size
+        rng = np.random.default_rng(11)
+        half = rng.standard_normal((2001, 401))
+        grid = WignerGrid(
+            theta_axis=np.linspace(-pi, pi, 4001), p_axis=np.linspace(-5.0, 5.0, 401),
+            values=np.concatenate([half, half[-2::-1]]),
+        )
+
+        class Counter:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Counter()
+        _, peak = traced(write_grid_csv, grid, sink)
+        assert sink.size > 60 * 2**20
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("to_path", [False, True])
     def test_row_longer_than_block(self, to_path):
