@@ -6,29 +6,28 @@ coefficient sum of the form
     S(theta, p) = (1/2pi) * sum_{m,n} A[m,n] * exp(i(n-m)theta)
                                      * sinc_pi(p - (m+n)/2 - delta)
 
-evaluated on a rectangular (theta, p) grid, and so is every cardinal
-series ``sum_m b_m sinc_pi(p - m - delta)``: the diagonal window ``b`` at
-``theta = 0``, divided by 1 in place of 2 pi.  The divisor scales each
-entry, so a series gives ``b_m`` exactly on its lattice.
+evaluated on a rectangular (theta, p) grid.
 
-The sum factors over the diagonals ``d = n - m`` of ``A``: each entry
-lands on its diagonal and on the sinc row of its centre ``(m+n)/2 +
-delta``, so the grid is one chain ``phases @ M @ table`` of real
-matrices (phases ``exp(i d theta)`` as (cos, sin) column pairs, the real
-and imaginary parts of ``A``, the sinc table), which
-``numpy.linalg.multi_dot`` evaluates in its cheaper order.  Only the
-nonzero entries of ``A`` enter, so a banded window costs in proportion
-to its band; finding them is one scan of the K x K window.
-A diagonal window is passed as its 1-D diagonal and costs O(K); one
-whose sinc table and index arrays would exceed ``_TABLE_BLOCK`` entries
-is summed a slice of weights at a time, each a diagonal window of its own.
-A window whose only occupied diagonal is ``d = 0`` does not depend on the
-angle: it is summed at ``theta = 0`` and the row repeated, so every angle
-gets the same bits.  A Hermitian window (tested once per mirrored pair,
-unless known by construction) folds ``-d`` onto ``d`` and yields a real
-grid; any other window stacks rows for the imaginary part and yields a
-complex grid.  A window beyond ``|n| < 2**51``, where float64 momenta no
-longer hold the half-integer lattice, is refused with ``ValueError``.
+A window whose only occupied diagonal is ``d = n - m = 0``, and a
+cardinal series ``sum_m b_m sinc_pi(p - m - delta)``, do not depend on
+the angle: :func:`_diagonal_sum` sums each as one row, a slice of at most
+``_TABLE_BLOCK`` table and index entries at a time, divided by 2 pi for a
+window (its row repeated over the angles, so each gets the same bits) and
+by 1 for a series (so it gives ``b_m`` exactly on its lattice).  A
+diagonal (Gibbs) window is passed as its 1-D diagonal and costs O(K).
+
+Any other window factors over its diagonals: each entry lands on its
+diagonal and on the sinc row of its centre ``(m+n)/2 + delta``, so the
+grid is one chain ``phases @ M @ table`` of real matrices (phases ``exp(i
+d theta)`` as (cos, sin) column pairs, the real and imaginary parts of
+``A``, the sinc table), which ``numpy.linalg.multi_dot`` evaluates in its
+cheaper order.  Only the nonzero entries of ``A`` enter, so a banded
+window costs in proportion to its band; finding them is one scan of the
+K x K window.  A Hermitian window (tested once per mirrored pair, unless
+known by construction) folds ``-d`` onto ``d`` and yields a real grid;
+any other window stacks rows for the imaginary part and yields a complex
+grid.  A window beyond ``|n| < 2**51``, where float64 momenta no longer
+hold the half-integer lattice, is refused with ``ValueError``.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
@@ -157,31 +156,17 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
     complex one.  ``hermitian=True`` says ``A`` is Hermitian by construction
     (a state's own window ``conj(c) c^T``) and skips the test.
     """
-    return _windowed_sum(A, n_min, delta, thetas, ps, hermitian, TWO_PI)
-
-
-def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray:
-    """:func:`phase_space_sum_grid` divided by ``divisor`` in place of 2 pi."""
     A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
+    if A.ndim == 1:
+        return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
     K = A.shape[0]
     _check_momenta(n_min, n_min + K - 1)
-    if A.ndim == 1:
-        per_slice = max(1, _TABLE_BLOCK // (ps.size + 16))
-        if K > per_slice:
-            # the sum does not depend on the angle: its slices add up on one
-            row = sum(_windowed_sum(A[lo:lo + per_slice], n_min + lo, delta, thetas[:1], ps, True, divisor)
-                      for lo in range(0, K, per_slice))
-            return np.repeat(row, thetas.size, axis=0)
-        rows = cols = np.flatnonzero(A)
-        vals = A[rows]
-        hermitian = True
-    else:
-        # numpy scans a flat boolean mask on a fast path, and divmod splits
-        # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
-        rows, cols = np.divmod(np.flatnonzero(A != 0), K)
-        vals = A[rows, cols]
+    # numpy scans a flat boolean mask on a fast path, and divmod splits
+    # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
+    rows, cols = np.divmod(np.flatnonzero(A != 0), K)
+    vals = A[rows, cols]
     diag = cols - rows
     upper = diag >= 0
     # the entries on and above the diagonal: all that a Hermitian window needs
@@ -191,10 +176,12 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
         hermitian = _hermitian_residual(A, rows_u, cols_u, vals_u, lower) <= _HERMITIAN_TOL
     if hermitian:
         # G[-d] = conj(G[d]): keep d >= 0 and count each d > 0 twice
-        rows, cols, diag = rows_u, cols_u, diag[upper]
-        vals = np.where(diag > 0, 2.0 / divisor, 1.0 / divisor) * vals_u
-    else:
-        vals = vals / divisor
+        rows, cols, diag, vals = rows_u, cols_u, diag[upper], vals_u
+    if not diag.any():
+        # only the diagonal d = 0 is occupied, if any: no angle enters
+        w = A.diagonal()
+        return np.tile(_diagonal_sum(w.real if hermitian else w, n_min, delta, ps, TWO_PI), (thetas.size, 1))
+    vals = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI) * vals if hermitian else vals / TWO_PI
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
     span = np.arange(2 * K - 1)
@@ -205,13 +192,6 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
     by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in range(4)])
     ts, t_row = _compact(rows + cols, by_residue)
     nd = ds.size
-    if nd == 0:
-        return np.zeros((thetas.size, ps.size))
-    repeats = None
-    if nd == 1 and ds[0] == 0:
-        # only the diagonal d = 0 is occupied, so the sum does not depend on
-        # the angle: it is summed at theta = 0 and the row repeated
-        thetas, repeats = np.zeros(1), thetas.size
     # every (d, m+n) pair names one entry of A, so one assignment scatters
     # each part: row 2j of M holds the real parts of diagonal ds[j] and row
     # 2j + 1 the negated imaginary parts, against the (cos, sin) column
@@ -225,14 +205,33 @@ def _windowed_sum(A, n_min, delta, thetas, ps, hermitian, divisor) -> np.ndarray
         # up as (sin, -cos)
         phases = np.concatenate([phases, -1j * phases])
     # multi_dot takes the order with fewer multiplications: (phases @ M)
-    # first on the usual axes, (M @ table) first for a few momenta or a
-    # diagonal window on many sinc rows
+    # first on the usual axes, (M @ table) first for a few momenta
     out = np.linalg.multi_dot(
         [phases.view(np.float64), M.reshape(2 * nd, -1), _sinc_lattice(ps, n_min, ts, delta)]
     )
-    if not hermitian:
-        out = out[: thetas.size] + 1j * out[thetas.size :]
-    return out if repeats is None else np.repeat(out, repeats, axis=0)
+    return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
+
+
+def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
+    """``sum_j w_j sinc_pi(p - n_min - j - delta) / divisor`` at each
+    momentum of ``ps``: one row, real or complex as ``w``.  The nonzero
+    weights enter a contiguous slice at a time, a complex ``w`` as two rows
+    (real and imaginary parts) of each slice's product."""
+    w = np.asarray(w)
+    ps = np.asarray(ps, dtype=np.float64)
+    _check_momenta(n_min, n_min + w.size - 1)
+    per_slice = max(1, _TABLE_BLOCK // (ps.size + 16))
+    parts = 2 if np.iscomplexobj(w) else 1
+    out = np.zeros((parts, ps.size))
+    for lo in range(0, w.size, per_slice):
+        idx = np.flatnonzero(w[lo:lo + per_slice])
+        # centres 2n/2: even n, then odd, is the residue order the table needs
+        idx = np.concatenate([idx[(n_min + lo + idx) & 1 == r] for r in (0, 1)])
+        scaled = (1.0 / divisor) * w[lo + idx]
+        if parts == 2:
+            scaled = np.stack([scaled.real, scaled.imag])
+        out += scaled @ _sinc_lattice(ps, n_min + lo, 2 * idx, delta)
+    return out[0] if parts == 1 else out[0] + 1j * out[1]
 
 
 def _angle_phases(thetas, ds):

@@ -89,6 +89,8 @@ class RunConfig:
             raise ValueError(f"p range must be finite, got [{self.p_min}, {self.p_max}]")
         if not (self.p_min < self.p_max):
             raise ValueError("p range must be non-empty")
+        if not isfinite(self.p_max - self.p_min):
+            raise ValueError(f"p range [{self.p_min}, {self.p_max}] is wider than float64 holds")
         _check_hbar(self.hbar)
         _check_delta(self.delta)
 

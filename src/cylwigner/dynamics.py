@@ -52,6 +52,7 @@ class DiagonalHamiltonian:
         return self.n_min + self.eigenvalues.size - 1
 
     def energy(self, n: int) -> float:
+        n = _check_index(n, "n")
         return float(self.energies(n, n)[0])
 
     def energies(self, n_min: int, n_max: int) -> np.ndarray:
@@ -59,6 +60,7 @@ class DiagonalHamiltonian:
         stored values inside the window, ``epsilon (n + delta)^2`` outside
         it; ``ValueError`` for an index outside a window that has no
         quadratic form to extend it."""
+        n_min, n_max = _check_index(n_min, "n_min"), _check_index(n_max, "n_max")
         n = np.arange(n_min, n_max + 1)
         stored = (self.n_min <= n) & (n <= self.n_max)
         if stored.all():

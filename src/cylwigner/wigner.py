@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import (
     TWO_PI,
     _check_momenta,
-    _windowed_sum,
+    _diagonal_sum,
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
@@ -110,8 +110,9 @@ class CardinalSeries:
 
     Stored by its sample values ``b_m`` on the shifted integer grid;
     evaluation at ``p = m + delta`` returns ``b_m`` exactly because the
-    shifted sinc family interpolates.  It is evaluated as the grid kernel's
-    diagonal window ``b`` at ``theta = 0``, divided by 1 in place of 2 pi.
+    shifted sinc family interpolates.  It is the grid kernel's angle-free
+    row with weights ``b``, divided by 1 where a Wigner function divides by
+    2 pi.
     """
 
     delta: float
@@ -142,7 +143,7 @@ class CardinalSeries:
     def __call__(self, p):
         """The series at scalar or array ``p``: a float for a scalar, an
         array of the shape of ``p`` otherwise."""
-        values = _windowed_sum(self.b, self.m_min, self.delta, [0.0], _finite(p, "momenta").ravel(), True, 1.0)[0]
+        values = _diagonal_sum(self.b, self.m_min, self.delta, _finite(p, "momenta").ravel(), 1.0)
         return values.item() if np.ndim(p) == 0 else values.reshape(np.shape(p))
 
     def _json_fields(self) -> dict:
@@ -220,7 +221,7 @@ def _window(obj, ket=None):
 
 def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     """Matrix element V_mn at a phase-space point; bounded by 1/2pi."""
-    delta = _check_delta(delta)
+    m, n, delta = _check_index(m, "m"), _check_index(n, "n"), _check_delta(delta)
     pt = _as_point(at)
     s = sinc_pi_array(pt.p - 0.5 * (m + n + 2.0 * delta))
     return complex(np.exp(1j * (n - m) * pt.theta) * s / TWO_PI)
@@ -510,26 +511,36 @@ def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray) -> float:
     return float(_require_real(value, tol=1e-10))
 
 
+def _operator_size(n_min, n_max) -> int:
+    """The size of the index window ``[n_min, n_max]``; ``ValueError`` for
+    a bound that is not an integer or an empty window."""
+    n_min, n_max = _check_index(n_min, "n_min"), _check_index(n_max, "n_max")
+    if n_max < n_min:
+        raise ValueError(f"operator window [{n_min}, {n_max}] is empty")
+    return n_max - n_min + 1
+
+
 def identity_operator(n_min: int, n_max: int) -> np.ndarray:
-    return np.eye(n_max - n_min + 1, dtype=np.complex128)
+    return np.eye(_operator_size(n_min, n_max), dtype=np.complex128)
 
 
 def angular_momentum_operator(n_min: int, n_max: int, delta: float = 0.0) -> np.ndarray:
     """Diagonal matrix of momentum eigenvalues ``n + delta``."""
+    _operator_size(n_min, n_max)
     delta = _check_delta(delta)
     return np.diag((np.arange(n_min, n_max + 1) + delta).astype(np.complex128))
 
 
 def cosine_operator(n_min: int, n_max: int) -> np.ndarray:
     """Tridiagonal matrix of ``cos(phi)``: 1/2 on both off-diagonals."""
-    K = n_max - n_min + 1
+    K = _operator_size(n_min, n_max)
     off = np.full(K - 1, 0.5, dtype=np.complex128)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
 def sine_operator(n_min: int, n_max: int) -> np.ndarray:
     """Tridiagonal matrix of ``sin(phi)``: -i/2 below, +i/2 above."""
-    K = n_max - n_min + 1
+    K = _operator_size(n_min, n_max)
     off = np.full(K - 1, 0.5j, dtype=np.complex128)
     return np.diag(off, 1) + np.diag(-off, -1)
 

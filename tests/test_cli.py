@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "finite" in captured.err
+
+    def test_overflowing_p_range_width_is_two(self, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("--command", "fig1", "--p-min=-1e308", "--p-max=1e308") == 2
+        assert not seen
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p range [-1e+308, 1e+308] is wider than float64 holds\n"
 
     def test_overflowing_parameter_is_two(self, capsys):
         assert run_cli("--command", "fig3", "--s", "400") == 2

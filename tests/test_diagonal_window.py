@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from cylwigner import _kernels
 from cylwigner.cli import RunConfig, _cmd_marginals, _write_json
 from cylwigner.dynamics import evolve_density, quadratic_hamiltonian
-from cylwigner.states import DensityMatrix, pure_density, von_mises_state
+from cylwigner.states import DensityMatrix, FourierState, pure_density, von_mises_state
 from cylwigner.thermal import ThermalParams, thermal_density
 from cylwigner.wigner import (
     marginal_angle,
     marginal_momentum,
+    moyal_grid,
     reconstruct_density,
     wigner_function,
     wigner_grid,
@@ -222,3 +223,31 @@ class TestHermiticityTest:
             A[m, n] = v
         out = _kernels.phase_space_sum_grid(A, 0, 0.25, THETAS, PS)
         assert np.isrealobj(out) == real
+
+
+class TestAngleFree:
+    def test_no_angle_chain(self, monkeypatch):
+        # a series, a Gibbs grid and a dense diagonal-only grid take neither
+        # the angle phases nor the presence tables of the general chain
+        def refuse(*args):
+            raise AssertionError("an angle-free sum took the angle chain")
+
+        monkeypatch.setattr(_kernels, "_angle_phases", refuse)
+        monkeypatch.setattr(_kernels, "_compact", refuse)
+        rho = thermal_density(ThermalParams(0.5))
+        w = rho.diagonal()
+        dense = DensityMatrix(delta=rho.delta, n_min=rho.n_min, entries=np.diag(w))
+        want = w @ np.sinc(PS[None, :] - (rho.n_min + np.arange(w.size) + rho.delta)[:, None])
+        assert np.max(np.abs(marginal_momentum(rho)(PS) - want)) <= 1e-15
+        gibbs = wigner_grid(rho, THETAS, PS).values
+        assert np.max(np.abs(gibbs - want / (2 * pi))) <= 1e-15
+        assert wigner_grid(dense, THETAS, PS).values.tobytes() == gibbs.tobytes()
+
+    def test_complex_d0_window_is_one_row(self):
+        # conj(c_bra) c_ket on one index: a complex, non-Hermitian d = 0 window
+        bra = FourierState(delta=0.25, n_min=3, coeffs=[np.exp(0.3j)])
+        ket = FourierState(delta=0.25, n_min=3, coeffs=[np.exp(1.1j)])
+        values = moyal_grid(bra, ket, THETAS, PS).values
+        want = np.exp(0.8j) * np.sinc(PS - 3.25) / (2 * pi)
+        assert np.max(np.abs(values - want)) <= 1e-15
+        assert values.tobytes() == np.tile(values[0], (THETAS.size, 1)).tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from cylwigner.dynamics import DiagonalHamiltonian, quadratic_hamiltonian
+from cylwigner.dynamics import DiagonalHamiltonian, k_matrix_element, quadratic_hamiltonian
 from cylwigner.specfun import bessel_i, sinc_pi, theta3
 from cylwigner.states import DensityMatrix, FourierState, basis_state, cat_state, pure_density, von_mises_state
 from cylwigner.thermal import ThermalParams, partition_function, thermal_density
@@ -18,14 +18,19 @@ from cylwigner.verify import (
 )
 from cylwigner.wigner import (
     CardinalSeries,
+    angular_momentum_operator,
+    cosine_operator,
     extract_probability,
+    identity_operator,
     marginal_angle,
     marginal_momentum,
     moyal_function,
     reconstruct_density,
+    sine_operator,
     uncertainty_product,
     wigner_function,
     wigner_grid,
+    wigner_matrix_element,
 )
 
 
@@ -225,6 +230,21 @@ _INDEX_SITES = {
     "bessel_i": ("n", lambda v: bessel_i(v, 1.0)),
 }
 
+_H = quadratic_hamiltonian(1.0, -4, 4)
+_OPERATORS = [identity_operator, angular_momentum_operator, cosine_operator, sine_operator]
+# the same rule at the point elements, the spectrum and the operator builders
+_ELEMENT_SITES = {
+    "wigner_matrix_element.m": ("m", lambda v: wigner_matrix_element(v, 2, 0.0, (0.0, 1.0))),
+    "wigner_matrix_element.n": ("n", lambda v: wigner_matrix_element(1, v, 0.0, (0.0, 1.0))),
+    "k_matrix_element.m": ("m", lambda v: k_matrix_element(v, 2, _H, (0.0, 1.0))),
+    "k_matrix_element.n": ("n", lambda v: k_matrix_element(1, v, _H, (0.0, 1.0))),
+    "DiagonalHamiltonian.energy": ("n", _H.energy),
+    "DiagonalHamiltonian.energies.n_min": ("n_min", lambda v: _H.energies(v, 2)),
+    "DiagonalHamiltonian.energies.n_max": ("n_max", lambda v: _H.energies(0, v)),
+    **{f"{op.__name__}.n_min": ("n_min", lambda v, op=op: op(v, 4)) for op in _OPERATORS},
+    **{f"{op.__name__}.n_max": ("n_max", lambda v, op=op: op(0, v)) for op in _OPERATORS},
+}
+
 
 class TestIndexRule:
     # an index is an integer: a float, even an integral one, is refused by
@@ -235,6 +255,19 @@ class TestIndexRule:
         name, build = _INDEX_SITES[site]
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             build(value)
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0), None])
+    @pytest.mark.parametrize("site", sorted(_ELEMENT_SITES))
+    def test_element_and_operator_indices_refused(self, site, value):
+        name, build = _ELEMENT_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build(value)
+
+    @pytest.mark.parametrize("op", _OPERATORS)
+    def test_empty_operator_window_refused(self, op):
+        with pytest.raises(ValueError, match=r"^operator window \[3, 1\] is empty"):
+            op(3, 1)
+        assert op(2, 2).shape == (1, 1)
 
     def test_integer_kinds_are_held_as_python_ints(self):
         st = basis_state(np.int64(2))
