@@ -29,16 +29,31 @@ any other window stacks rows for the imaginary part and yields a complex
 grid.  A window beyond ``|n| < 2**51``, where float64 momenta no longer
 hold the half-integer lattice, is refused with ``ValueError``.
 
+A full-period angle axis, bit for bit ``np.linspace(t0, t0 + 2 pi, 2H +
+1)`` (the default axis among them), holds ``theta_j + pi`` as
+``theta_{j+H}``.  A half-turn multiplies diagonal ``d`` by ``(-1)^d``, and
+``d = n - m`` has the parity of the centre index ``m + n``, so on such an
+axis the diagonals and centres are listed even first and ``M`` splits
+into an even and an odd block.  The phases are taken at ``H + 1``
+consecutive angles only, from ``a = H // 2`` on (the middle half-period,
+symmetric when the axis is), and each block is one chain, ``E`` and
+``O``: those angles' rows are ``E + O``, and each other row is ``E - O``
+half a turn away, the value at ``theta_{r-H} + pi`` or ``theta_{r+H} -
+pi``, a few ulp of pi from its float ``theta_r``.  Any other axis is one
+chain over all its angles.
+
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
 span, so the cosines and sines are taken per table entry, not per
 (angle, diagonal) pair.  The centres all lie on one half-integer lattice
 shifted by ``delta``, so ``sin(pi (p - centre))`` is one of
 ``+-sin(pi f)`` and ``+-cos(pi f)`` for one reduced remainder ``f`` per
-momentum: the sinc table costs one sin row, one cos row and a division.
-The occupied diagonals and centres are found with presence tables over
-their ``2K - 1`` possible values, not by sorting the entries, and the
-centres are grouped by residue with four strided ranges.
+momentum: the sinc table costs one sin row, one cos row and a division
+per run of rows with one residue.  The occupied diagonals and centres are
+found with presence tables over their ``2K - 1`` possible values, not by
+sorting the entries, and the centres are grouped by residue with four
+strided ranges (residues 0, 2, 1, 3 on a full-period axis, so the even
+centres come first).
 """
 
 import math
@@ -85,9 +100,10 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     With ``p - delta = h/2 + f`` (integer ``h``, ``|f| <= 1/4``) and
     ``s = 2 n_min + t`` the argument is ``(h - s)/2 + f``, so its sine is
     ``sin(pi f)``, ``cos(pi f)``, ``-sin(pi f)`` or ``-cos(pi f)`` as
-    ``(h - s) mod 4`` is 0, 1, 2 or 3.  ``ts`` must list its values in
-    ascending order of ``s mod 4``: each residue's rows are then one slice,
-    divided in place by one shared numerator row.
+    ``(h - s) mod 4`` is 0, 1, 2 or 3.  ``ts`` may list its values in any
+    order; each run of adjacent rows with one residue of ``s mod 4`` is one
+    slice, divided in place by one shared numerator row, so rows grouped by
+    residue cost four divisions.
     """
     # p's own half-integer part comes off before delta is subtracted, so
     # p - delta is never rounded at the scale of |p|: h and f are exact and
@@ -114,10 +130,11 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     hit_row, hit = np.nonzero(table[:, lattice] == 0.0)
     hit_col = lattice[hit]
     table[hit_row, hit_col] = 1.0
-    bounds = np.searchsorted(s & 3, np.arange(5))
-    for r in range(4):
-        rows = table[bounds[r]:bounds[r + 1]]
-        np.divide(by_residue[r], rows, out=rows)
+    residue = s & 3
+    cuts = (np.flatnonzero(residue[1:] != residue[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, residue.size]) if residue.size else ():
+        rows = table[lo:hi]
+        np.divide(by_residue[residue[lo]], rows, out=rows)
     table[hit_row, hit_col] = 1.0
     return table
 
@@ -185,11 +202,18 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
     span = np.arange(2 * K - 1)
-    ds, d_row = _compact(diag + (K - 1), span)
+    H = _half_turns(thetas)
+    if H:
+        # d and t share their parity: even diagonals and even centres first
+        # (residues 0 and 2), so that M splits into an even and an odd block
+        d_order, residues = np.concatenate([span[(K - 1) & 1::2], span[K & 1::2]]), (0, 2, 1, 3)
+    else:
+        d_order, residues = span, range(4)
+    ds, d_row = _compact(diag + (K - 1), d_order)
     ds -= K - 1
     # 2 n_min + t cycles through the residues with period 4: residue r
     # first occurs at t = (r - 2 n_min) mod 4
-    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in range(4)])
+    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in residues])
     ts, t_row = _compact(rows + cols, by_residue)
     nd = ds.size
     # every (d, m+n) pair names one entry of A, so one assignment scatters
@@ -199,17 +223,51 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
     M = np.zeros((nd, 2, ts.size))
     M[d_row, 0, t_row] = vals.real
     M[d_row, 1, t_row] = -vals.imag
-    phases = _angle_phases(thetas, ds)
+    M = M.reshape(2 * nd, -1)
+    table = _sinc_lattice(ps, n_min, ts, delta)
+    # a half-turn multiplies diagonal d by (-1)^d, so a full-period axis
+    # takes phases at its H + 1 angles from a = H // 2 on only: the middle
+    # half-period, symmetric when the axis is, so theta and -theta, where
+    # their floats mirror, still take mirrored phases (and a real even
+    # window equal rows)
+    a = H // 2
+    # ds ascends, or ascends over the even and then over the odd diagonals
+    lo, hi = (ds.min(), ds.max()) if H else (ds[0], ds[-1])
+    phases = _angle_phases(thetas[a : a + H + 1] if H else thetas, ds, lo, hi)
     if not hermitian:
-        # the next T rows give the imaginary parts: -i e^{i d theta} pairs
-        # up as (sin, -cos)
+        # the next rows give the imaginary parts: -i e^{i d theta} pairs up
+        # as (sin, -cos)
         phases = np.concatenate([phases, -1j * phases])
-    # multi_dot takes the order with fewer multiplications: (phases @ M)
-    # first on the usual axes, (M @ table) first for a few momenta
-    out = np.linalg.multi_dot(
-        [phases.view(np.float64), M.reshape(2 * nd, -1), _sinc_lattice(ps, n_min, ts, delta)]
-    )
-    return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
+    phases = phases.view(np.float64)
+    if not H:
+        # multi_dot takes the order with fewer multiplications: (phases @ M)
+        # first on the usual axes, (M @ table) first for a few momenta
+        out = np.linalg.multi_dot([phases, M, table])
+        return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
+    # M is block diagonal: even diagonals meet only even centres
+    ne = 2 * np.count_nonzero((ds & 1) == 0)
+    te = np.count_nonzero((ts & 1) == 0)
+    E = np.linalg.multi_dot([phases[:, :ne], M[:ne, :te], table[:te]]).reshape(-1, H + 1, ps.size)
+    O = np.linalg.multi_dot([phases[:, ne:], M[ne:, te:], table[te:]]).reshape(E.shape)
+    out = np.empty((thetas.size, ps.size), dtype=np.float64 if hermitian else np.complex128)
+    # the real (and imaginary) part of out on a leading axis, as in E and O
+    parts = out.view(np.float64).reshape(thetas.size, ps.size, -1).transpose(2, 0, 1)
+    # rows a..a + H at their own angles; row r < a at theta_{r+H} - pi and
+    # row r > a + H at theta_{r-H} + pi
+    np.add(E, O, out=parts[:, a : a + H + 1])
+    np.subtract(E[:, H - a : H], O[:, H - a : H], out=parts[:, :a])
+    np.subtract(E[:, 1 : H - a + 1], O[:, 1 : H - a + 1], out=parts[:, a + H + 1 :])
+    return out
+
+
+def _half_turns(thetas) -> int:
+    """``H`` when ``thetas`` is, bit for bit, ``np.linspace(t0, t0 + TWO_PI,
+    2 H + 1)`` with ``H >= 1``, where ``theta_j + pi`` is ``theta_{j + H}``;
+    otherwise 0.  Linear time, no tolerance."""
+    n = thetas.size
+    if thetas.ndim != 1 or n < 3 or n % 2 == 0 or thetas[-1] != thetas[0] + TWO_PI:
+        return 0
+    return n // 2 if np.array_equal(thetas, np.linspace(thetas[0], thetas[-1], n)) else 0
 
 
 def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
@@ -234,11 +292,11 @@ def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
     return out[0] if parts == 1 else out[0] + 1j * out[1]
 
 
-def _angle_phases(thetas, ds):
+def _angle_phases(thetas, ds, lo, hi):
     """``exp(i d theta)``, one row per angle and one column per integer of
-    the ascending ``ds``.
+    ``ds``, in any order, from ``lo = min(ds)`` to ``hi = max(ds)``.
 
-    With ``B = ceil(sqrt(ds[-1] - ds[0] + 1))`` each ``d`` is ``B q + k``
+    With ``B = ceil(sqrt(hi - lo + 1))`` each ``d`` is ``B q + k``
     with ``-B/2 <= k < B/2``, and its phase is the product of one of ``J``
     coarse phases ``e^{i B q theta}`` and one of ``B`` fine phases
     ``e^{i k theta}``: the table costs ``len(thetas) * (J + B)`` cosines and
@@ -247,11 +305,11 @@ def _angle_phases(thetas, ds):
     scale of ``d theta``, and a ``|d| < B/2`` (``q = 0``) takes its phase
     from one cosine and one sine of ``d theta`` alone.
     """
-    B = math.isqrt(int(ds[-1] - ds[0])) + 1
+    B = math.isqrt(int(hi - lo)) + 1
     # d + B//2 = B q + r: the fine step is k = r - B//2
     q, r = np.divmod(ds + B // 2, B)
-    q0 = int(q[0])
-    J = int(q[-1]) - q0 + 1
+    q0 = int(lo + B // 2) // B
+    J = int(hi + B // 2) // B - q0 + 1
     multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(B) - B // 2])
     angles = np.outer(thetas, multiples)
     factors = np.empty(angles.shape, dtype=np.complex128)

@@ -33,7 +33,7 @@ from .states import (
     pure_density,
     von_mises_state,
 )
-from .thermal import ThermalParams, _gibbs_window, thermal_density
+from .thermal import _MAX_DENSE_BYTES, ThermalParams, _gibbs_window, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError(f"unknown state family {self.state!r}")
         if self.p_steps < 2 or self.theta_steps < 2:
             raise ValueError("grid resolutions must be at least 2")
+        # each axis is a float64 array, refused before it is built
+        for axis, steps in (("theta", self.theta_steps), ("p", self.p_steps)):
+            if 8 * steps > _MAX_DENSE_BYTES:
+                raise ValueError(f"{axis} axis of {steps} steps needs {8 * steps} bytes (limit {_MAX_DENSE_BYTES})")
         if not (isfinite(self.p_min) and isfinite(self.p_max)):
             raise ValueError(f"p range must be finite, got [{self.p_min}, {self.p_max}]")
         if not (self.p_min < self.p_max):

@@ -372,6 +372,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: p range [-1e+308, 1e+308] is wider than float64 holds\n"
 
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (
+                ("--command", "fig1", "--p-steps", "1000000000000"),
+                "error: p axis of 1000000000000 steps needs 8000000000000 bytes (limit 268435456)\n",
+            ),
+            (
+                ("--command", "marginals", "--theta-steps", "1000000000"),
+                "error: theta axis of 1000000000 steps needs 8000000000 bytes (limit 268435456)\n",
+            ),
+        ],
+        ids=["fig1_p_steps", "marginals_theta_steps"],
+    )
+    def test_axis_over_the_budget_is_two(self, capsys, traced, args, err):
+        # refused from the step count alone: nothing near the axis is allocated
+        code, peak = traced(run_cli, *args)
+        assert code == 2 and peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+    def test_axis_at_the_budget_is_accepted(self):
+        assert RunConfig(command="marginals", theta_steps=2**25, p_steps=2**25).theta_steps == 2**25
+        with pytest.raises(ValueError, match="p axis of 33554433 steps needs 268435464 bytes"):
+            RunConfig(command="fig1", p_steps=2**25 + 1)
+
     def test_overflowing_parameter_is_two(self, capsys):
         assert run_cli("--command", "fig3", "--s", "400") == 2
         assert capsys.readouterr().err.startswith("error: ")

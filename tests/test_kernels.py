@@ -1,15 +1,26 @@
 """The grid kernel against direct sums over the coefficient window."""
 
 import cmath
+import math
 from fractions import Fraction
 from math import pi
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import DensityMatrix, cat_state, reconstruct_density, wigner_density, wigner_grid
+from cylwigner import (
+    DensityMatrix,
+    FourierState,
+    cat_state,
+    marginal_momentum,
+    reconstruct_density,
+    wigner_density,
+    wigner_grid,
+)
+from cylwigner import _kernels
 from cylwigner._kernels import (
     _sinc_lattice,
     phase_space_sum_grid,
@@ -220,6 +231,17 @@ class TestSincLattice:
             assert np.all(got[(k % 2 == 0) & (k != 0), j] == 0.0)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_windows, lattice_offsets, st.integers(0, 2**32 - 1))
+    def test_any_row_order(self, window, offsets, seed):
+        # each row is its own centre's sinc, however the rows are ordered
+        n_min, K, delta = window
+        ps = n_min + np.array(offsets)
+        ts = _table_centres(n_min, K)
+        order = np.random.default_rng(seed).permutation(ts.size)
+        assert np.array_equal(_sinc_lattice(ps, n_min, ts[order], delta), _sinc_lattice(ps, n_min, ts, delta)[order])
+
+
 class TestFarWindows:
     # the hypothesis windows above reach n_min -10..10 only; far from the
     # origin, a sinc argument rounded at the scale of n_min is off by ~1e-12
@@ -303,3 +325,127 @@ class TestContractionOrder:
         thetas = [-pi, pi, 2.9]
         ps = [-14.5, -3.2, 0.0]
         _check_against_brute_force(A, -15, 0.25, thetas, ps, real=kind == "hermitian")
+
+
+# Full-period angle axes: np.linspace(t0, t0 + 2 pi, 2H + 1) holds theta_j + pi
+# as theta_{j+H}, and the kernel takes rows j + H from the parity of d
+def _half_turn_window(kind, rng, K):
+    if kind == "moyal":
+        bra, ket = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
+        return np.outer(bra.conj(), ket)
+    A = _window_of_kind("banded" if kind == "banded" else "hermitian", rng, K)
+    d = np.subtract.outer(np.arange(K), np.arange(K))
+    if kind == "even":
+        A[d % 2 == 1] = 0.0
+    elif kind == "odd":
+        A[(d % 2 == 0) & (d != 0)] = 0.0
+    return A
+
+
+def _brute_force_rows(A, n_min, delta, thetas, ps, sign):
+    """``brute_force_sum`` with each term's phase ``sign**d exp(i d theta)``:
+    sign -1 gives the sum at ``theta + pi`` exactly, not at its float."""
+    K = A.shape[0]
+    want = np.zeros((thetas.size, ps.size), complex)
+    for a in range(K):
+        for b in range(K):
+            d, m, n = b - a, n_min + a, n_min + b
+            phase = sign**d * np.exp(1j * d * thetas)
+            want += A[a, b] * phase[:, None] * np.sinc(ps - 0.5 * (m + n) - delta)[None, :]
+    return want / (2 * pi)
+
+
+def _half_turn_reference(A, n_min, delta, thetas, ps):
+    """The brute-force grid on ``linspace(t0, t0 + 2 pi, 2H + 1)`` as the
+    kernel defines it: rows ``a..a + H`` (``a = H // 2``) at their own
+    angles, and each other row at ``theta_{r + H} - pi`` (``r < a``) or
+    ``theta_{r - H} + pi`` (``r > a + H``), exactly."""
+    H = thetas.size // 2
+    a = H // 2
+    direct = _brute_force_rows(A, n_min, delta, thetas, ps, 1)
+    turned = _brute_force_rows(A, n_min, delta, thetas, ps, -1)
+    return np.concatenate([turned[H : H + a], direct[a : a + H + 1], turned[a + 1 : H + 1]])
+
+
+def _evaluate(A, n_min, delta, thetas, ps):
+    """The grid, and the number of angles of each phase table built for it."""
+    with mock.patch.object(_kernels, "_angle_phases", wraps=_kernels._angle_phases) as spy:
+        got = phase_space_sum_grid(A, n_min, delta, thetas, ps)
+    return got, [call.args[0].size for call in spy.call_args_list]
+
+
+half_turn_axes = st.tuples(st.floats(-10.0, 10.0), st.integers(1, 200))
+
+
+class TestHalfTurnAxes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows,
+        st.sampled_from(["hermitian", "banded", "moyal", "even", "odd"]),
+        half_turn_axes,
+        momenta,
+    )
+    def test_matches_brute_force(self, window, kind, axis, ps):
+        K, n_min, delta, seed = window
+        t0, H = axis
+        A = _half_turn_window(kind, np.random.default_rng(seed), K)
+        thetas = np.linspace(t0, t0 + 2 * pi, 2 * H + 1)
+        ps = np.array(ps)
+        got, seen = _evaluate(A, n_min, delta, thetas, ps)
+        real = kind != "moyal"
+        assert got.shape == thetas.shape + ps.shape and np.iscomplexobj(got) != real
+        # a window with nothing off its diagonal takes no angle table at all
+        assert seen == ([H + 1] if np.any(A - np.diag(np.diag(A))) else [])
+        assert np.max(np.abs(got - _half_turn_reference(A, n_min, delta, thetas, ps))) <= 1e-13
+        if kind == "even":
+            # no odd diagonal: rows half a turn apart are one row, except
+            # the two ends of the evaluated block, a = H // 2 and a + H
+            other = np.arange(H) != H // 2
+            assert np.array_equal(got[:H][other], got[H:-1][other])
+
+    @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
+    def test_far_window(self, kind):
+        rng = np.random.default_rng(71)
+        n_min, K, delta, H = 10**4, 9, 0.37, 45
+        A = _half_turn_window(kind, rng, K)
+        thetas = np.linspace(-2.6, -2.6 + 2 * pi, 2 * H + 1)
+        ps = n_min + np.array([2.5 + delta, 1.0, 3.3, delta - 0.8])
+        got, seen = _evaluate(A, n_min, delta, thetas, ps)
+        assert seen == [H + 1]
+        assert np.max(np.abs(got - _half_turn_reference(A, n_min, delta, thetas, ps))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows, half_turn_axes, momenta)
+    def test_trapezoid_is_the_momentum_marginal(self, window, axis, ps):
+        # the periodic trapezoid over 2H intervals is exact for |d| < 2H
+        K, n_min, delta, seed = window
+        t0, H = axis
+        H = max(H, K)
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        state = FourierState(delta=delta, n_min=n_min, coeffs=c / np.linalg.norm(c))
+        thetas = np.linspace(t0, t0 + 2 * pi, 2 * H + 1)
+        values = wigner_grid(state, thetas, ps).values
+        # fsum: the rows' exact sum, so only the kernel's own error shows
+        mean = np.array([math.fsum(column) for column in values[:-1].T]) / (2 * H)
+        assert np.max(np.abs(mean - marginal_momentum(state)(np.array(ps)) / (2 * pi))) <= 1e-15
+
+    @pytest.mark.parametrize("miss", ["even_length", "inner_ulp", "end_ulp", "descending"])
+    @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
+    def test_near_misses_take_the_full_table(self, miss, kind):
+        rng = np.random.default_rng(73)
+        K, n_min, delta, t0, H = 7, -3, 0.25, 0.4, 20
+        A = _half_turn_window(kind, rng, K)
+        thetas = np.linspace(t0, t0 + 2 * pi, 2 * H + 1)
+        if miss == "even_length":
+            thetas = np.linspace(t0, t0 + 2 * pi, 2 * H + 2)
+        elif miss == "inner_ulp":
+            thetas[H // 2] = np.nextafter(thetas[H // 2], 4.0)
+        elif miss == "end_ulp":
+            thetas[-1] = np.nextafter(thetas[-1], 0.0)
+        else:
+            thetas = thetas[::-1].copy()
+        ps = np.array([-3.5, -1.2, 0.0, 2.75])
+        got, seen = _evaluate(A, n_min, delta, thetas, ps)
+        assert seen == [thetas.size]
+        assert np.max(np.abs(got - _brute_force_rows(A, n_min, delta, thetas, ps, 1))) <= 1e-13
