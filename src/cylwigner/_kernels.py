@@ -20,14 +20,20 @@ Any other window factors over its diagonals: each entry lands on its
 diagonal and on the sinc row of its centre ``(m+n)/2 + delta``, so the
 grid is one chain ``phases @ M @ table`` of real matrices (phases ``exp(i
 d theta)`` as (cos, sin) column pairs, the real and imaginary parts of
-``A``, the sinc table), which ``numpy.linalg.multi_dot`` evaluates in its
-cheaper order.  Only the nonzero entries of ``A`` enter, so a banded
-window costs in proportion to its band; finding them is one scan of the
-K x K window.  A Hermitian window (tested once per mirrored pair, unless
-known by construction) folds ``-d`` onto ``d`` and yields a real grid;
-any other window stacks rows for the imaginary part and yields a complex
-grid.  A window beyond ``|n| < 2**51``, where float64 momenta no longer
-hold the half-integer lattice, is refused with ``ValueError``.
+``A``, the sinc table), evaluated in the order with fewer multiplications
+by the cost rule of ``numpy.linalg.multi_dot`` (two ``np.dot`` calls, the
+same products without its per-call checks).  Only the nonzero entries of
+``A`` enter, so a banded window costs in proportion to its band.  A square
+window is scanned for them (one pass over its K x K entries) and tested
+for Hermiticity once per mirrored pair.  A state's own window ``conj(c)
+c^T`` is passed as its factor pair ``(conj(c), c)``: its entries on and
+above the diagonal are formed as the products ``conj(c_m) c_n``, the same
+bits as ``np.outer`` gives, with no matrix, scan or test; a zero product
+is no entry, as the scan would not find it.  A Hermitian window folds
+``-d`` onto ``d`` and yields a real grid; any other window stacks rows for
+the imaginary part and yields a complex grid.  A window beyond ``|n| <
+2**51``, where float64 momenta no longer hold the half-integer lattice, is
+refused with ``ValueError``.
 
 A full-period angle axis, bit for bit ``np.linspace(t0, t0 + 2 pi, 2H +
 1)`` (the default axis among them), holds ``theta_j + pi`` as
@@ -39,8 +45,13 @@ consecutive angles only, from ``a = H // 2`` on (the middle half-period,
 symmetric when the axis is), and each block is one chain, ``E`` and
 ``O``: those angles' rows are ``E + O``, and each other row is ``E - O``
 half a turn away, the value at ``theta_{r-H} + pi`` or ``theta_{r+H} -
-pi``, a few ulp of pi from its float ``theta_r``.  Any other axis is one
-chain over all its angles.
+pi``, a few ulp of pi from its float ``theta_r``.  The grid is assembled
+in place: ``E`` is written into those middle rows (a real grid's product
+straight into them), the ``E - O`` rows are formed from there, and ``O``
+is added last.  Any other axis is one chain over all its angles.  The
+test for such an axis compares every angle with the reference
+``linspace``, which is held for the last axis tested, keyed by its first
+angle and length.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
@@ -56,6 +67,7 @@ strided ranges (residues 0, 2, 1, 3 on a full-period axis, so the even
 centres come first).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -163,41 +175,39 @@ def _compact(keys, order):
     return order[kept], position[keys]
 
 
-def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndarray:
+def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     """Grid evaluation of the windowed sum, shape ``(len(thetas), len(ps))``.
 
     ``A`` is a square window matrix whose row/column index 0 corresponds
-    to basis index ``n_min``, or a real 1-D array: the diagonal of a
-    diagonal window, Hermitian by construction.  ``hermitian=None`` tests a
-    square ``A``: Hermitian to within 1e-12 gives a real array, otherwise a
-    complex one.  ``hermitian=True`` says ``A`` is Hermitian by construction
-    (a state's own window ``conj(c) c^T``) and skips the test.
+    to basis index ``n_min``; a real 1-D array, the diagonal of a diagonal
+    window; or a tuple ``(conj(c), c)`` of two 1-D arrays, the window
+    ``np.outer(conj(c), c)`` of one state given by its factors.  A square
+    ``A`` is tested: Hermitian to within 1e-12 gives a real array, otherwise
+    a complex one.  A diagonal and a factor pair are Hermitian by
+    construction, untested, and give a real array.
     """
-    A = np.asarray(A)
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    if A.ndim == 1:
-        return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
-    K = A.shape[0]
-    _check_momenta(n_min, n_min + K - 1)
-    # numpy scans a flat boolean mask on a fast path, and divmod splits
-    # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(A != 0), K)
-    vals = A[rows, cols]
+    if isinstance(A, tuple):
+        u, v = (np.asarray(f) for f in A)
+        K = v.size
+        _check_momenta(n_min, n_min + K - 1)
+        rows, cols, vals = _factor_entries(u, v)
+        hermitian = True
+    else:
+        A = np.asarray(A)
+        if A.ndim == 1:
+            return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
+        K = A.shape[0]
+        _check_momenta(n_min, n_min + K - 1)
+        rows, cols, vals, hermitian = _matrix_entries(A)
     diag = cols - rows
-    upper = diag >= 0
-    # the entries on and above the diagonal: all that a Hermitian window needs
-    rows_u, cols_u, vals_u = rows[upper], cols[upper], vals[upper]
-    if hermitian is None:
-        lower = vals.size - vals_u.size
-        hermitian = _hermitian_residual(A, rows_u, cols_u, vals_u, lower) <= _HERMITIAN_TOL
-    if hermitian:
-        # G[-d] = conj(G[d]): keep d >= 0 and count each d > 0 twice
-        rows, cols, diag, vals = rows_u, cols_u, diag[upper], vals_u
     if not diag.any():
         # only the diagonal d = 0 is occupied, if any: no angle enters
-        w = A.diagonal()
+        w = np.zeros(K, dtype=vals.dtype)
+        w[rows] = vals
         return np.tile(_diagonal_sum(w.real if hermitian else w, n_min, delta, ps, TWO_PI), (thetas.size, 1))
+    # G[-d] = conj(G[d]): a Hermitian window keeps d >= 0 and counts each d > 0 twice
     vals = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI) * vals if hermitian else vals / TWO_PI
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
@@ -240,34 +250,97 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps, hermitian=None) -> np.ndar
         phases = np.concatenate([phases, -1j * phases])
     phases = phases.view(np.float64)
     if not H:
-        # multi_dot takes the order with fewer multiplications: (phases @ M)
-        # first on the usual axes, (M @ table) first for a few momenta
-        out = np.linalg.multi_dot([phases, M, table])
+        out = _chain(phases, M, table)
         return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
     # M is block diagonal: even diagonals meet only even centres
     ne = 2 * np.count_nonzero((ds & 1) == 0)
     te = np.count_nonzero((ts & 1) == 0)
-    E = np.linalg.multi_dot([phases[:, :ne], M[:ne, :te], table[:te]]).reshape(-1, H + 1, ps.size)
-    O = np.linalg.multi_dot([phases[:, ne:], M[ne:, te:], table[te:]]).reshape(E.shape)
     out = np.empty((thetas.size, ps.size), dtype=np.float64 if hermitian else np.complex128)
-    # the real (and imaginary) part of out on a leading axis, as in E and O
+    # the real (and imaginary) part of out on a leading axis, as the chains'
+    # rows are stacked
     parts = out.view(np.float64).reshape(thetas.size, ps.size, -1).transpose(2, 0, 1)
-    # rows a..a + H at their own angles; row r < a at theta_{r+H} - pi and
-    # row r > a + H at theta_{r-H} + pi
-    np.add(E, O, out=parts[:, a : a + H + 1])
-    np.subtract(E[:, H - a : H], O[:, H - a : H], out=parts[:, :a])
-    np.subtract(E[:, 1 : H - a + 1], O[:, 1 : H - a + 1], out=parts[:, a + H + 1 :])
+    # rows a..a + H at their own angles hold E first, then E + O; row r < a
+    # is E - O at theta_{r+H} - pi and row r > a + H at theta_{r-H} + pi
+    mid = parts[:, a : a + H + 1]
+    even = phases[:, :ne], M[:ne, :te], table[:te]
+    if hermitian:
+        _chain(*even, out=out[a : a + H + 1])
+    else:
+        mid[...] = _chain(*even).reshape(mid.shape)
+    O = _chain(phases[:, ne:], M[ne:, te:], table[te:]).reshape(mid.shape)
+    np.subtract(mid[:, H - a : H], O[:, H - a : H], out=parts[:, :a])
+    np.subtract(mid[:, 1 : H - a + 1], O[:, 1 : H - a + 1], out=parts[:, a + H + 1 :])
+    mid += O
     return out
+
+
+def _factor_entries(u, v):
+    """``(rows, cols, vals)``: the nonzero products ``u[m] * v[n]`` with
+    ``m <= n``, the upper triangle of ``np.outer(u, v)`` with the same bits.
+    A zero product (a zero factor, or an underflow) is no entry, as a scan
+    of the matrix would not find it."""
+    K = v.size
+    lengths = np.arange(K, 0, -1)
+    rows = np.repeat(np.arange(K), lengths)
+    # row m starts at flat index m K - m (m - 1)/2 with column m
+    m = np.arange(K)
+    cols = np.arange(rows.size) - np.repeat(m * (2 * K - 1 - m) // 2, lengths)
+    vals = u[rows] * v[cols]
+    kept = vals != 0
+    if not kept.all():
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    return rows, cols, vals
+
+
+def _matrix_entries(A):
+    """``(rows, cols, vals, hermitian)`` of the nonzero entries of the
+    square ``A``: those on and above the diagonal when ``A`` is Hermitian
+    to within ``_HERMITIAN_TOL``, all of them otherwise."""
+    # numpy scans a flat boolean mask on a fast path, and divmod splits
+    # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
+    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[0])
+    vals = A[rows, cols]
+    upper = cols >= rows
+    rows_u, cols_u, vals_u = rows[upper], cols[upper], vals[upper]
+    if _hermitian_residual(A, rows_u, cols_u, vals_u, vals.size - vals_u.size) <= _HERMITIAN_TOL:
+        return rows_u, cols_u, vals_u, True
+    return rows, cols, vals, False
+
+
+def _chain(a, b, c, out=None):
+    """``a @ b @ c`` of three matrices, in the order with fewer
+    multiplications by the cost rule of ``numpy.linalg.multi_dot`` (so the
+    same products and bits), without its per-call checks."""
+    if a.shape[0] * c.shape[0] * (a.shape[1] + c.shape[1]) < a.shape[1] * c.shape[1] * (a.shape[0] + c.shape[0]):
+        return np.dot(np.dot(a, b), c, out=out)
+    return np.dot(a, np.dot(b, c), out=out)
+
+
+# angles of the longest axis whose reference linspace is held for reuse
+_MEMO_ANGLES = 2**16
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_axis(t0, n) -> np.ndarray:
+    """``np.linspace(t0, t0 + TWO_PI, n)``, read-only: the last axis tested
+    by :func:`_half_turns` is built once, not once per call."""
+    axis = np.linspace(t0, t0 + TWO_PI, n)
+    axis.setflags(write=False)
+    return axis
 
 
 def _half_turns(thetas) -> int:
     """``H`` when ``thetas`` is, bit for bit, ``np.linspace(t0, t0 + TWO_PI,
     2 H + 1)`` with ``H >= 1``, where ``theta_j + pi`` is ``theta_{j + H}``;
-    otherwise 0.  Linear time, no tolerance."""
+    otherwise 0.  Linear time, no tolerance: every angle is compared with
+    the reference axis, which is held (one axis, of at most
+    ``_MEMO_ANGLES`` angles) and never trusted in place of the comparison."""
     n = thetas.size
     if thetas.ndim != 1 or n < 3 or n % 2 == 0 or thetas[-1] != thetas[0] + TWO_PI:
         return 0
-    return n // 2 if np.array_equal(thetas, np.linspace(thetas[0], thetas[-1], n)) else 0
+    t0 = float(thetas[0])
+    reference = _reference_axis(t0, n) if n <= _MEMO_ANGLES else np.linspace(t0, t0 + TWO_PI, n)
+    return n // 2 if np.array_equal(thetas, reference) else 0
 
 
 def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:

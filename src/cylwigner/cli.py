@@ -53,6 +53,9 @@ __all__ = ["main", "RunConfig"]
 
 _COMMANDS = ("fig1", "fig2", "fig3", "thermal", "marginals", "reconstruct", "verify")
 _STATES = ("basis", "cat", "vonmises", "thermal")
+# values of a 1-D JSON array formatted and written at a time (about 100 kB
+# of text), so a long angle marginal is never held as one string
+_JSON_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -197,17 +200,22 @@ def _array_template(shape: tuple, level: int) -> str:
 def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
     ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64
-    array as its nested list: a 1-D array in one piece, a deeper one a
-    first-axis row at a time, each from one ``%`` template (and
-    ``_DiagonalRows`` a row at a time as they are made)."""
+    array as its nested list: a 1-D array ``_JSON_SLICE`` values at a time,
+    a deeper one a first-axis row at a time, each from one ``%`` template
+    (and ``_DiagonalRows`` a row at a time as they are made)."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, (np.ndarray, _DiagonalRows)):
-        if obj.ndim < 2 or obj.shape[0] == 0:
+        if obj.ndim == 0 or obj.shape[0] == 0:
             write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
             return
-        template = _array_template(obj.shape[1:], level + 1)
-        for i, row in enumerate(obj):
-            write(("[" if i == 0 else ",") + pad + template % tuple(row.ravel().tolist()))
+        if obj.ndim == 1:
+            for lo in range(0, obj.size, _JSON_SLICE):
+                values = obj[lo : lo + _JSON_SLICE].tolist()
+                write(("[" if lo == 0 else ",") + pad + ("," + pad).join(["%r"] * len(values)) % tuple(values))
+        else:
+            template = _array_template(obj.shape[1:], level + 1)
+            for i, row in enumerate(obj):
+                write(("[" if i == 0 else ",") + pad + template % tuple(row.ravel().tolist()))
     elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
