@@ -22,18 +22,18 @@ import numpy as np
 from . import __version__
 from .specfun import bessel_i, sinc_pi
 from .states import (
+    _MAX_DENSE_BYTES,
     DensityMatrix,
     FourierState,
     _check_delta,
     _check_hbar,
-    _DiagonalRows,
     _real_view,
     basis_state,
     cat_state,
     pure_density,
     von_mises_state,
 )
-from .thermal import _MAX_DENSE_BYTES, ThermalParams, _gibbs_window, thermal_density
+from .thermal import ThermalParams, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
@@ -166,20 +166,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _json_arrays(obj, field: str = ""):
     """``obj`` with each array replaced by its real view (``_real_view``);
     ``ValueError`` naming the field of an array that JSON text cannot hold
-    as ``json`` would write it: not float64 or complex128, or not finite.
-    ``_DiagonalRows`` are checked by their weights and kept as they are."""
+    as ``json`` would write it: not float64 or complex128, or not finite."""
     if isinstance(obj, dict):
         return {key: _json_arrays(value, f"{field}.{key}" if field else key) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_arrays(value, f"{field}[{i}]") for i, value in enumerate(obj)]
-    if not isinstance(obj, (np.ndarray, _DiagonalRows)):
+    if not isinstance(obj, np.ndarray):
         return obj
     if obj.dtype not in (np.float64, np.complex128):
         raise ValueError(f"JSON field {field!r} has dtype {obj.dtype}, not float64 or complex128")
     arr = _real_view(obj)
-    values = arr.weights if isinstance(arr, _DiagonalRows) else arr
     # min and max are NaN or infinite when any value is, with no temporary
-    if values.size and not (isfinite(values.min()) and isfinite(values.max())):
+    if arr.size and not (isfinite(arr.min()) and isfinite(arr.max())):
         raise ValueError(f"JSON field {field!r} has a non-finite value")
     return arr
 
@@ -201,10 +199,9 @@ def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
     ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64
     array as its nested list: a 1-D array ``_JSON_SLICE`` values at a time,
-    a deeper one a first-axis row at a time, each from one ``%`` template
-    (and ``_DiagonalRows`` a row at a time as they are made)."""
+    a deeper one a first-axis row at a time, each from one ``%`` template."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, (np.ndarray, _DiagonalRows)):
+    if isinstance(obj, np.ndarray):
         if obj.ndim == 0 or obj.shape[0] == 0:
             write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
             return
@@ -251,17 +248,18 @@ def _select_state(cfg: RunConfig):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("state JSON must be an object")
-        if "coeffs" in data:
+        found = [key for key in ("coeffs", "entries", "weights") if key in data]
+        if len(found) != 1:
+            raise ValueError(f"state JSON must contain one of 'coeffs', 'entries' or 'weights', found {found}")
+        if found == ["coeffs"]:
             state = FourierState.from_dict(data)
             norm2 = state.norm() ** 2
             if abs(norm2 - 1.0) > 1e-10:
                 raise ValueError(f"state norm^2 {norm2} differs from 1")
             return state
-        if "entries" in data:
-            rho = DensityMatrix.from_dict(data)
-            rho.validate()
-            return rho
-        raise ValueError("state JSON must contain 'coeffs' or 'entries'")
+        rho = DensityMatrix.from_dict(data)
+        rho.validate()
+        return rho
     if cfg.state == "basis":
         return basis_state(cfg.m, cfg.delta)
     if cfg.state == "cat":
@@ -294,7 +292,7 @@ def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
 
 
 def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
-    return wigner_grid(_gibbs_window(ThermalParams(cfg.eps_beta)), cfg.theta_list or (0.0,), cfg.p_axis)
+    return wigner_grid(thermal_density(ThermalParams(cfg.eps_beta)), cfg.theta_list or (0.0,), cfg.p_axis)
 
 
 def _cmd_marginals(cfg: RunConfig) -> dict:

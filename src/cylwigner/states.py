@@ -29,6 +29,9 @@ __all__ = [
     "pure_density",
 ]
 
+# largest array a window or axis may expand to: a dense K x K complex128
+# matrix (K = 4096), a float64 weight vector or axis (2**25 values)
+_MAX_DENSE_BYTES = 256 * 2**20
 # rows of the Hermiticity residual computed at a time: each temporary holds
 # at most this many rows of the window, however large K is (at K = 1161 a
 # block and its modulus take 8% of the window's bytes)
@@ -52,15 +55,14 @@ def _frozen_array(values, dtype=None):
 
 def _real_view(z: np.ndarray) -> np.ndarray:
     """A complex128 array as its real view with a trailing ``[re, im]`` axis;
-    any other array (and ``_DiagonalRows``, a real view already) as it is."""
+    any other array as it is."""
     return z.view(np.float64).reshape(z.shape + (2,)) if z.dtype == np.complex128 else z
 
 
 def _plain(fields: dict) -> dict:
-    """``fields`` with each array (and ``_DiagonalRows``) as nested lists,
-    complex entries as ``[re, im]`` pairs: the ``to_dict`` form of a
-    ``_json_fields`` dict."""
-    return {key: _real_view(v).tolist() if isinstance(v, (np.ndarray, _DiagonalRows)) else v for key, v in fields.items()}
+    """``fields`` with each array as nested lists, complex entries as ``[re,
+    im]`` pairs: the ``to_dict`` form of a ``_json_fields`` dict."""
+    return {key: _real_view(v).tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
 
 
 def _numbers_in(values, ndim: int, field: str, pairs: bool = True) -> np.ndarray:
@@ -209,37 +211,16 @@ class FourierState:
         )
 
 
-class _DiagonalRows:
-    """The ``_real_view`` of the dense matrix of real diagonal ``weights``,
-    shape ``(K, K, 2)``, without the matrix: iterating yields its ``(K, 2)``
-    rows, each made in one reused buffer as it is reached."""
-
-    dtype = np.dtype(np.float64)
-    ndim = 3
-
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
-        self.shape = (weights.size, weights.size, 2)
-
-    def __iter__(self):
-        row = np.zeros(self.shape[1:])
-        for i, w in enumerate(self.weights.tolist()):
-            row[i, 0] = w
-            yield row
-            row[i, 0] = 0.0
-
-    def tolist(self) -> list:
-        return [row.tolist() for row in self]
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace matrix over an integer index window.
 
     A diagonal window (a Gibbs density) is held by its real diagonal alone,
-    from the private constructor ``_diagonal``: ``entries`` is then a dense
-    read-only matrix built on each access and not kept, and every other
-    method reads the K weights."""
+    from the private constructor ``_diagonal``, and is written and read as
+    those ``weights`` (``to_dict``/``from_dict``).  Its ``entries`` are a
+    dense read-only matrix built on each access and not kept, refused with
+    a ``ValueError`` naming K above 256 MiB; every other method reads the K
+    weights."""
 
     delta: float
     n_min: int
@@ -266,7 +247,7 @@ class DensityMatrix:
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
         if not np.all(np.isfinite(weights)):
-            raise ValueError("entries must be finite")
+            raise ValueError("weights must be finite")
         rho = object.__new__(cls)
         object.__setattr__(rho, "delta", _check_delta(delta))
         object.__setattr__(rho, "n_min", _check_index(n_min, "n_min"))
@@ -279,13 +260,16 @@ class DensityMatrix:
         # no entries, so they are built from its weights
         if name != "entries" or self._weights is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        K = self._weights.size
+        if 16 * K**2 > _MAX_DENSE_BYTES:  # complex128 entries
+            raise ValueError(f"diagonal window K={K} needs {16 * K**2} bytes as dense entries (limit {_MAX_DENSE_BYTES})")
         entries = np.diag(self._weights.astype(np.complex128))
         entries.setflags(write=False)
         return entries
 
     def __repr__(self):  # a diagonal window shows its weights, builds no K x K matrix
-        name, value = ("entries", self.entries) if self._weights is None else ("weights", self._weights)
-        return f"{type(self).__qualname__}(delta={self.delta!r}, n_min={self.n_min!r}, {name}={value!r})"
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._json_fields().items())
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def n_max(self) -> int:
@@ -327,21 +311,20 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative diagonal entry")
 
     def _json_fields(self) -> dict:
-        # a diagonal window's entries stay rows made from its weights: the
-        # CLI writer streams them a row at a time
-        entries = self.entries if self._weights is None else _DiagonalRows(self._weights)
-        return {"delta": self.delta, "n_min": self.n_min, "entries": entries}
+        name, value = ("entries", self.entries) if self._weights is None else ("weights", self._weights)
+        return {"delta": self.delta, "n_min": self.n_min, name: value}
 
     def to_dict(self) -> dict:
         return _plain(self._json_fields())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DensityMatrix":
-        return cls(
-            delta=_number_field(data, "delta", float),
-            n_min=_number_field(data, "n_min", operator.index),
-            entries=_numbers_in(data.get("entries"), 2, "entries"),
-        )
+        """The diagonal kind from a ``weights`` payload, else dense ``entries``."""
+        delta = _number_field(data, "delta", float)
+        n_min = _number_field(data, "n_min", operator.index)
+        if "weights" in data:
+            return cls._diagonal(delta, n_min, _numbers_in(data["weights"], 1, "weights", pairs=False))
+        return cls(delta=delta, n_min=n_min, entries=_numbers_in(data.get("entries"), 2, "entries"))
 
 
 def basis_state(m: int, delta: float = 0.0) -> FourierState:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3, theta3_jacobi
-from .states import DensityMatrix, _check_index
+from .states import _MAX_DENSE_BYTES, DensityMatrix, _check_index
 from .wigner import wigner_function
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
 
 _LOW_TEMP_MIN_EB = 3.0
 _HIGH_TEMP_MAX_EB = 0.05
-# largest dense K x K complex128 matrix a thermal density may expand to
-# (K = 4096), and the largest float64 weight vector behind any thermal value
-_MAX_DENSE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,15 @@ def partition_function(tp: ThermalParams) -> float:
     return theta3(0.0, exp(-tp.eps_beta))
 
 
-def _gibbs_window(tp: ThermalParams) -> DensityMatrix:
-    """Gibbs weights ``lambda_n = exp(-n^2 eps_beta)/Z`` as a diagonal window,
-    with no dense size limit.  Raises ``ValueError``, before allocating, when
-    the weight vector would exceed 256 MiB, and when the weights' mass (the
-    Gibbs trace, checked once, in O(K)) is off 1 by more than 1e-12."""
+def thermal_density(tp: ThermalParams) -> DensityMatrix:
+    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``, held by its
+    K weights: its dense ``entries`` are built only when read, and refused
+    there above 256 MiB (K > 4096).
+
+    Raises ``ValueError``, before allocating, when the weight vector would
+    exceed 256 MiB, and when the weights' mass is off 1 by more than 1e-12.
+    A real non-negative diagonal is exactly Hermitian: only that mass is
+    checked, once, in O(K), where the weights are made."""
     N = tp.half_width
     needed = 8 * (2 * N + 1)  # float64 weights
     if needed > _MAX_DENSE_BYTES:
@@ -94,24 +95,11 @@ def _gibbs_window(tp: ThermalParams) -> DensityMatrix:
     return DensityMatrix._diagonal(0.0, -N, lam)
 
 
-def thermal_density(tp: ThermalParams) -> DensityMatrix:
-    """Diagonal Gibbs matrix ``lambda_n = exp(-n^2 eps_beta)/Z``, held by its
-    K weights: its dense ``entries`` are built only when read.
-
-    Raises ``ValueError``, before allocating, when the dense window would
-    exceed 256 MiB.  A real non-negative diagonal is exactly Hermitian: only
-    the weights' mass is checked, once, in O(K), where they are made."""
-    K = 2 * tp.half_width + 1
-    if 16 * K**2 > _MAX_DENSE_BYTES:  # complex128 entries
-        raise ValueError(f"thermal window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
-    return _gibbs_window(tp)
-
-
 def thermal_wigner(tp: ThermalParams, at) -> float:
     """Thermal Wigner function ``(1/2 pi Z) sum_n exp(-n^2 eb) sinc_pi(p-n)``.
 
     Independent of the angle coordinate and even in momentum."""
-    return wigner_function(_gibbs_window(tp), at)
+    return wigner_function(thermal_density(tp), at)
 
 
 def low_temp_wigner(tp: ThermalParams, p: float) -> float:

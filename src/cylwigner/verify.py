@@ -513,7 +513,7 @@ def _thermal_checks(rng) -> list[InvariantCheck]:
         tp = thermal.ThermalParams(eb)
         tol = 5.0 * exp(-4.0 * eb) + 1e-12
         ps = np.linspace(-2.5, 2.5, 101)
-        for p, exact in zip(ps, wigner.marginal_momentum(thermal._gibbs_window(tp))(ps) / TWO_PI):
+        for p, exact in zip(ps, wigner.marginal_momentum(thermal.thermal_density(tp))(ps) / TWO_PI):
             diff = abs(thermal.low_temp_wigner(tp, float(p)) - exact)
             worst_ratio = max(worst_ratio, diff / tol)
     out.append(_check("thermal.low_temp_agreement", worst_ratio, 1.0))
@@ -521,7 +521,7 @@ def _thermal_checks(rng) -> list[InvariantCheck]:
     tp = thermal.ThermalParams(0.01, window_half_width=400)
     worst = 0.0
     ps = np.linspace(-20.0, 20.0, 81)
-    for p, exact in zip(ps, wigner.marginal_momentum(thermal._gibbs_window(tp))(ps) / TWO_PI):
+    for p, exact in zip(ps, wigner.marginal_momentum(thermal.thermal_density(tp))(ps) / TWO_PI):
         approx = thermal.high_temp_wigner(tp, float(p))
         worst = max(worst, abs(approx / exact - 1.0))
     gauss_integral = sqrt(pi * tp.eps_beta) / (2.0 * pi**2) * sqrt(pi / tp.eps_beta)

@@ -36,6 +36,7 @@ from ._kernels import (
 )
 from .specfun import oscillation_order, sinc_pi
 from .states import (
+    _MAX_DENSE_BYTES,
     DensityMatrix,
     FourierState,
     _check_delta,
@@ -481,7 +482,10 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
     momenta round (``0.3`` there, but not ``0``, ``0.5`` or the ``delta`` of
     a von Mises state, split from its float ``p_e``) raises ``ValueError``:
     the rounding moves the round trip by up to about ``5.5e-17 |n|``,
-    ``5.8e-11`` inside the bound and past ``1e-10`` beyond it.
+    ``5.8e-11`` inside the bound and past ``1e-10`` beyond it.  So does a
+    window whose complex128 ``K x K`` result would exceed 256 MiB
+    (``K > 4096``), naming K, before ``V`` is called: its sampled grid
+    would be larger still.
     """
     n_min, n_max = _check_index(n_min, "n_min"), _check_index(n_max, "n_max")
     delta = _check_delta(delta)
@@ -497,6 +501,8 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
             f"n + t/2 + delta round delta = {delta!r}: the round trip would exceed 1e-10"
         )
     K = n_max - n_min + 1
+    if 16 * K**2 > _MAX_DENSE_BYTES:  # the complex128 result
+        raise ValueError(f"reconstruction window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
     N = oscillation_order(2.0 * (K - 1))
     nodes = -pi + TWO_PI * np.arange(N) / N
     # distinct momentum samples (k+l)/2 + delta, one per anti-diagonal

@@ -202,14 +202,12 @@ class TestThermalCommand:
         rows = np.array(read_csv(out))
         assert np.array_equal(rows[:, 1], p_axis) and np.array_equal(rows[:, 2], grid.values[0])
 
-    def test_never_builds_the_density_matrix(self, tmp_path, monkeypatch):
-        def refuse(tp):
-            raise AssertionError("thermal_density called")
-
-        monkeypatch.setattr("cylwigner.cli.thermal_density", refuse)
+    def test_never_builds_the_density_matrix(self, tmp_path, traced):
+        # eps_beta = 1e-6: K = 11501 weights, where a dense K x K matrix would take 2.1 GB
         out = tmp_path / "thermal.csv"
-        assert run_cli("--command", "thermal", "--eps-beta", "0.1", "--out", str(out)) == 0
-        assert len(read_csv(out)) == 401
+        code, peak = traced(run_cli, "--command", "thermal", "--eps-beta", "1e-6", "--out", str(out))
+        assert code == 0 and len(read_csv(out)) == 401
+        assert peak < 16 * 2**20
 
 
 class TestMarginalsCommand:
@@ -251,6 +249,17 @@ class TestMarginalsCommand:
         b = data["momentum_marginal"]["b"]
         assert sum(b) == pytest.approx(1.0, abs=1e-12)
         assert "density_matrix" in data
+
+    def test_thermal_echo_loads_back(self, tmp_path):
+        # the echoed density_matrix holds the Gibbs weights, which momentum_marginal.b repeats;
+        # fed back through --state-json it gives the same file
+        first, second, echo = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "rho.json"
+        assert run_cli("--command", "marginals", "--state", "thermal", "--eps-beta", "1e-3", "--out", str(first)) == 0
+        data = json.loads(first.read_text())
+        assert data["density_matrix"]["weights"] == data["momentum_marginal"]["b"]
+        echo.write_text(json.dumps(data["density_matrix"]))
+        assert run_cli("--command", "marginals", "--state-json", str(echo), "--out", str(second)) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_state_json_input_round_trip(self, tmp_path):
         from cylwigner.states import von_mises_state
@@ -436,11 +445,16 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_oversized_dense_thermal_window_is_two(self, tmp_path, capsys):
-        # --state thermal builds the dense K x K Gibbs matrix, refused above 256 MiB
-        out = tmp_path / "marg.json"
-        assert run_cli("--command", "marginals", "--state", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 2
-        assert "K=11501" in capsys.readouterr().err
+        # reconstruct builds a dense K x K result, refused above 256 MiB;
+        # marginals reads the K = 11501 Gibbs weights and writes them
+        out = tmp_path / "rec.json"
+        assert run_cli("--command", "reconstruct", "--state", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "K=11501" in err and err.count("\n") == 1
         assert not out.exists()
+        out = tmp_path / "marg.json"
+        assert run_cli("--command", "marginals", "--state", "thermal", "--eps-beta", "1e-6", "--out", str(out)) == 0
+        assert len(json.loads(out.read_text())["density_matrix"]["weights"]) == 11501
 
     def test_oversized_thermal_weights_are_two(self, tmp_path, capsys):
         out = tmp_path / "thermal.csv"
@@ -462,15 +476,19 @@ class TestExitCodes:
         [
             ([[[0.5, 0.0], [0.5, 0.0]], [[0.1, 0.0], [0.5, 0.0]]], "not Hermitian"),
             ([[[2.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.5, 0.0]]], "differs from 1"),
+            # a flat list is a diagonal window's weights
+            pytest.param([1.5, -0.5], "negative diagonal", id="negative-weight"),
+            pytest.param([0.25, 0.25], "trace 0.5 differs from 1", id="half-trace-weights"),
         ],
     )
     def test_invalid_density_matrix_json_is_two(self, tmp_path, capsys, command, entries, reason):
         state_path = tmp_path / "rho.json"
-        state_path.write_text(json.dumps({"delta": 0.0, "n_min": 0, "entries": entries}))
+        key = "weights" if np.ndim(entries) == 1 else "entries"
+        state_path.write_text(json.dumps({"delta": 0.0, "n_min": 0, key: entries}))
         out = tmp_path / "out.json"
         assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and reason in err
+        assert err.startswith("error: ") and reason in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
@@ -496,9 +514,18 @@ class TestExitCodes:
             ({"n_min": 0, "coeffs": [[1, 0]]}, "'delta'"),
             ({"delta": 0.0, "entries": [[[1, 0]]]}, "'n_min'"),
             (5, "object"),
+            ({"delta": 0.0, "n_min": 0, "weights": [math.nan, 1.0]}, "weights must be finite"),
+            ({"delta": 0.0, "n_min": 0, "weights": [[0.5], [0.5]]}, "'weights' must be a 1-D array of numbers"),
+            ({"delta": 0.0, "n_min": 0, "weights": [[1.0, 0.0]]}, "'weights' must be a 1-D array of numbers"),
+            ({"delta": 0.0, "n_min": 0, "weights": []}, "weights must be a non-empty 1-D array"),
+            ({"delta": 0.0, "weights": [1.0]}, "'n_min'"),
+            ({"delta": 0.0, "n_min": 0, "coeffs": [[1, 0]], "weights": [1.0]}, "found ['coeffs', 'weights']"),
+            ({"delta": 0.0, "n_min": 0}, "found []"),
         ],
         ids=["flat-coeffs", "text-coeffs", "flat-entries", "null-delta", "null-n_min",
-             "fractional-n_min", "missing-delta", "missing-n_min", "number"],
+             "fractional-n_min", "missing-delta", "missing-n_min", "number",
+             "nan-weights", "2d-weights", "pair-weights", "empty-weights", "weights-missing-n_min",
+             "coeffs-and-weights", "no-payload"],
     )
     def test_malformed_state_json_is_two(self, tmp_path, capsys, command, payload, reason):
         state_path = tmp_path / "state.json"
@@ -506,7 +533,19 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run_cli("--command", command, "--state-json", str(state_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and reason in err
+        assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_oversized_weights_payload_is_refused_before_sampling(self, tmp_path, capsys, traced):
+        # K = 4097 weights load and validate in O(K); their dense
+        # reconstruction (a 268 MB result) is refused before the grid is sampled
+        state_path = tmp_path / "rho.json"
+        state_path.write_text(json.dumps({"delta": 0.0, "n_min": -2048, "weights": [1 / 4097] * 4097}))
+        out = tmp_path / "out.json"
+        code, peak = traced(run_cli, "--command", "reconstruct", "--state-json", str(state_path), "--out", str(out))
+        assert code == 2 and peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: reconstruction window K=4097") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@ DensityMatrix of the same diagonal."""
 
 import contextlib
 import io
+import json
 from math import pi
 from unittest import mock
 
@@ -98,9 +99,18 @@ class TestAgainstDense:
     @settings(max_examples=40, deadline=None)
     @given(diagonals)
     def test_json_bytes(self, case):
+        # the diagonal kind writes its weights, the dense twin its entries;
+        # both payloads load to the same grids
         diag, dense = both_kinds(*case)
-        assert written({"density_matrix": diag._json_fields()}) == written({"density_matrix": dense._json_fields()})
-        assert diag.to_dict() == dense.to_dict()
+        grids = []
+        for rho, key in ((diag, "weights"), (dense, "entries")):
+            text = written({"density_matrix": rho._json_fields()})
+            data = json.loads(text)["density_matrix"]
+            assert set(data) == {"delta", "n_min", key} and data == rho.to_dict()
+            back = DensityMatrix.from_dict(data)
+            assert (back._weights is None) == (rho._weights is None)
+            grids.append(wigner_grid(back, THETAS, PS).values)
+        assert np.array_equal(*grids) and np.array_equal(grids[0], wigner_grid(dense, THETAS, PS).values)
 
     def test_invalid_diagonals_refused_alike(self):
         for w in ([0.5, 0.25], [1.5, -0.5]):
@@ -159,11 +169,11 @@ class TestGibbsWindow:
         assert peak < 16 * 1161**2 / 4
 
     def test_marginals_writer_memory(self, tmp_path, traced):
-        # eps_beta = 1e-3: K = 375, the echoed window streamed from its weights
+        # eps_beta = 1e-3: K = 375, the window echoed as its weights
         cfg = RunConfig(command="marginals", state="thermal", eps_beta=1e-3)
         out = tmp_path / "marginals.json"
         _, peak = traced(lambda: _write_json(_cmd_marginals(cfg), str(out)))
-        assert out.stat().st_size > 16 * 375**2
+        assert out.stat().st_size < 64 * 2**10
         assert peak < 16 * 375**2 / 4
 
 

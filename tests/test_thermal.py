@@ -10,7 +10,6 @@ from cylwigner.specfun import sinc_pi, theta3, theta3_jacobi
 from cylwigner.states import DensityMatrix
 from cylwigner.thermal import (
     ThermalParams,
-    _gibbs_window,
     high_temp_wigner,
     low_temp_wigner,
     partition_function,
@@ -83,7 +82,7 @@ class TestPartitionFunction:
         n = np.arange(-tp.half_width, tp.half_width + 1).astype(float)
         direct = float(np.sum(np.exp(-(n**2) * eb)))
         assert abs(partition_function(tp) / direct - 1.0) <= 1e-14
-        assert abs(_gibbs_window(tp).trace() - 1.0) <= 1e-14
+        assert abs(thermal_density(tp).trace() - 1.0) <= 1e-14
 
     def test_form_switches_at_one(self):
         # from eps_beta = 1 up the nome series stays, so those outputs keep their bits
@@ -112,10 +111,14 @@ class TestThermalDensity:
         assert cold.diagonal()[-cold.n_min] == pytest.approx(1.0, abs=1e-14)
 
     def test_oversized_window_refused_before_allocating(self, traced):
-        # eps_beta = 1e-6 needs K = 11501: 2.1 GB of complex128 entries
+        # eps_beta = 1e-6 holds K = 11501 weights; its dense entries would
+        # take 2.1 GB of complex128, refused when read
+        rho = thermal_density(ThermalParams(1e-6))
+        assert rho.n_max - rho.n_min + 1 == 11501
+
         def refused():
             with pytest.raises(ValueError, match=r"K=11501 needs 2116368016 bytes"):
-                thermal_density(ThermalParams(1e-6))
+                rho.entries
 
         _, peak = traced(refused)
         assert peak < 2**20
@@ -163,9 +166,9 @@ class TestThermalDensity:
         assert peak < 2**20
 
     def test_window_limit_is_4096(self):
-        # K = 4097 is the smallest odd window above 256 MiB
+        # K = 4097 is the smallest odd window whose dense entries exceed 256 MiB
         with pytest.raises(ValueError, match=r"K=4097"):
-            thermal_density(ThermalParams(1.0, window_half_width=2048))
+            thermal_density(ThermalParams(1.0, window_half_width=2048)).entries
         assert thermal_density(ThermalParams(1e-4)).entries.shape == (1161, 1161)
 
 

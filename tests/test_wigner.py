@@ -419,9 +419,9 @@ class TestCardinalSeries:
     def test_wide_window_memory_is_bounded(self, traced):
         # the eps_beta = 1e-6 Gibbs series: K = 11501 centres on 401 momenta,
         # a 37 MB sinc table if built at once
-        from cylwigner.thermal import ThermalParams, _gibbs_window
+        from cylwigner.thermal import ThermalParams, thermal_density
 
-        series = marginal_momentum(_gibbs_window(ThermalParams(1e-6)))
+        series = marginal_momentum(thermal_density(ThermalParams(1e-6)))
         assert series.b.size == 11501
         ps = np.linspace(-5.0, 5.0, 401)
         _, peak = traced(series, ps)
@@ -646,6 +646,15 @@ class TestReconstructionSampler:
         with pytest.raises(ValueError, match="empty"):
             reconstruct_density(lambda axes: calls.append(axes) or 0.0, 2, 1, 0.0)
         assert calls == []
+
+    def test_oversized_window_never_samples(self):
+        # K = 4097: a complex128 K x K result above 256 MiB, on a sampled
+        # grid of about 4.4 K x (2K - 1) values
+        def refuse(axes):
+            raise AssertionError("sampler called")
+
+        with pytest.raises(ValueError, match=r"K=4097 needs 268566544 bytes"):
+            reconstruct_density(refuse, -2048, 2048, 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 8), st.integers(-10, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
