@@ -1,0 +1,248 @@
+"""The ``%.17g`` text of float64 arrays, computed in numpy.
+
+``g17_fields(x)`` gives, for each value, the bytes of ``"%.17g" % value``
+in a row of a uint8 array, with NUL bytes before, between and after them:
+dropping the NULs leaves the text.  The digits are those of Grisu
+(Loitsch, PLDI 2010): the value scaled by a power of ten into
+[1e16, 1e17) as a double-double, an exact integer part, and a check that
+hands every value the scaling cannot settle to Python's own formatter.
+
+- ``y = |x| 10^(16 - e10)`` is the ``frexp`` mantissa of ``x`` times a
+  table pair ``(hi, lo)`` of ``10^k`` normalised to [1, 2): an exact
+  Veltkamp/Dekker product with ``hi``, plus ``mantissa * lo``, then
+  ``ldexp``.  Its error is below 2^-46 of a unit in the 17th digit.
+- ``e10`` is first ``floor(log10|x|)`` and is corrected by one when
+  ``floor(y)`` lies outside [1e16, 1e17); the test is on the unrounded
+  value, as ``9.9999999999999998e-13`` must not round into ``1e-12``.
+- A value whose fraction lies within ``_TIE`` of one half (the rounding
+  the error bound cannot decide, and every exact tie, which ``%`` rounds
+  to even), and every nonzero finite value outside ``[1e-290, 1e290]``,
+  is formatted by ``%.17g`` one at a time.
+
+A row is four little-endian uint64 words: the head (sign, the ``0.000``
+lead of fixed notation below 1, the first digit and the point after it),
+ending at byte 7; the other 16 digits, their trailing zeros dropped; and
+a spill byte with the exponent.  A point after digit 1..15 is put in by
+shifting the digits after it up one byte, the last into the spill byte.
+"""
+
+import functools
+
+import numpy as np
+
+__all__ = ["g17_fields"]
+
+# the magnitudes the numpy path formats; the rest take %.17g one at a time
+_LOW, _HIGH = 1e-290, 1e290
+# decimal exponents the tables cover: those of [_LOW, _HIGH], an estimate
+# one off, and a rounding up
+_E10 = 291
+_K_MIN, _K_MAX = 16 - _E10, 16 + _E10  # the powers 10^(16 - e10)
+# a fraction this close to one half is left to %.17g
+_TIE = 2.0**-30
+_E16, _E17 = 10**16, 10**17
+_WORD = np.dtype("<u8")
+
+
+def _words(texts) -> np.ndarray:
+    """Little-endian words of byte strings of at most 8 bytes, NUL-filled."""
+    return np.array(texts, dtype="S8").view(_WORD)
+
+
+@functools.cache
+def _tables():
+    """The lookup tables, built on first use from Python integers.
+
+    ``hh, hl, lo, b`` give ``10^k = (hh + hl + lo) 2^b`` for ``k`` in
+    ``[_K_MIN, _K_MAX]``, with ``hh + hl`` the Veltkamp halves of the
+    leading 53 bits and ``lo`` the next 53, truncated (relative error
+    below 2^-105).  ``groups`` maps ``g`` in [0, 1e4) to its four digits
+    as a little-endian uint32, and ``10000 + g`` to the same with its
+    trailing zeros dropped.  ``head`` is indexed by ``20 kind + 10 sign +
+    d0`` (``kind`` 0..3 for the leads of e10 = -4..-1, 4 for the digit
+    alone, 5 for the digit and a point); ``zeros`` puts back the zeros of
+    an integer part of ``e10`` digits after the first; ``exps`` is indexed
+    by ``e10 + _E10 + 1``, with 0 for fixed notation."""
+    # 10^k = 5^k 2^k, with 5^k for k < 0 held as floor(2^N / 5^-k): over 106
+    # bits each, and the leading bits of a floor are those of the quotient
+    N = 106 + 3 * -_K_MIN
+    fives, f = [], 1 << N
+    for _ in range(-_K_MIN):
+        f //= 5
+        fives.append(f)
+    fives.reverse()  # k = _K_MIN .. -1
+    f = 1
+    for _ in range(_K_MAX + 1):
+        fives.append(f)
+        f *= 5
+    hi, lo, b = [], [], []
+    for k, f in zip(range(_K_MIN, _K_MAX + 1), fives):
+        n = f.bit_length()
+        m = f >> (n - 106) if n >= 106 else f << (106 - n)  # in [2^105, 2^106)
+        e = k + n - 1 - (N if k < 0 else 0)
+        hi.append(m >> 53)
+        lo.append(m & (2**53 - 1))
+        b.append(e)
+    hi = np.ldexp(np.array(hi, dtype=np.float64), -52)
+    c = hi * 134217729.0  # 2^27 + 1
+    hh = c - (c - hi)
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T  # row g: g's digits
+    chars = np.zeros((2, 10000, 4), dtype=np.uint8)
+    chars[:] = ord("0") + digits
+    # a digit is dropped when it and every digit after it are zero
+    dropped = digits == 0
+    for i in (2, 1, 0):
+        dropped[:, i] &= dropped[:, i + 1]
+    chars[1][dropped] = 0
+    leads = [b"0.000", b"0.00", b"0.0", b"0.", b"", b""]
+    head = [
+        (sign + lead + bytes([ord("0") + d]) + (b"." if kind == 5 else b"")).rjust(8, b"\0")
+        for kind, lead in enumerate(leads)
+        for sign in (b"", b"-")
+        for d in range(10)
+    ]
+    tables = {
+        "hh": hh,
+        "hl": hi - hh,
+        "lo": np.ldexp(np.array(lo, dtype=np.float64), -105),
+        "b": np.array(b, dtype=np.int64),
+        "groups": chars.reshape(20000, 4).view("<u4").ravel().astype(np.uint64),
+        "head": _words(head),
+        "zeros": np.array([b"0" * n for n in range(17)], dtype="S16").view(_WORD).reshape(17, 2),
+        "exps": _words([b""] + [b"\0e%+03d" % e for e in range(-_E10, _E10 + 2)]),
+    }
+    for table in tables.values():  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(m, e2, e10, t):
+    """``(floor(y), y - floor(y))`` of ``y = m 2^e2 10^(16 - e10)``, the
+    floor as int64 and the fraction within 2^-46 of its exact value."""
+    i = 16 - _K_MIN - e10
+    hh, hl, lo = t["hh"].take(i), t["hl"].take(i), t["lo"].take(i)
+    p = m * (hh + hl)  # hh + hl is exact: it is the table's hi
+    c = m * 134217729.0
+    mh = c - (c - m)
+    ml = m - mh
+    low = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo
+    s = e2 + t["b"].take(i)
+    P = np.ldexp(p, s)  # an exact scaling
+    whole = np.floor(P)
+    r = (P - whole) + np.ldexp(low, s)
+    carry = np.floor(r)
+    return whole.astype(np.int64) + carry.astype(np.int64), r - carry
+
+
+def _digits(a, t):
+    """``(D, e10, doubt)`` for finite ``a`` in ``[_LOW, _HIGH]``: the
+    17-digit integer ``D`` in [1e16, 1e17) and decimal exponent of ``a``
+    rounded to 17 significant digits, and where the rounding is in doubt."""
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    m, e2 = np.frexp(a)
+    D, frac = _scaled(m, e2, e10, t)
+    off = np.flatnonzero((D < _E16) | (D >= _E17))
+    if off.size:
+        e10[off] += np.where(D[off] < _E16, -1, 1)
+        D[off], frac[off] = _scaled(m[off], e2[off], e10[off], t)
+    doubt = np.abs(frac - 0.5) < _TIE
+    D += frac > 0.5
+    top = D == _E17  # a rounding up to 10^17
+    D[top] = _E16
+    e10 += top
+    # a value one correction did not place goes to %.17g as well
+    doubt |= (D < _E16) | (D >= _E17)
+    return D, e10, doubt
+
+
+def g17_fields(values) -> np.ndarray:
+    """``(n, w)`` uint8: row ``i`` holds the bytes of ``"%.17g" % x[i]``
+    for the flattened float64 ``values``, in order, with NUL bytes around
+    them; the columns before the first and after the last byte of any row
+    are left out."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    t = _tables()
+    a = np.abs(x)
+    fast = (a >= _LOW) & (a <= _HIGH)
+    rows = np.flatnonzero(fast)
+    if rows.size < x.size:
+        a, x_fast = a[rows], x[rows]
+    else:
+        x_fast = x
+    D, e10, doubt = _digits(a, t)
+    d0 = D // _E16
+    rest = D - d0 * _E16
+    upper = (rest // 10**8).astype(np.int32)
+    lower = (rest - upper * np.int64(10**8)).astype(np.int32)
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    fixed = (e10 >= -4) & (e10 < 17)
+    integral = fixed & (e10 > 0)
+    # the head: the lead below 1, or the first digit and, in exponent
+    # notation or at e10 = 0, the point when a digit follows
+    kind = np.where(fixed & (e10 < 0), e10 + 4, 4 + ((rest != 0) & ~integral))
+    # a group drops its trailing zeros when every later group is zero
+    z3 = g4 == 0
+    z2 = z3 & (g3 == 0)
+    z1 = z2 & (g2 == 0)
+    groups, zeros = t["groups"], t["zeros"].take(np.where(integral, e10, 0), axis=0)
+    part = np.empty((rows.size, 4), dtype=np.uint64)
+    part[:, 0] = t["head"].take(20 * kind + 10 * np.signbit(x_fast) + d0)
+    part[:, 1] = groups.take(g1 + 10000 * z1) | groups.take(g2 + 10000 * z2) << 32 | zeros[:, 0]
+    part[:, 2] = groups.take(g3 + 10000 * z3) | groups.take(g4 + 10000) << 32 | zeros[:, 1]
+    part[:, 3] = t["exps"].take(np.where(fixed, 0, e10 + _E10 + 1))
+    _insert_point(part, e10, integral)
+    if rows.size == x.size:
+        words = part.astype(_WORD, copy=False)
+    else:
+        words = np.zeros((x.size, 4), dtype=_WORD)
+        words[fast] = part
+    out = words.view(np.uint8)
+    _place_specials(out, x, fast, rows[doubt])
+    used = np.flatnonzero(np.bitwise_or.reduce(words, axis=0).astype(_WORD).view(np.uint8))
+    return out[:, used[0] : used[-1] + 1] if used.size else out[:, :0]
+
+
+def _insert_point(part, e10, integral):
+    """Put the point after digit ``e10`` of the rows with an integer part
+    of ``1 <= e10 <= 15`` digits after the first that have a digit after
+    it: the digits after it move up one byte, the last into the spill byte."""
+    X = np.where(integral & (e10 < 16), e10, 0).astype(np.uint64)
+    w1, w2 = part[:, 1], part[:, 2]
+    # bits below the point: of w1 (all of it from X = 8 on), then of w2
+    b1 = np.minimum(X, 8) * 8
+    b2 = (np.maximum(X, 8) - 8) * 8
+    first = X < 8
+    moved = (X > 0) & ((np.where(first, w1 >> b1, w2 >> b2) & 0xFF) != 0)
+    if not moved.any():
+        return
+    one, point = np.uint64(1), np.uint64(ord("."))
+    below1 = (one << b1) - one  # a shift by 64 gives 0, so all ones
+    below2 = (one << b2) - one
+    new1 = (w1 & below1) | ((w1 & ~below1) << 8) | np.where(first, point << b1, 0)
+    new2 = (w2 & below2) | ((w2 & ~below2) << 8) | np.where(first, w1 >> 56, point << b2)
+    part[:, 3] |= np.where(moved, w2 >> 56, 0)
+    part[:, 1] = np.where(moved, new1, w1)
+    part[:, 2] = np.where(moved, new2, w2)
+
+
+def _place_specials(out, x, fast, doubtful):
+    """Write zeros, nan and infinities in place, and the ``%.17g`` text of
+    every value outside the numpy path or in doubt there."""
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        v = x[slow]
+        zero = slow[v == 0]
+        out[zero, 6] = np.where(np.signbit(x[zero]), ord("-"), 0)
+        out[zero, 7] = ord("0")
+        nan = slow[np.isnan(v)]
+        out[nan, 5:8] = np.frombuffer(b"nan", dtype=np.uint8)
+        inf = slow[np.isinf(v)]
+        out[inf, 4] = np.where(x[inf] < 0, ord("-"), 0)
+        out[inf, 5:8] = np.frombuffer(b"inf", dtype=np.uint8)
+        doubtful = np.concatenate([slow[np.isfinite(v) & (v != 0)], doubtful])
+    if doubtful.size:
+        text = np.array([b"%.17g" % value for value in x[doubtful].tolist()], dtype=f"S{out.shape[1]}")
+        out[doubtful] = text.view(np.uint8).reshape(-1, out.shape[1])

@@ -37,6 +37,7 @@ from .thermal import ThermalParams, thermal_density
 from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
+    _check_reconstruction_size,
     default_p_axis,
     default_theta_axis,
     marginal_angle,
@@ -310,6 +311,9 @@ def _cmd_marginals(cfg: RunConfig) -> dict:
 
 def _cmd_reconstruct(cfg: RunConfig) -> dict:
     obj = _select_state(cfg)
+    if isinstance(obj, FourierState):
+        # the dense projector is as large as the result, so it is refused first
+        _check_reconstruction_size(obj.n_max - obj.n_min + 1)
     rho = pure_density(obj) if isinstance(obj, FourierState) else obj
     rebuilt = reconstruct_density(
         lambda axes: wigner_grid(rho, *axes).values, rho.n_min, rho.n_max, rho.delta

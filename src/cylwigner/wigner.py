@@ -25,6 +25,7 @@ from math import pi
 
 import numpy as np
 
+from ._g17 import g17_fields
 from ._kernels import (
     _TABLE_BLOCK,
     TWO_PI,
@@ -293,30 +294,37 @@ def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
 
 
-# entries of one theta row that are formatted and written at a time, so the
-# text held in memory stays bounded however long the row is.  Blocks of a few
-# tens of kB also keep the heap from fragmenting: with 4096-entry blocks
-# (about 230 kB of text each) the peak RSS of repeated exports of one
-# 72,581-entry row kept creeping up, by about 30 MB over 100 exports.
-_CSV_BLOCK = 512
+# entries formatted and written at a time: whole theta rows, or slices of a
+# row longer than this.  A block's arrays and text take a few hundred kB;
+# over 100 rounds of the four benchmark exports the peak RSS grew by at most
+# 0.5 MB with blocks of 2048 to 8192 entries.  (Blocks of 4096 entries of text built by
+# "%" formatting, about 230 kB each, had crept up by about 30 MB over 100
+# exports of one 72,581-entry row.)
+_CSV_BLOCK = 4096
 # entries of row text held for reuse (about 1.5 MB): a row whose values occur
 # again later is formatted once and held until its last occurrence, and a
 # repeat that finds no room under this cap is formatted again
 _CSV_HOLD = 2**15
+# the theta field of held row text, filled in at each occurrence; "%.17g"
+# text never holds it
+_OPEN = "%"
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def write_grid_csv(grid: WignerGrid, path) -> None:
     """CSV emission: header ``theta,p,value``, row-major over theta then p,
-    17 significant digits.  Output is deterministic for identical inputs.
+    17 significant digits (the bytes of ``"%.17g" % x``).  Output is
+    deterministic for identical inputs.
 
     ``path`` is a file path or a text sink with ``write``.  The text is
-    streamed in blocks of at most ``_CSV_BLOCK`` entries of one theta row;
-    each axis value is formatted once and each block's values by one
-    ``%`` call.  A row whose values recur later in the grid, bit for bit (a
-    theta-independent function, or the mirrored rows of a real state), is
-    formatted once into text that leaves only its theta open, filled in at
-    each occurrence and dropped after the last; at most ``_CSV_HOLD``
-    entries are held so, and a repeat beyond them is formatted again.
+    formatted in numpy and written in blocks of at most ``_CSV_BLOCK``
+    entries: whole theta rows, or slices of a longer row.  Each theta and
+    each momentum of a block is formatted once.  A row whose values recur
+    later in the grid, bit for bit (a theta-independent function, or the
+    mirrored rows of a real state), is formatted once into text that leaves
+    only its theta open, filled in at each occurrence and dropped after the
+    last; at most ``_CSV_HOLD`` entries are held so, and a repeat beyond
+    them is formatted again.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("CSV emission requires a real-valued grid")
@@ -328,43 +336,93 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
 
 
 def _stream_grid_csv(grid: WignerGrid, sink) -> None:
-    # one template per block of momenta, a line "%s,<p>,%.17g\n" per momentum:
-    # the momenta are formatted here, once, and each row fills in its theta
-    # text and values
-    ps = grid.p_axis.tolist()
-    starts = range(0, len(ps), _CSV_BLOCK)
-    templates = [
-        "%%s,%.17g,%%.17g\n" * len(block) % tuple(block)
-        for block in (ps[start:start + _CSV_BLOCK] for start in starts)
-    ]
-
-    def blocks(row, theta_text):
-        for start, template in zip(starts, templates):
-            values = row[start:start + _CSV_BLOCK].tolist()
-            args = [theta_text] * (2 * len(values))
-            args[1::2] = values
-            yield template % tuple(args)
-
-    first_of, last_of = _repeated_rows(grid.values)
-    held = {}  # first row of a repeated row -> its blocks, theta left open
+    values = grid.values
+    n_theta, n_p = values.shape
+    span = max(1, min(n_p, _CSV_BLOCK))  # momenta of a block
+    # the momenta of whole-row blocks are formatted once for the grid
+    p_fields = g17_fields(grid.p_axis) if span == n_p else None
+    first_of, last_of = _repeated_rows(values)
+    held = {}  # first row of a repeated row -> its text per block, theta left open
     room = _CSV_HOLD
+    # the rows planned and not yet written, each as its theta text and the
+    # held text it takes or fills (None: neither), and those to format
+    plan, fresh = [], []
     sink.write("theta,p,value\n")
-    for i, (theta, row) in enumerate(zip(grid.theta_axis.tolist(), grid.values)):
-        theta_text = "%.17g" % theta
+    for i in range(n_theta):
+        if i % _CSV_BLOCK == 0:  # the angles, _CSV_BLOCK at a time
+            theta_fields = g17_fields(grid.theta_axis[i : i + _CSV_BLOCK])
+        field = theta_fields[i % _CSV_BLOCK]
         first = first_of[i]
-        if first not in held and last_of[first] > i and len(ps) <= room:
-            # the theta field filled with "%s": the row's text with it open
-            held[first] = list(blocks(row, "%s"))
-            room -= len(ps)
-        if first not in held:
-            for text in blocks(row, theta_text):
-                sink.write(text)
-            continue
-        for text in held[first]:
-            sink.write(text.replace("%s", theta_text))
-        if last_of[first] == i:
+        texts = held.get(first)
+        fill = texts is None and last_of[first] > i and n_p <= room
+        if fill:
+            texts = held[first] = []
+            room -= n_p
+        plan.append((None if texts is None else _field_text(field), texts))
+        if texts is None or fill:
+            fresh.append(i)
+        if fill:  # its text is held with the theta field open
+            field[:] = 0
+            field[0] = ord(_OPEN)
+        if last_of[first] == i and first in held:
             del held[first]
-            room += len(ps)
+            room += n_p
+        if (len(fresh) + 1) * n_p > _CSV_BLOCK or i % _CSV_BLOCK == _CSV_BLOCK - 1 or i == n_theta - 1:
+            _write_planned(sink, plan, fresh, theta_fields, p_fields, grid, span)
+            plan, fresh = [], []
+
+
+def _write_planned(sink, plan, fresh, theta_fields, p_fields, grid, span) -> None:
+    """Write the rows of ``plan`` in order, a block of ``span`` momenta at
+    a time: the ``fresh`` rows from one ``_csv_lines`` call per block, the
+    others from held text; a row that fills held text writes it too."""
+    rows = np.array(fresh, dtype=np.intp)
+    plain = all(texts is None for _, texts in plan)
+    for piece, start in enumerate(range(0, grid.p_axis.size, span)):
+        if fresh:
+            data = _csv_lines(
+                theta_fields[rows % _CSV_BLOCK],
+                g17_fields(grid.p_axis[start : start + span]) if p_fields is None else p_fields,
+                grid.values[rows, start : start + span],
+            )
+            text = data.tobytes().decode("ascii")
+            if plain:
+                sink.write(text)
+                continue
+            # each row's text ends with the newline of its last line (there
+            # are several rows only when a block holds whole rows of span)
+            ends = [len(text)]
+            if rows.size > 1:
+                ends = (np.flatnonzero(data == _NEWLINE)[span - 1 :: span] + 1).tolist()
+            texts_of_fresh = (text[a:b] for a, b in zip([0] + ends, ends))
+        for theta_text, texts in plan:
+            if texts is None:
+                sink.write(next(texts_of_fresh))
+                continue
+            if len(texts) == piece:  # the row that fills it
+                texts.append(next(texts_of_fresh))
+            sink.write(texts[piece].replace(_OPEN, theta_text))
+
+
+def _field_text(field) -> str:
+    """The text of one row of ``g17_fields``."""
+    return field[field != 0].tobytes().decode("ascii")
+
+
+def _csv_lines(theta_fields, p_fields, values) -> np.ndarray:
+    """The bytes of the CSV lines of ``values`` (R x C), row by row, from
+    the ``g17_fields`` of its R angles and C momenta."""
+    R, C = values.shape
+    value_fields = g17_fields(values).reshape(R, C, -1)
+    wt, wp, wv = theta_fields.shape[1], p_fields.shape[1], value_fields.shape[2]
+    lines = np.empty((R, C, wt + wp + wv + 3), dtype=np.uint8)
+    lines[:, :, :wt] = theta_fields[:, None, :]
+    lines[:, :, wt] = _COMMA
+    lines[:, :, wt + 1 : wt + 1 + wp] = p_fields
+    lines[:, :, wt + 1 + wp] = _COMMA
+    lines[:, :, wt + 2 + wp : -1] = value_fields
+    lines[:, :, -1] = _NEWLINE
+    return lines[lines != 0]  # the text, without the fields' NUL bytes
 
 
 def _repeated_rows(values):
@@ -450,6 +508,13 @@ def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
     return float(np.abs(np.vdot(_on_window(a, n_min, n_max), _on_window(b, n_min, n_max))) ** 2)
 
 
+def _check_reconstruction_size(K: int) -> None:
+    """``ValueError`` naming ``K`` when the complex128 ``K x K`` result of a
+    reconstruction would exceed ``_MAX_DENSE_BYTES``."""
+    if 16 * K**2 > _MAX_DENSE_BYTES:
+        raise ValueError(f"reconstruction window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
+
+
 def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> DensityMatrix:
     """Rebuild a density matrix from a Wigner density sampled on one grid.
 
@@ -501,8 +566,7 @@ def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> Densit
             f"n + t/2 + delta round delta = {delta!r}: the round trip would exceed 1e-10"
         )
     K = n_max - n_min + 1
-    if 16 * K**2 > _MAX_DENSE_BYTES:  # the complex128 result
-        raise ValueError(f"reconstruction window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
+    _check_reconstruction_size(K)
     N = oscillation_order(2.0 * (K - 1))
     nodes = -pi + TWO_PI * np.arange(N) / N
     # distinct momentum samples (k+l)/2 + delta, one per anti-diagonal

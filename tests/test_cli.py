@@ -536,11 +536,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and reason in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_oversized_weights_payload_is_refused_before_sampling(self, tmp_path, capsys, traced):
-        # K = 4097 weights load and validate in O(K); their dense
-        # reconstruction (a 268 MB result) is refused before the grid is sampled
+    @pytest.mark.parametrize(
+        "payload",
+        [{"weights": [1 / 4097] * 4097}, {"coeffs": [[4097**-0.5, 0.0]] * 4097}],
+        ids=["weights", "coeffs"],
+    )
+    def test_oversized_weights_payload_is_refused_before_sampling(self, payload, tmp_path, capsys, traced):
+        # K = 4097 weights or coefficients load and validate in O(K); their
+        # dense reconstruction (a 268 MB result) is refused before the grid
+        # is sampled, and a pure state's before its dense projector is built
         state_path = tmp_path / "rho.json"
-        state_path.write_text(json.dumps({"delta": 0.0, "n_min": -2048, "weights": [1 / 4097] * 4097}))
+        state_path.write_text(json.dumps({"delta": 0.0, "n_min": -2048, **payload}))
         out = tmp_path / "out.json"
         code, peak = traced(run_cli, "--command", "reconstruct", "--state-json", str(state_path), "--out", str(out))
         assert code == 2 and peak < 2**20
