@@ -7,10 +7,10 @@ dropping the NULs leaves the text.  The digits are those of Grisu
 [1e16, 1e17) as a double-double, an exact integer part, and a check that
 hands every value the scaling cannot settle to Python's own formatter.
 
-- ``y = |x| 10^(16 - e10)`` is the ``frexp`` mantissa of ``x`` times a
-  table pair ``(hi, lo)`` of ``10^k`` normalised to [1, 2): an exact
-  Veltkamp/Dekker product with ``hi``, plus ``mantissa * lo``, then
-  ``ldexp``.  Its error is below 2^-46 of a unit in the 17th digit.
+- ``y = |x| 10^(16 - e10)`` is ``|x|`` times a table pair ``(hi, lo)``
+  of ``10^k``: an exact Veltkamp/Dekker product with ``hi``, plus
+  ``|x| lo``.  No product over- or underflows on ``[1e-290, 1e290]``, and
+  the error is below 2^-46 of a unit in the 17th digit.
 - ``e10`` is first ``floor(log10|x|)`` and is corrected by one when
   ``floor(y)`` lies outside [1e16, 1e17); the test is on the unrounded
   value, as ``9.9999999999999998e-13`` must not round into ``1e-12``.
@@ -41,6 +41,10 @@ _K_MIN, _K_MAX = 16 - _E10, 16 + _E10  # the powers 10^(16 - e10)
 # a fraction this close to one half is left to %.17g
 _TIE = 2.0**-30
 _E16, _E17 = 10**16, 10**17
+# fixed notation, as %.17g writes it: e10 in [-4, 17)
+_FIXED = range(-4, 17)
+# the decimal exponents the head and exponent tables cover, from -_E10 - 1
+_NE = 2 * _E10 + 3
 _WORD = np.dtype("<u8")
 
 
@@ -49,20 +53,31 @@ def _words(texts) -> np.ndarray:
     return np.array(texts, dtype="S8").view(_WORD)
 
 
+def _kind(e10, more) -> int:
+    """The head kind of a value of decimal exponent ``e10``, with ``more``
+    digits after the first or not."""
+    if e10 in _FIXED and e10 < 0:
+        return e10 + 4
+    # an integer part after the first digit takes its point later
+    return 4 + (more and not (e10 in _FIXED and e10 > 0))
+
+
 @functools.cache
 def _tables():
     """The lookup tables, built on first use from Python integers.
 
-    ``hh, hl, lo, b`` give ``10^k = (hh + hl + lo) 2^b`` for ``k`` in
-    ``[_K_MIN, _K_MAX]``, with ``hh + hl`` the Veltkamp halves of the
-    leading 53 bits and ``lo`` the next 53, truncated (relative error
-    below 2^-105).  ``groups`` maps ``g`` in [0, 1e4) to its four digits
-    as a little-endian uint32, and ``10000 + g`` to the same with its
-    trailing zeros dropped.  ``head`` is indexed by ``20 kind + 10 sign +
-    d0`` (``kind`` 0..3 for the leads of e10 = -4..-1, 4 for the digit
-    alone, 5 for the digit and a point); ``zeros`` puts back the zeros of
-    an integer part of ``e10`` digits after the first; ``exps`` is indexed
-    by ``e10 + _E10 + 1``, with 0 for fixed notation."""
+    ``hh, hl, lo`` give ``10^k = hh + hl + lo`` for ``k`` in ``[_K_MIN,
+    _K_MAX]``, with ``hh + hl`` the Veltkamp halves of the leading 53 bits
+    and ``lo`` the next 53, truncated (relative error below 2^-105); all
+    three are normal doubles.  ``groups`` maps ``g`` in [0, 1e4) to its
+    four digits as a little-endian uint32, and ``10000 + g`` to the same
+    with its trailing zeros dropped.  ``head`` is indexed by ``20 kind +
+    10 sign + d0`` (``kind`` 0..3 for the leads of e10 = -4..-1, 4 for the
+    digit alone, 5 for the digit and a point), and ``kinds`` gives ``20 kind``
+    at ``e10 + _E10 + 1``, plus ``_NE`` when a digit follows the first;
+    ``zeros`` puts back the zeros of an integer part of ``e10`` digits
+    after the first; ``exps`` is indexed by ``e10 + _E10 + 1``, with no
+    text in fixed notation."""
     # 10^k = 5^k 2^k, with 5^k for k < 0 held as floor(2^N / 5^-k): over 106
     # bits each, and the leading bits of a floor are those of the quotient
     N = 106 + 3 * -_K_MIN
@@ -101,35 +116,34 @@ def _tables():
         for sign in (b"", b"-")
         for d in range(10)
     ]
+    b = np.array(b)  # the halves are split in [1, 2), then scaled exactly
     tables = {
-        "hh": hh,
-        "hl": hi - hh,
-        "lo": np.ldexp(np.array(lo, dtype=np.float64), -105),
-        "b": np.array(b, dtype=np.int64),
+        "hh": np.ldexp(hh, b),
+        "hl": np.ldexp(hi - hh, b),
+        "lo": np.ldexp(np.array(lo, dtype=np.float64), b - 105),
         "groups": chars.reshape(20000, 4).view("<u4").ravel().astype(np.uint64),
         "head": _words(head),
         "zeros": np.array([b"0" * n for n in range(17)], dtype="S16").view(_WORD).reshape(17, 2),
-        "exps": _words([b""] + [b"\0e%+03d" % e for e in range(-_E10, _E10 + 2)]),
+        "kinds": np.array([20 * _kind(e10, more) for more in (False, True) for e10 in range(-_E10 - 1, _E10 + 2)]),
+        "exps": _words([b"" if e in _FIXED else b"\0e%+03d" % e for e in range(-_E10 - 1, _E10 + 2)]),
     }
     for table in tables.values():  # shared by every call
         table.setflags(write=False)
     return tables
 
 
-def _scaled(m, e2, e10, t):
-    """``(floor(y), y - floor(y))`` of ``y = m 2^e2 10^(16 - e10)``, the
-    floor as int64 and the fraction within 2^-46 of its exact value."""
+def _scaled(a, e10, t):
+    """``(floor(y), y - floor(y))`` of ``y = a 10^(16 - e10)``, the floor
+    as int64 and the fraction within 2^-46 of its exact value."""
     i = 16 - _K_MIN - e10
     hh, hl, lo = t["hh"].take(i), t["hl"].take(i), t["lo"].take(i)
-    p = m * (hh + hl)  # hh + hl is exact: it is the table's hi
-    c = m * 134217729.0
-    mh = c - (c - m)
-    ml = m - mh
-    low = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo
-    s = e2 + t["b"].take(i)
-    P = np.ldexp(p, s)  # an exact scaling
-    whole = np.floor(P)
-    r = (P - whole) + np.ldexp(low, s)
+    p = a * (hh + hl)  # hh + hl is exact: it is the table's hi
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = a - ah
+    low = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    whole = np.floor(p)
+    r = (p - whole) + low
     carry = np.floor(r)
     return whole.astype(np.int64) + carry.astype(np.int64), r - carry
 
@@ -139,19 +153,18 @@ def _digits(a, t):
     17-digit integer ``D`` in [1e16, 1e17) and decimal exponent of ``a``
     rounded to 17 significant digits, and where the rounding is in doubt."""
     e10 = np.floor(np.log10(a)).astype(np.int64)
-    m, e2 = np.frexp(a)
-    D, frac = _scaled(m, e2, e10, t)
+    D, frac = _scaled(a, e10, t)
     off = np.flatnonzero((D < _E16) | (D >= _E17))
     if off.size:
         e10[off] += np.where(D[off] < _E16, -1, 1)
-        D[off], frac[off] = _scaled(m[off], e2[off], e10[off], t)
+        D[off], frac[off] = _scaled(a[off], e10[off], t)
     doubt = np.abs(frac - 0.5) < _TIE
     D += frac > 0.5
-    top = D == _E17  # a rounding up to 10^17
+    top = np.flatnonzero(D == _E17)  # a rounding up to 10^17
     D[top] = _E16
-    e10 += top
+    e10[top] += 1
     # a value one correction did not place goes to %.17g as well
-    doubt |= (D < _E16) | (D >= _E17)
+    doubt[off] |= (D[off] < _E16) | (D[off] >= _E17)
     return D, e10, doubt
 
 
@@ -165,73 +178,76 @@ def g17_fields(values) -> np.ndarray:
     a = np.abs(x)
     fast = (a >= _LOW) & (a <= _HIGH)
     rows = np.flatnonzero(fast)
-    if rows.size < x.size:
+    slow = np.flatnonzero(~fast) if rows.size < x.size else rows[:0]
+    if slow.size:
         a, x_fast = a[rows], x[rows]
     else:
         x_fast = x
     D, e10, doubt = _digits(a, t)
-    d0 = D // _E16
-    rest = D - d0 * _E16
-    upper = (rest // 10**8).astype(np.int32)
-    lower = (rest - upper * np.int64(10**8)).astype(np.int32)
+    first9 = D // 10**8
+    lower = (D - first9 * 10**8).astype(np.int32)
+    first9 = first9.astype(np.int32)
+    d0 = first9 // 10**8
+    upper = first9 - d0 * 10**8
     g1 = upper // 10**4
     g2 = upper - g1 * 10**4
     g3 = lower // 10**4
     g4 = lower - g3 * 10**4
-    fixed = (e10 >= -4) & (e10 < 17)
-    integral = fixed & (e10 > 0)
+    j = e10 + (_E10 + 1)
     # the head: the lead below 1, or the first digit and, in exponent
     # notation or at e10 = 0, the point when a digit follows
-    kind = np.where(fixed & (e10 < 0), e10 + 4, 4 + ((rest != 0) & ~integral))
+    kind20 = t["kinds"].take(j + _NE * ((upper | lower) != 0))
     # a group drops its trailing zeros when every later group is zero
     z3 = g4 == 0
     z2 = z3 & (g3 == 0)
     z1 = z2 & (g2 == 0)
-    groups, zeros = t["groups"], t["zeros"].take(np.where(integral, e10, 0), axis=0)
+    groups = t["groups"]
     part = np.empty((rows.size, 4), dtype=np.uint64)
-    part[:, 0] = t["head"].take(20 * kind + 10 * np.signbit(x_fast) + d0)
-    part[:, 1] = groups.take(g1 + 10000 * z1) | groups.take(g2 + 10000 * z2) << 32 | zeros[:, 0]
-    part[:, 2] = groups.take(g3 + 10000 * z3) | groups.take(g4 + 10000) << 32 | zeros[:, 1]
-    part[:, 3] = t["exps"].take(np.where(fixed, 0, e10 + _E10 + 1))
-    _insert_point(part, e10, integral)
-    if rows.size == x.size:
-        words = part.astype(_WORD, copy=False)
-    else:
+    part[:, 0] = t["head"].take(kind20 + 10 * np.signbit(x_fast) + d0)
+    part[:, 1] = groups.take(g1 + 10000 * z1) | groups.take(g2 + 10000 * z2) << 32
+    part[:, 2] = groups.take(g3 + 10000 * z3) | groups.take(g4 + 10000) << 32
+    part[:, 3] = t["exps"].take(j)
+    ints = np.flatnonzero((e10 > 0) & (e10 < _FIXED.stop))  # an integer part after the first digit
+    if ints.size:
+        _integer_part(part, ints, e10[ints], t["zeros"])
+    if slow.size:
         words = np.zeros((x.size, 4), dtype=_WORD)
-        words[fast] = part
+        words[rows] = part
+    else:
+        words = part.astype(_WORD, copy=False)
     out = words.view(np.uint8)
-    _place_specials(out, x, fast, rows[doubt])
-    used = np.flatnonzero(np.bitwise_or.reduce(words, axis=0).astype(_WORD).view(np.uint8))
+    _place_specials(out, x, slow, rows[doubt])
+    # one word column at a time: a reduce over axis 0 of (n, 4) is slower
+    used = [np.bitwise_or.reduce(words[:, k]) for k in range(4)]
+    used = np.flatnonzero(np.array(used, dtype=_WORD).view(np.uint8))
     return out[:, used[0] : used[-1] + 1] if used.size else out[:, :0]
 
 
-def _insert_point(part, e10, integral):
-    """Put the point after digit ``e10`` of the rows with an integer part
-    of ``1 <= e10 <= 15`` digits after the first that have a digit after
-    it: the digits after it move up one byte, the last into the spill byte."""
-    X = np.where(integral & (e10 < 16), e10, 0).astype(np.uint64)
-    w1, w2 = part[:, 1], part[:, 2]
-    # bits below the point: of w1 (all of it from X = 8 on), then of w2
-    b1 = np.minimum(X, 8) * 8
-    b2 = (np.maximum(X, 8) - 8) * 8
+def _integer_part(part, rows, e10, zeros):
+    """Complete the integer part of ``e10`` digits after the first (``1 <=
+    e10 <= 16``) in ``rows`` of the digit words 1 and 2 of ``part``: put
+    back its trailing zeros, and where ``e10 <= 15`` and a digit follows
+    it, the point after it, moving the digits after it up one byte and the
+    last into the spill byte of word 3."""
+    X = e10.astype(np.uint64)
+    zeros = zeros.take(e10, axis=0)
+    v1, v2 = part[rows, 1] | zeros[:, 0], part[rows, 2] | zeros[:, 1]
     first = X < 8
-    moved = (X > 0) & ((np.where(first, w1 >> b1, w2 >> b2) & 0xFF) != 0)
-    if not moved.any():
-        return
-    one, point = np.uint64(1), np.uint64(ord("."))
-    below1 = (one << b1) - one  # a shift by 64 gives 0, so all ones
-    below2 = (one << b2) - one
-    new1 = (w1 & below1) | ((w1 & ~below1) << 8) | np.where(first, point << b1, 0)
-    new2 = (w2 & below2) | ((w2 & ~below2) << 8) | np.where(first, w1 >> 56, point << b2)
-    part[:, 3] |= np.where(moved, w2 >> 56, 0)
-    part[:, 1] = np.where(moved, new1, w1)
-    part[:, 2] = np.where(moved, new2, w2)
+    # the word that takes the point, and its bits below the point: all of
+    # them at X = 16, where a shift by 64 gives 0
+    w = np.where(first, v1, v2)
+    b = np.where(first, X, X - 8) << 3
+    low = w & ((np.uint64(1) << b) - np.uint64(1))
+    high = w ^ low  # the digits after the point, none when no point goes in
+    point = ((w >> b) != 0) * np.uint64(ord(".")) << b
+    part[rows, 1] = np.where(first, low | high << 8 | point, v1)
+    part[rows, 2] = np.where(first, v2 << 8 | v1 >> 56, low | high << 8 | point)
+    part[rows, 3] |= np.where(first, v2, high) >> 56
 
 
-def _place_specials(out, x, fast, doubtful):
+def _place_specials(out, x, slow, doubtful):
     """Write zeros, nan and infinities in place, and the ``%.17g`` text of
-    every value outside the numpy path or in doubt there."""
-    slow = np.flatnonzero(~fast)
+    every value outside the numpy path (``slow``) or in doubt there."""
     if slow.size:
         v = x[slow]
         zero = slow[v == 0]

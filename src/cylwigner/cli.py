@@ -34,7 +34,6 @@ from .states import (
     von_mises_state,
 )
 from .thermal import ThermalParams, thermal_density
-from .verify import report_as_json_entries, run_verification
 from .wigner import (
     WignerGrid,
     _check_reconstruction_size,
@@ -327,6 +326,9 @@ def _cmd_reconstruct(cfg: RunConfig) -> dict:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[list, bool]:
+    # imported here: the other commands start without compiling the verifier
+    from .verify import report_as_json_entries, run_verification
+
     sinc_fn = None
     if cfg.inject_sinc_fault:
         # negative control: a 1e-6 argument skew must trip the sinc suites

@@ -307,7 +307,7 @@ _CSV_BLOCK = 4096
 _CSV_HOLD = 2**15
 # the theta field of held row text, filled in at each occurrence; "%.17g"
 # text never holds it
-_OPEN = "%"
+_OPEN = b"%"
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
@@ -316,38 +316,42 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     17 significant digits (the bytes of ``"%.17g" % x``).  Output is
     deterministic for identical inputs.
 
-    ``path`` is a file path or a text sink with ``write``.  The text is
-    formatted in numpy and written in blocks of at most ``_CSV_BLOCK``
-    entries: whole theta rows, or slices of a longer row.  Each theta and
-    each momentum of a block is formatted once.  A row whose values recur
-    later in the grid, bit for bit (a theta-independent function, or the
-    mirrored rows of a real state), is formatted once into text that leaves
-    only its theta open, filled in at each occurrence and dropped after the
-    last; at most ``_CSV_HOLD`` entries are held so, and a repeat beyond
-    them is formatted again.
+    ``path`` is a file path, opened in binary mode, or a text sink with
+    ``write``, which gets the same bytes decoded as ASCII, once per write;
+    lines end in ``"\\n"`` either way.  The bytes are formatted in numpy
+    and written in blocks of at most ``_CSV_BLOCK`` entries: whole theta
+    rows, or slices of a longer row.  Each theta and each momentum of a
+    block is formatted once.  A row whose values recur later in the grid,
+    bit for bit (a theta-independent function, or the mirrored rows of a
+    real state), is formatted once into bytes that leave only its theta
+    open, filled in at each occurrence and dropped after the last; at most
+    ``_CSV_HOLD`` entries are held so, and a repeat beyond them is
+    formatted again.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("CSV emission requires a real-valued grid")
     if hasattr(path, "write"):
-        _stream_grid_csv(grid, path)
+        _stream_grid_csv(grid, lambda data: path.write(str(data, "ascii")))
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            _stream_grid_csv(grid, fh)
+        with open(path, "wb") as fh:
+            _stream_grid_csv(grid, fh.write)
 
 
-def _stream_grid_csv(grid: WignerGrid, sink) -> None:
+def _stream_grid_csv(grid: WignerGrid, write) -> None:
+    """Write the CSV bytes of ``grid`` through ``write``, which takes any
+    bytes-like object."""
     values = grid.values
     n_theta, n_p = values.shape
     span = max(1, min(n_p, _CSV_BLOCK))  # momenta of a block
     # the momenta of whole-row blocks are formatted once for the grid
     p_fields = g17_fields(grid.p_axis) if span == n_p else None
     first_of, last_of = _repeated_rows(values)
-    held = {}  # first row of a repeated row -> its text per block, theta left open
+    held = {}  # first row of a repeated row -> its bytes per block, theta left open
     room = _CSV_HOLD
     # the rows planned and not yet written, each as its theta text and the
     # held text it takes or fills (None: neither), and those to format
     plan, fresh = [], []
-    sink.write("theta,p,value\n")
+    write(b"theta,p,value\n")
     for i in range(n_theta):
         if i % _CSV_BLOCK == 0:  # the angles, _CSV_BLOCK at a time
             theta_fields = g17_fields(grid.theta_axis[i : i + _CSV_BLOCK])
@@ -363,19 +367,19 @@ def _stream_grid_csv(grid: WignerGrid, sink) -> None:
             fresh.append(i)
         if fill:  # its text is held with the theta field open
             field[:] = 0
-            field[0] = ord(_OPEN)
+            field[0] = _OPEN[0]
         if last_of[first] == i and first in held:
             del held[first]
             room += n_p
         if (len(fresh) + 1) * n_p > _CSV_BLOCK or i % _CSV_BLOCK == _CSV_BLOCK - 1 or i == n_theta - 1:
-            _write_planned(sink, plan, fresh, theta_fields, p_fields, grid, span)
+            _write_planned(write, plan, fresh, theta_fields, p_fields, grid, span)
             plan, fresh = [], []
 
 
-def _write_planned(sink, plan, fresh, theta_fields, p_fields, grid, span) -> None:
+def _write_planned(write, plan, fresh, theta_fields, p_fields, grid, span) -> None:
     """Write the rows of ``plan`` in order, a block of ``span`` momenta at
     a time: the ``fresh`` rows from one ``_csv_lines`` call per block, the
-    others from held text; a row that fills held text writes it too."""
+    others from held bytes; a row that fills held bytes writes them too."""
     rows = np.array(fresh, dtype=np.intp)
     plain = all(texts is None for _, texts in plan)
     for piece, start in enumerate(range(0, grid.p_axis.size, span)):
@@ -385,28 +389,27 @@ def _write_planned(sink, plan, fresh, theta_fields, p_fields, grid, span) -> Non
                 g17_fields(grid.p_axis[start : start + span]) if p_fields is None else p_fields,
                 grid.values[rows, start : start + span],
             )
-            text = data.tobytes().decode("ascii")
             if plain:
-                sink.write(text)
+                write(data)
                 continue
-            # each row's text ends with the newline of its last line (there
+            # each row's bytes end with the newline of its last line (there
             # are several rows only when a block holds whole rows of span)
-            ends = [len(text)]
+            ends = [data.size]
             if rows.size > 1:
                 ends = (np.flatnonzero(data == _NEWLINE)[span - 1 :: span] + 1).tolist()
-            texts_of_fresh = (text[a:b] for a, b in zip([0] + ends, ends))
+            texts_of_fresh = (data[a:b] for a, b in zip([0] + ends, ends))
         for theta_text, texts in plan:
             if texts is None:
-                sink.write(next(texts_of_fresh))
+                write(next(texts_of_fresh))
                 continue
             if len(texts) == piece:  # the row that fills it
-                texts.append(next(texts_of_fresh))
-            sink.write(texts[piece].replace(_OPEN, theta_text))
+                texts.append(next(texts_of_fresh).tobytes())
+            write(texts[piece].replace(_OPEN, theta_text))
 
 
-def _field_text(field) -> str:
+def _field_text(field) -> bytes:
     """The text of one row of ``g17_fields``."""
-    return field[field != 0].tobytes().decode("ascii")
+    return field[field != 0].tobytes()
 
 
 def _csv_lines(theta_fields, p_fields, values) -> np.ndarray:

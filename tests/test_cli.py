@@ -7,7 +7,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,14 @@ from cylwigner.states import FourierState, pure_density, von_mises_state
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_module(*args, **kwargs):
+    """``python *args`` in a fresh interpreter that imports the cylwigner
+    under test, its output captured."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300, **kwargs)
 
 
 def read_csv(path):
@@ -346,6 +358,15 @@ class TestVerifyCommand:
         out = tmp_path / "verify_loose.json"
         assert run_cli("--command", "verify", "--tol-profile", "loose", "--out", str(out)) == 0
 
+    def test_only_verify_imports_the_verifier(self, tmp_path):
+        # the other commands start without compiling the verifier
+        done = run_module("-c", "import sys, cylwigner.cli; print('cylwigner.verify' in sys.modules)", text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        out = tmp_path / "verify.json"
+        assert run_module("-m", "cylwigner", "--command", "verify", "--out", str(out)).returncode == 0
+        entries = json.loads(out.read_text())
+        assert len(entries) >= 30 and all(entry["pass"] for entry in entries)
+
 
 class TestExitCodes:
     def test_io_error_is_two(self):
@@ -575,6 +596,14 @@ class TestOutputSinks:
         assert capsys.readouterr().out == ""
         assert run_cli(*args) == 0
         assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+
+    def test_piped_stdout_equals_out_file(self, tmp_path):
+        # run_module's stdout is a pipe, which can neither tell nor seek
+        out = tmp_path / "fig2.csv"
+        assert run_cli("--command", "fig2", "--out", str(out)) == 0
+        done = run_module("-m", "cylwigner", "--command", "fig2")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.read_bytes()
 
     def test_failed_export_leaves_no_file(self, tmp_path):
         out = tmp_path / "fig3.csv"

@@ -1115,6 +1115,15 @@ class TestGridCsv:
             patch.setattr(wigner, "_CSV_HOLD", hold)
             assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
 
+    @settings(max_examples=150, deadline=None)
+    @given(repeating_csv_grids(), st.integers(1, 3), st.integers(0, 12))
+    def test_repeated_rows_match_reference_through_a_file(self, grid, block, hold):
+        # the binary sink writes held rows as bytes, filled in at each occurrence
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wigner, "_CSV_BLOCK", block)
+            patch.setattr(wigner, "_CSV_HOLD", hold)
+            assert _written_bytes(grid, True) == _reference_csv(grid).encode("ascii")
+
     def test_held_text_stays_under_the_cap(self, traced):
         # 4001 rows, row i equal to row 4000 - i: reuse would hold 2000 rows
         # of text, but the cap keeps the peak near its own size
