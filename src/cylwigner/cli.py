@@ -15,12 +15,13 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import exp, isfinite, pi
 
 import numpy as np
 
 from . import __version__
-from .specfun import bessel_i, sinc_pi
+# bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.cli.bessel_i
+from .specfun import bessel_i, bessel_i_scaled, sinc_pi  # noqa: F401
 from .states import (
     _MAX_DENSE_BYTES,
     DensityMatrix,
@@ -56,6 +57,9 @@ _STATES = ("basis", "cat", "vonmises", "thermal")
 # values of a 1-D JSON array formatted and written at a time (about 100 kB
 # of text), so a long angle marginal is never held as one string
 _JSON_SLICE = 4096
+# largest fig3 s whose scale 2 pi I_0(2 s) fits in a double (it overflows
+# above s = 356.0738), rounded down
+_FIG3_S_MAX = 356.07
 
 
 @dataclass(frozen=True)
@@ -284,8 +288,11 @@ def _cmd_fig2(cfg: RunConfig) -> WignerGrid:
 def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
     if cfg.s <= 0:
         raise ValueError("fig3 requires s > 0")
-    # the scale overflows above s ~ 354: refused before the grid is built
-    scale = 2.0 * pi * bessel_i(0, 2.0 * cfg.s)
+    if cfg.s > _FIG3_S_MAX:  # refused before the grid is built
+        raise ValueError(f"fig3 --s {cfg.s} overflows the scale 2 pi I_0(2 s); the largest supported --s is {_FIG3_S_MAX}")
+    # 2 pi I_0(2 s) = 2 pi (I_0(2 s) exp(-2 s)) exp(s) exp(s): no factor
+    # overflows while the product fits in a double
+    scale = 2.0 * pi * float(bessel_i_scaled(0, 2.0 * cfg.s)[0]) * exp(cfg.s) * exp(cfg.s)
     thetas = np.asarray(cfg.theta_list or (0.0, pi / 2, -pi / 2, pi, -pi))
     grid = wigner_grid(von_mises_state(cfg.s, cfg.pe), thetas, cfg.p_axis)
     return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=scale * grid.values)

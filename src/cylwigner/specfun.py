@@ -8,7 +8,7 @@ Jacobi theta-3 lattice sum with an automatic modular transformation for
 nomes close to 1.
 """
 
-from math import ceil, cos, exp, floor, log, pi, sqrt
+from math import ceil, cos, exp, floor, fsum, log, pi, sqrt
 
 import numpy as np
 
@@ -49,28 +49,33 @@ def bessel_i_scaled(n_max: int, z: float) -> np.ndarray:
     """Scaled Bessel values ``I_k(z) exp(-z)`` for every order ``k = 0..n_max``.
 
     One backward recurrence of the ratios ``r_k = I_k/I_{k-1} = z/(2k +
-    z r_{k+1})``, started far enough above ``max(n_max, z)`` that the
-    starting guess ``r = 0`` has decayed below roundoff.  Their running
-    product gives ``I_k/I_0``, and ``exp(z) = I_0 + 2 sum_{k>=1} I_k``
-    fixes ``I_0 exp(-z)``.  Every ratio lies in ``[0, 1]``, so nothing
-    overflows for any ``z >= 0``; at ``z = 0`` the result is ``[1, 0, ...]``.
-    ``n_max`` or ``z`` above ``1e6`` raises ``OverflowError``.
+    z r_{k+1})``, started at ``k0 = max(n_max + 1, sqrt(n_max^2 + 80 z) +
+    40)`` with the guess ``r = 0``.  Below the turning point the minimal
+    solution dominates by about ``exp(-(k0^2 - k^2)/z)``, and above it each
+    step shrinks the error by ``r_k^2``, so the guess has decayed below
+    roundoff by order ``n_max``; at ``k = sqrt(80 z)`` the ratio ``I_k/I_0``
+    is about ``exp(-40)``.  The running product of the ratios gives
+    ``I_k/I_0``, and ``exp(z) = I_0 + 2 sum_{k>=1} I_k`` fixes ``I_0
+    exp(-z)``.  Every ratio lies in ``[0, 1]``, so nothing overflows for any
+    ``z >= 0``; at ``z = 0`` the result is ``[1, 0, ...]``.  A start above
+    ``1e6`` (the ratios held in memory: ``n_max`` near ``1e6``, or ``z``
+    above about ``1.2e10``) raises ``OverflowError``.
     """
     if not (np.isfinite(z) and z >= 0.0):
         raise ValueError("bessel_i_scaled requires finite z >= 0")
     if n_max < 0:
         raise ValueError("bessel_i_scaled requires n_max >= 0")
-    top = max(n_max, z)
-    if top > _BESSEL_N_LIMIT:  # the recurrence holds about top ratios in memory
+    start = max(n_max + 1, int(sqrt(float(n_max) ** 2 + 80.0 * z)) + 40)
+    if start > _BESSEL_N_LIMIT:  # the recurrence holds start ratios in memory
         raise OverflowError("bessel_i_scaled order or argument out of supported range")
-    start = int(top + 2.0 * sqrt(40.0 * top) + 40)
     ratios = np.empty(start)
     r = 0.0
     for k in range(start, 0, -1):
         r = z / (2.0 * k + z * r)
         ratios[k - 1] = r
     tail = np.cumprod(ratios)  # I_k/I_0 for k = 1..start
-    ie_0 = 1.0 / (1.0 + 2.0 * tail.sum())
+    # exp(z)/I_0 = 2 (1/2 + sum tail): one exact-rounded sum, then one division
+    ie_0 = 0.5 / fsum([0.5, *tail.tolist()])
     return ie_0 * np.concatenate(([1.0], tail[:n_max]))
 
 
@@ -79,16 +84,15 @@ def bessel_i(n: int, z: float) -> float:
 
     ``exp(|z|)`` times the scaled value from :func:`bessel_i_scaled`, after
     the symmetries ``I_{-n} = I_n`` and ``I_n(-z) = (-1)^n I_n(z)``.
-    Arguments outside ``|n| <= 1e6`` or ``|z| <= 700`` raise
-    ``OverflowError``; ``exp(|z|)`` itself overflows just above ``|z| = 709``.
+    ``|z| > 700``, or an order whose recurrence would hold more than
+    ``1e6`` ratios (``|n|`` above ``1e6 - 40``), raises ``OverflowError``;
+    ``exp(|z|)`` itself overflows just above ``|z| = 709``.
     """
     if not np.isfinite(z):
         raise ValueError("bessel_i requires finite z")
     from .states import _check_index  # states imports this module
 
     n = abs(_check_index(n, "n"))
-    if n > _BESSEL_N_LIMIT:
-        raise OverflowError("bessel_i order out of supported range")
     if abs(z) > _BESSEL_Z_LIMIT:
         raise OverflowError("bessel_i argument out of supported range (exp overflow)")
     sign = -1.0 if (z < 0.0 and n % 2 == 1) else 1.0

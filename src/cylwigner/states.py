@@ -32,6 +32,9 @@ __all__ = [
 # largest array a window or axis may expand to: a dense K x K complex128
 # matrix (K = 4096), a float64 weight vector or axis (2**25 values)
 _MAX_DENSE_BYTES = 256 * 2**20
+# the default von Mises window drops every coefficient below this share of
+# the peak: far below roundoff of the largest grid values
+_VON_MISES_CUT = 2.0**-60
 # rows of the Hermiticity residual computed at a time: each temporary holds
 # at most this many rows of the window, however large K is (at K = 1161 a
 # block and its modulus take 8% of the window's bytes)
@@ -345,9 +348,22 @@ def cat_state(alpha: float = 0.0) -> FourierState:
     return FourierState(delta=0.0, n_min=-1, coeffs=coeffs)
 
 
-def von_mises_window_half_width(s: float) -> int:
-    """Default truncation half-width; keeps dropped mass below 1e-12."""
-    return max(20, ceil(4.0 * s + 15.0))
+def _von_mises_profile(s: float) -> np.ndarray:
+    """``I_k(s) exp(-s)`` for ``k = 0..half``: the default von Mises window.
+
+    ``half`` is the last order with ``I_k(s) >= _VON_MISES_CUT * I_0(s)``;
+    the values decrease in ``k``, so every dropped one lies below the cut.
+    ``I_k/I_0`` falls like ``exp(-k^2/2s)`` and meets the cut near ``9.12
+    sqrt(s)``, so the first window is ``9.2 sqrt(s) + 8`` (the pad covers
+    small ``s``, where the tail falls faster but starts later), doubled
+    until its edge lies below the cut.  A pure function of ``s``.
+    """
+    top = ceil(9.2 * sqrt(s)) + 8
+    values = bessel_i_scaled(top, s)
+    while values[top] >= _VON_MISES_CUT * values[0]:
+        top *= 2
+        values = bessel_i_scaled(top, s)
+    return values[: np.count_nonzero(values >= _VON_MISES_CUT * values[0])]
 
 
 def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) -> FourierState:
@@ -357,9 +373,12 @@ def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) 
     ``exp(2 s cos phi)/I_0(2 s)``; the coefficients are
     ``c_m = I_{m - n_e}(s)/sqrt(I_0(2 s))`` where ``p_e = n_e + delta``
     splits the mean momentum into integer and fractional parts.  The
-    window is truncated at ``window_half_width`` around ``n_e`` and the
-    result renormalized; the dropped probability mass is recorded on the
-    state.
+    window is ``[n_e - half, n_e + half]`` and the result is renormalized;
+    the dropped probability mass is recorded on the state.  ``half`` is
+    ``window_half_width`` if given; by default it keeps exactly the
+    coefficients at or above ``2**-60`` of the peak ``c_{n_e}``, about
+    ``9.1 sqrt(s)`` orders each side (``K = 27, 73, 187, 579`` at ``s`` =
+    0.5, 12, 100, 1000), which drops a mass near ``2**-120``.
     """
     if not (np.isfinite(s) and np.isfinite(p_e)):
         raise ValueError("s and p_e must be finite")
@@ -371,15 +390,16 @@ def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) 
         n_e += 1
         delta = 0.0
     if window_half_width is None:
-        half = von_mises_window_half_width(s)
+        profile = _von_mises_profile(s)
     else:
         half = _check_index(window_half_width, "window_half_width")
-    if half < 1:
-        raise ValueError("window_half_width must be positive")
+        if half < 1:
+            raise ValueError("window_half_width must be positive")
+        profile = bessel_i_scaled(half, s)
+    half = profile.size - 1  # a Python int, so n_e - half cannot wrap before the window check
     # scaled values: the factors exp(s) / sqrt(exp(2 s)) cancel exactly
     norm = sqrt(bessel_i_scaled(0, 2.0 * s)[0])
-    offsets = np.abs(np.arange(-half, half + 1))
-    coeffs = bessel_i_scaled(half, s)[offsets].astype(np.complex128) / norm
+    coeffs = profile[np.abs(np.arange(-half, half + 1))].astype(np.complex128) / norm
     kept = float(np.sum(np.abs(coeffs) ** 2))
     discarded = max(0.0, 1.0 - kept)
     coeffs = coeffs / sqrt(kept)

@@ -438,7 +438,27 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "wigner_grid", refuse)
         assert run_cli("--command", "fig3", "--s", "400") == 2
-        assert capsys.readouterr().err == "error: bessel_i argument out of supported range (exp overflow)\n"
+        assert capsys.readouterr().err == (
+            "error: fig3 --s 400.0 overflows the scale 2 pi I_0(2 s); the largest supported --s is 356.07\n"
+        )
+
+    def test_fig3_scale_at_the_largest_supported_s(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert run_cli("--command", "fig3", "--s", "356.07", "--out", str(out)) == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+        assert np.all(np.isfinite(values)) and values.max() > 1e307
+        assert run_cli("--command", "fig3", "--s", "356.08", "--out", str(tmp_path / "over.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: fig3 --s 356.08 overflows the scale 2 pi I_0(2 s); the largest supported --s is 356.07\n"
+        )
+        assert not (tmp_path / "over.csv").exists()
+
+    def test_marginals_of_a_very_wide_von_mises_state(self, tmp_path):
+        # s = 1e7: a window of 57,681 coefficients, its Bessel recurrence
+        # started from the window rather than from s
+        out = tmp_path / "vm.json"
+        assert run_cli("--command", "marginals", "--state", "vonmises", "--s", "1e7", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["state"]["n_min"] == -28840
 
     @pytest.mark.parametrize(
         "args",

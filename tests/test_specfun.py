@@ -186,12 +186,42 @@ class TestBesselIScaled:
     def test_zero_argument_is_exact(self):
         assert bessel_i_scaled(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
 
+    def test_start_from_the_window_matches_the_start_from_max_of_order_and_argument(self):
+        # reference: the recurrence started 2 sqrt(40 top) + 40 above
+        # top = max(n_max, z), normalized by a pairwise sum; the values
+        # agree at roundoff of the peak
+        def previous(n_max, z):
+            top = max(n_max, z)
+            start = int(top + 2.0 * sqrt(40.0 * top) + 40)
+            ratios = np.empty(start)
+            r = 0.0
+            for k in range(start, 0, -1):
+                r = z / (2.0 * k + z * r)
+                ratios[k - 1] = r
+            tail = np.cumprod(ratios)
+            return np.concatenate(([1.0], tail[:n_max])) / (1.0 + 2.0 * tail.sum())
+
+        for z in np.logspace(-3.0, np.log10(2e4), 25):
+            top = int(4 * z + 15)
+            for n_max in (0, top // 3, 2 * top // 3, top):
+                want = previous(n_max, z)
+                assert np.max(np.abs(bessel_i_scaled(n_max, z) - want)) <= 4.4e-16 * want[0]
+
+    @pytest.mark.parametrize("z", [2e4, 2e7])
+    def test_large_argument_against_the_asymptotic_series(self, z):
+        # I_0(z) exp(-z) ~ (1 + 1/(8z) + 9/(128z^2))/sqrt(2 pi z); the next
+        # term, 225/(3072 z^3), is below 1e-14 from z = 2e4 on
+        want = (1.0 + 1.0 / (8.0 * z) + 9.0 / (128.0 * z * z)) / sqrt(2.0 * pi * z)
+        got = bessel_i_scaled(0, z)[0]
+        assert np.isfinite(got) and abs(got - want) <= 5e-14 * want
+
     @pytest.mark.parametrize("n_max, z", [(3, -1.0), (3, float("nan")), (3, float("inf")), (-1, 1.0)])
     def test_rejects_out_of_domain(self, n_max, z):
         with pytest.raises(ValueError):
             bessel_i_scaled(n_max, z)
 
-    @pytest.mark.parametrize("n_max, z", [(10**6 + 1, 1.0), (0, 1e7)])
+    # the recurrence would hold more than 1e6 ratios: sqrt(80 z) > 1e6 at z = 1.3e10
+    @pytest.mark.parametrize("n_max, z", [(10**6 + 1, 1.0), (0, 1.3e10)])
     def test_range_guard(self, n_max, z):
         with pytest.raises(OverflowError):
             bessel_i_scaled(n_max, z)

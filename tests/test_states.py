@@ -1,14 +1,14 @@
 """State construction, wavefunction evaluation, and density matrices."""
 
 import json
-from math import pi, sqrt
+from math import ceil, log10, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cylwigner.specfun import bessel_i
+from cylwigner.specfun import bessel_i, bessel_i_scaled
 from cylwigner.states import (
     DensityMatrix,
     FourierState,
@@ -100,6 +100,33 @@ class TestVonMisesState:
             st = von_mises_state(s, 0.4)
             assert abs(st.coeffs[0]) < 1e-14
             assert abs(st.coeffs[-1]) < 1e-14
+
+    # s log-uniform over [0.5, 1e7]; the s of the README's window sizes are examples
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(log10(0.5), 7.0).map(lambda e: 10.0**e))
+    @example(0.5)
+    @example(12.0)
+    @example(100.0)
+    @example(1000.0)
+    @example(1e7)
+    def test_default_window_keeps_exactly_the_coefficients_above_the_cut(self, s):
+        cut = 2.0**-60
+        state = von_mises_state(s, 0.25)
+        half = state.coeffs.size // 2
+        assert type(state.n_min) is int and state.n_min == -half
+        mags = np.abs(state.coeffs)
+        assert mags[0] >= cut * mags[half] and mags[-1] >= cut * mags[half]
+        # dropped coefficients from a width of 4 s + 15 where it fits, else twice the window
+        wide = ceil(4.0 * s + 15.0) if s <= 2000.0 else 2 * half
+        full = bessel_i_scaled(wide, s)
+        assert np.all(full[half + 1 :] < cut * full[0])
+        assert state.discarded_mass <= 1e-12
+        again = von_mises_state(s, 0.25)
+        assert again.n_min == state.n_min and again.coeffs.tobytes() == state.coeffs.tobytes()
+
+    @pytest.mark.parametrize("s, size", [(0.5, 27), (12.0, 73), (100.0, 187), (1000.0, 579)])
+    def test_default_window_sizes(self, s, size):
+        assert von_mises_state(s, 0.0).coeffs.size == size
 
     def test_mean_momentum(self):
         assert state_expectation_L(von_mises_state(1.0, 2.3)) == pytest.approx(2.3, abs=1e-8)
@@ -376,7 +403,7 @@ class TestImmutability:
 
     def test_pure_density_holds_its_projector_once(self, traced):
         # K = 831: the projector is built read-only and held, not copied
-        state = von_mises_state(100.0, 0.0)
+        state = von_mises_state(100.0, 0.0, window_half_width=415)
         rho, peak = traced(pure_density, state)
         assert rho.entries.shape == (831, 831) and not rho.entries.flags.writeable
         assert peak < 1.25 * rho.entries.nbytes

@@ -538,7 +538,7 @@ class TestReconstruction:
     def test_narrow_window_of_a_wide_state(self):
         # K = 5 of a K = 55 source: the angle sum must not alias the wider
         # source into the covered block, and the deficit still warns
-        rho = pure_density(von_mises_state(3.0, 0.0))
+        rho = pure_density(von_mises_state(3.0, 0.0, window_half_width=27))
         assert (rho.n_min, rho.n_max) == (-27, 27)
         with pytest.warns(RuntimeWarning, match="trace deficit"):
             rebuilt = reconstruct_density(lambda axes: wigner_grid(rho, *axes).values, -2, 2, 0.0)
