@@ -55,16 +55,16 @@ angle and length.
 
 The phases come from two small tables, coarse ``exp(i B q theta)`` and
 fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
-span, so the cosines and sines are taken per table entry, not per
-(angle, diagonal) pair.  The centres all lie on one half-integer lattice
-shifted by ``delta``, so ``sin(pi (p - centre))`` is one of
-``+-sin(pi f)`` and ``+-cos(pi f)`` for one reduced remainder ``f`` per
-momentum: the sinc table costs one sin row, one cos row and a division
-per run of rows with one residue.  The occupied diagonals and centres are
-found with presence tables over their ``2K - 1`` possible values, not by
-sorting the entries, and the centres are grouped by residue with four
-strided ranges (residues 0, 2, 1, 3 on a full-period axis, so the even
-centres come first).
+span, so the cosines and sines are taken per table entry, not per (angle,
+diagonal) pair.  The centres all lie on one half-integer lattice shifted
+by ``delta``, so ``sin(pi (p - centre))`` is ``+-sin(pi f)`` or
+``+-cos(pi f)`` for one reduced remainder ``f`` per momentum: the sinc
+table costs one sine or cosine per momentum and centre parity and a
+division per run of rows with one residue; one row is :func:`sinc_pi_array`.
+The occupied diagonals and centres are found with presence tables over
+their ``2K - 1`` possible values, not by sorting the entries, and the
+centres are grouped by residue with four strided ranges (residues 0, 2, 1,
+3 on a full-period axis, so the even centres come first).
 """
 
 import functools
@@ -73,14 +73,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "sinc_pi_array",
     "phase_space_sum_grid",
     "phase_space_sum_point",
 ]
 
 TWO_PI = 2.0 * np.pi
-# below this the direct ratio loses nothing, but the Taylor form avoids 0/0
-_TAYLOR_CUTOFF = 1e-6
 # largest |A_mn - conj(A_nm)| that still takes the real (Hermitian) path;
 # the same tolerance DensityMatrix.validate applies by default
 _HERMITIAN_TOL = 1e-12
@@ -89,20 +86,12 @@ _TABLE_BLOCK = 2**19
 
 
 def sinc_pi_array(x) -> np.ndarray:
-    """sin(pi x)/(pi x), elementwise, with exact values at integers (1 at 0,
-    else 0) and a Taylor form below 1e-6; 0-d input gives a 0-d array."""
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r = np.rint(x)
-    integral = x == r
-    tiny = (np.abs(x) < _TAYLOR_CUTOFF) & ~integral
-    safe = np.where(integral, 1.0, x)
-    out = np.sin(np.pi * safe) / (np.pi * safe)
-    if np.any(tiny):
-        t = (np.pi * x[tiny]) ** 2
-        out[tiny] = 1.0 - t / 6.0 + t * t / 120.0
-    out[integral] = np.where(r[integral] == 0.0, 1.0, 0.0)
-    return out.reshape(shape)
+    """sin(pi x)/(pi x), elementwise: one row of :func:`_sinc_lattice`, with
+    ``|x|`` clipped at 2**52 (all integers; ``2x`` cannot overflow); 0-d gives 0-d."""
+    x = np.asarray(x, dtype=np.float64)
+    row = _sinc_lattice(np.clip(x, -(2.0**52), 2.0**52).ravel(), 0, np.zeros(1, dtype=np.intp), 0.0)[0]
+    row += 0.0  # +0.0, not -0.0, at the nonzero integers
+    return row.reshape(x.shape)
 
 
 def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
@@ -114,28 +103,29 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     ``sin(pi f)``, ``cos(pi f)``, ``-sin(pi f)`` or ``-cos(pi f)`` as
     ``(h - s) mod 4`` is 0, 1, 2 or 3.  ``ts`` may list its values in any
     order; each run of adjacent rows with one residue of ``s mod 4`` is one
-    slice, divided in place by one shared numerator row, so rows grouped by
-    residue cost four divisions.
+    slice, divided in place by that residue's numerator row, so rows grouped
+    by residue cost four divisions and a sine or cosine per momentum and parity.
     """
     # p's own half-integer part comes off before delta is subtracted, so
     # p - delta is never rounded at the scale of |p|: h and f are exact and
-    # the argument is rounded once, at its own scale
-    h = np.rint(2.0 * ps)
-    g = (ps - 0.5 * h) - delta
-    h_g = np.rint(2.0 * g)
-    f = g - 0.5 * h_g
-    h += h_g
+    # the argument is rounded once, at its own scale; hh is h/2
+    hh = 2.0 * ps
+    np.multiply(np.rint(hh, out=hh), 0.5, out=hh)
+    f = ps - hh
+    if delta:
+        f -= delta
+        h_g = np.rint(2.0 * f) * 0.5
+        f -= h_g
+        hh += h_g
     s = 2 * n_min + ts
-    table = (0.5 * h) - (0.5 * s)[:, None]
+    table = hh - (0.5 * s)[:, None]
     table += f
-    quarter = np.empty((4, ps.size))
-    np.sin(np.pi * f, out=quarter[0])
-    np.cos(np.pi * f, out=quarter[1])
-    quarter[:2] /= np.pi
-    np.negative(quarter[:2], out=quarter[2:])
-    # row r: the numerator, over pi, of every centre with s = r (mod 4)
-    h_mod4 = np.mod(h, 4.0).astype(np.intp)
-    by_residue = quarter[(h_mod4 - np.arange(4)[:, None]) & 3, np.arange(ps.size)]
+    # h mod 4 is 2 (hh - 2 floor(hh/2)), exact for any integral h
+    h_mod4 = 0.5 * hh
+    np.floor(h_mod4, out=h_mod4)
+    h_mod4 *= -2.0
+    h_mod4 += hh
+    h_mod4 = np.multiply(h_mod4, 2.0, out=h_mod4).astype(np.int8)
     # the argument is exactly 0 only where f == 0 and s == h: those entries
     # are divided by 1, then set to sinc(0) = 1
     lattice = (f == 0.0).nonzero()[0]
@@ -144,9 +134,21 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     table[hit_row, hit_col] = 1.0
     residue = s & 3
     cuts = (np.flatnonzero(residue[1:] != residue[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, residue.size]) if residue.size else ():
+    starts = [0, *cuts] if residue.size else []
+    present = dict.fromkeys(residue[starts].tolist())
+    # residue r + 2 (mod 4) is r negated: one row, one sine or cosine per momentum, per parity
+    reps = [r for r in present if r < 2 or r ^ 2 not in present]
+    k = h_mod4 - np.array(reps, dtype=np.int8)[:, None]
+    trig = np.multiply(f, np.pi, out=np.empty(k.shape))
+    np.cos(trig, out=trig, where=(k & 1) == 1)
+    np.sin(trig, out=trig, where=(k & 1) == 0)
+    trig /= np.pi
+    trig *= 1 - (k & 2)
+    numerator = dict(zip(reps, trig))
+    numerator.update({r: -numerator[r ^ 2] for r in present if r not in numerator})
+    for lo, hi in zip(starts, [*cuts, residue.size]):
         rows = table[lo:hi]
-        np.divide(by_residue[residue[lo]], rows, out=rows)
+        np.divide(numerator[residue[lo]], rows, out=rows)
     table[hit_row, hit_col] = 1.0
     return table
 

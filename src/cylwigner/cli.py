@@ -201,22 +201,19 @@ def _array_template(shape: tuple, level: int) -> str:
 
 def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
-    ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64
-    array as its nested list: a 1-D array ``_JSON_SLICE`` values at a time,
-    a deeper one a first-axis row at a time, each from one ``%`` template."""
+    ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64 array
+    as its nested list: blocks of whole first-axis rows, at most
+    ``_JSON_SLICE`` values (or one longer row), each from one ``%`` template."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0 or obj.shape[0] == 0:
             write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
             return
-        if obj.ndim == 1:
-            for lo in range(0, obj.size, _JSON_SLICE):
-                values = obj[lo : lo + _JSON_SLICE].tolist()
-                write(("[" if lo == 0 else ",") + pad + ("," + pad).join(["%r"] * len(values)) % tuple(values))
-        else:
-            template = _array_template(obj.shape[1:], level + 1)
-            for i, row in enumerate(obj):
-                write(("[" if i == 0 else ",") + pad + template % tuple(row.ravel().tolist()))
+        template = _array_template(obj.shape[1:], level + 1)
+        per_block = max(1, _JSON_SLICE // max(1, obj[0].size))
+        for lo in range(0, obj.shape[0], per_block):
+            block = obj[lo : lo + per_block]
+            write(("[" if lo == 0 else ",") + pad + ("," + pad).join([template] * len(block)) % tuple(block.ravel().tolist()))
     elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
@@ -235,7 +232,7 @@ def _stream_json(obj, level: int, write) -> None:
 def _write_json(payload, out: str | None) -> None:
     """Stream ``payload`` as the text of ``json.dumps(payload, indent=2,
     sort_keys=True) + "\\n"``.  Its arrays are checked before the output file
-    is opened; beyond them, the memory held is one array row's text."""
+    is opened; beyond them, the memory held is one array block's text."""
     payload = _json_arrays(payload)
     if out is None:
         _stream_json(payload, 0, sys.stdout.write)

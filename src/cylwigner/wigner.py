@@ -229,8 +229,9 @@ def _window(obj, ket=None):
 def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     """Matrix element V_mn at a phase-space point; bounded by 1/2pi."""
     m, n, delta = _check_index(m, "m"), _check_index(n, "n"), _check_delta(delta)
+    _check_momenta(min(m, n), max(m, n))
     pt = _as_point(at)
-    s = sinc_pi_array(pt.p - 0.5 * (m + n + 2.0 * delta))
+    s = sinc_pi_array((pt.p - 0.5 * (m + n)) - delta)  # rounded at its own scale
     return complex(np.exp(1j * (n - m) * pt.theta) * s / TWO_PI)
 
 

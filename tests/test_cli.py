@@ -700,6 +700,10 @@ class TestJsonWriter:
             "cube": np.arange(24.0).reshape(2, 3, 4) - 11.5,
         }
     )
+    # complex coefficients, a (K, 2) array longer than one block of values,
+    # and rows longer than a block, one row a block
+    @example({"coeffs": np.linspace(-1.0, 1.0, cli._JSON_SLICE // 2 + 3) * (0.3 - 1.7j)})
+    @example({"wide": np.linspace(-2.0, 2.0, 2 * cli._JSON_SLICE + 6).reshape(2, -1)})
     def test_bytes_match_json_dumps(self, payload):
         want = json.dumps(_listed(payload), indent=2, sort_keys=True) + "\n"
         # a plain bool: pytest's diff of two long texts is slow per example

@@ -183,6 +183,14 @@ class TestKMatrix:
         want = 1j * 1.0 * wigner_matrix_element(1, 0, 0.0, (0.4, 0.9))
         assert got == pytest.approx(want, abs=1e-16)
 
+    def test_far_index_refused(self):
+        # wigner_matrix_element's refusal: beyond |n| < 2**51 the momenta
+        # leave the half-integer lattice
+        H = quadratic_hamiltonian(1.0, -5, 5)
+        m = 2**52 + 1
+        with pytest.raises(ValueError, match=r"leaves \|n\| < 2\*\*51"):
+            k_matrix_element(m, m, H, (0.0, float(m)))
+
     def test_hermitian_at_fixed_point(self):
         rng = np.random.default_rng(41)
         H = quadratic_hamiltonian(0.6, -8, 8)

@@ -19,7 +19,52 @@ from cylwigner.specfun import (
 from cylwigner.verify import gauss_legendre_rule, integrate_interval, integrate_theta
 
 
+_LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _reduced_sinc(x: float) -> np.longdouble:
+    """sin(pi x)/(pi x) from the exactly reduced argument: ``h = rint(2x)``
+    and ``f = x - h/2`` are exact in float64, and ``+-sin(pi f)`` or
+    ``+-cos(pi f)`` over ``pi x`` is taken in ``np.longdouble``."""
+    if x == 0.0:
+        return np.longdouble(1.0)
+    h = np.rint(2.0 * x)
+    f = np.longdouble(x - 0.5 * h)
+    k = int(h) % 4
+    num = np.sin(_LONG_PI * f) if k % 2 == 0 else np.cos(_LONG_PI * f)
+    return (-num if k >= 2 else num) / (_LONG_PI * np.longdouble(x))
+
+
 class TestSincPi:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="the reference needs a 64-bit long double mantissa")
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(min_value=-(2.0**51), max_value=2.0**51))
+    @example(1000.3)
+    @example(1e8 + 0.3)
+    @example(2.0**40 + 0.3)
+    @example(1e15 + 0.25)
+    @example(5e-324)
+    def test_within_roundoff_of_the_exactly_reduced_value(self, x):
+        want = _reduced_sinc(x)
+        assert abs(np.longdouble(sinc_pi(x)) - want) <= 4.4e-16 * abs(want)
+
+    def test_exact_at_the_integers(self):
+        assert sinc_pi(0.0) == 1.0 and sinc_pi(-0.0) == 1.0
+        # +0.0, not -0.0, so that exported zeros print as 0; every float of
+        # magnitude 2**52 or more is an integer
+        ints = [1.0, -1.0, 2.0, -2.0, 3.0, -7.0, 2.0**51 + 1, 2.0**52, -(2.0**52) - 2, 2.0**53 + 2, 1e300, -1.7e308]
+        vals = sinc_pi(np.array(ints))
+        assert np.array_equal(vals, np.zeros(len(ints))) and not np.signbit(vals).any()
+        assert not any(np.signbit(sinc_pi(x)) for x in ints)
+
+    def test_shapes(self):
+        assert isinstance(sinc_pi(0.3), float) and isinstance(sinc_pi(np.float64(0.3)), float)
+        assert sinc_pi(np.array([])).shape == (0,)
+        xs = np.array([[-3.2, 0.0, 0.5], [1e-8, 7.0, 2.0**52]])
+        got = sinc_pi(xs)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), sinc_pi(xs.ravel()))
+
     def test_cardinal_values(self):
         assert sinc_pi(0.0) == 1.0
         assert sinc_pi(1.0) == 0.0

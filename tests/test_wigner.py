@@ -89,6 +89,23 @@ class TestMatrixElement:
         # direct closed form at this point
         assert a == pytest.approx(np.exp(-1j * pi / 2) * sinc_pi(-0.5) / TWO_PI, abs=1e-15)
 
+    def test_far_index_refused_as_by_the_kernel(self):
+        # beyond |n| < 2**51 float64 momenta leave the half-integer lattice:
+        # here p - (m + n)/2 - delta rounds to 0, and the element would read
+        # 1/(2 pi), not sinc(-0.3)/(2 pi) = 0.137
+        m = 2**52 + 1
+        match = r"index window \[.*\] leaves \|n\| < 2\*\*51"
+        with pytest.raises(ValueError, match=match):
+            wigner_matrix_element(m, m, 0.3, (0.0, float(m)))
+        with pytest.raises(ValueError, match=match):
+            wigner_matrix_element(0, m, 0.3, (0.0, 0.0))
+        with pytest.raises(ValueError, match=match):
+            wigner_function(basis_state(m, 0.3), (0.0, float(m)))
+        # inside, the argument is rounded at its own scale
+        m = 2**51 - 1
+        got = wigner_matrix_element(m, m, 0.3, (0.0, float(m)))
+        assert got == pytest.approx(sinc_pi(-0.3) / TWO_PI, rel=1e-15)
+
     def test_hermiticity_random(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -390,7 +407,17 @@ class TestCardinalSeries:
         assert ps.size * K > _TABLE_BLOCK
         pointwise = np.array([series(float(p)) for p in ps])
         np.testing.assert_allclose(series(ps), pointwise, rtol=0.0, atol=1e-14)
-        direct = series.b @ sinc_pi(ps[None, :] - (series.indices + series.delta)[:, None])
+        # y = p - delta = j + r (integer j, exact r), and sinc(y - m) is
+        # (-1)^(j - m) sin(pi r) / (pi ((j - m) + r)): no argument is rounded
+        # at the scale of m (an ulp of 1.3e5 is 2.9e-11), only each
+        # denominator, to its own relative roundoff
+        y = ps - series.delta
+        j = np.rint(y)
+        r = y - j
+        assert np.all(r != 0.0)
+        d = j[None, :] - series.indices[:, None]
+        signs = np.where(d % 2 == 0, 1.0, -1.0)
+        direct = np.sin(np.pi * r) / np.pi * (series.b @ (signs / (d + r)))
         np.testing.assert_allclose(series(ps), direct, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
