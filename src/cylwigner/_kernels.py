@@ -50,13 +50,22 @@ in place: ``E`` is written into those middle rows (a real grid's product
 straight into them), the ``E - O`` rows are formed from there, and ``O``
 is added last.  Any other axis is one chain over all its angles.  The
 test for such an axis compares every angle with the reference
-``linspace``, which is held for the last axis tested, keyed by its first
-angle and length.
+``linspace``.
 
-The phases come from two small tables, coarse ``exp(i B q theta)`` and
-fine ``exp(i k theta)`` with ``B`` about the square root of the diagonal
-span, so the cosines and sines are taken per table entry, not per (angle,
-diagonal) pair.  The centres all lie on one half-integer lattice shifted
+The phases depend on the axis only, not on the window, so the kernel
+holds one plan, that of the last angle axis it saw, keyed by the axis'
+shape and bytes: its half-turn answer ``H`` and its phase table
+``exp(i d theta)`` for ``d = 0..D-1`` at the angles it takes phases at
+(the ``H + 1`` middle angles, or all of them).  Each grid takes the
+columns ``|d|`` of its diagonals, conjugated for ``d < 0``.  A new axis
+replaces the plan with a table of exactly the columns its window needs; a
+wider window doubles the table, building only the new columns; a table
+above ``_HELD_BYTES`` (4 MiB) is built for its call and not held.  Column
+``d = B q + k`` is a coarse ``exp(i B q theta)`` times a fine ``exp(i k
+theta)``, ``-B/2 <= k < B/2``, with the fixed step ``B = 32``, so the
+cosines and sines are taken per factor, not per (angle, diagonal) pair,
+and a column's bits do not depend on the table's width or history.  The
+centres all lie on one half-integer lattice shifted
 by ``delta``, so ``sin(pi (p - centre))`` is ``+-sin(pi f)`` or
 ``+-cos(pi f)`` for one reduced remainder ``f`` per momentum: the sinc
 table costs one sine or cosine per momentum and centre parity and a
@@ -66,9 +75,6 @@ their ``2K - 1`` possible values, not by sorting the entries, and the
 centres are grouped by residue with four strided ranges (residues 0, 2, 1,
 3 on a full-period axis, so the even centres come first).
 """
-
-import functools
-import math
 
 import numpy as np
 
@@ -214,7 +220,8 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
     # the centres are grouped by the residue of 2 n_min + t, as the table needs
     span = np.arange(2 * K - 1)
-    H = _half_turns(thetas)
+    plan = _axis_plan(thetas)
+    H = plan[1]
     if H:
         # d and t share their parity: even diagonals and even centres first
         # (residues 0 and 2), so that M splits into an even and an odd block
@@ -223,6 +230,21 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
         d_order, residues = span, range(4)
     ds, d_row = _compact(diag + (K - 1), d_order)
     ds -= K - 1
+    # a half-turn multiplies diagonal d by (-1)^d, so a full-period axis
+    # takes phases at its H + 1 angles from a = H // 2 on only: the middle
+    # half-period, symmetric when the axis is, so theta and -theta, where
+    # their floats mirror, still take mirrored phases (and a real even
+    # window equal rows).  The phases come before M and the sinc table: a
+    # table held past this call is then not allocated above them, where it
+    # would keep their freed pages in the heap (up to 1.5 MB of peak RSS on
+    # the phase_grid benchmark)
+    a = H // 2
+    phases = _angle_phases(thetas[a : a + H + 1] if H else thetas, ds, plan)
+    if not hermitian:
+        # the next rows give the imaginary parts: -i e^{i d theta} pairs up
+        # as (sin, -cos)
+        phases = np.concatenate([phases, -1j * phases])
+    phases = phases.view(np.float64)
     # 2 n_min + t cycles through the residues with period 4: residue r
     # first occurs at t = (r - 2 n_min) mod 4
     by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in residues])
@@ -237,20 +259,6 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     M[d_row, 1, t_row] = -vals.imag
     M = M.reshape(2 * nd, -1)
     table = _sinc_lattice(ps, n_min, ts, delta)
-    # a half-turn multiplies diagonal d by (-1)^d, so a full-period axis
-    # takes phases at its H + 1 angles from a = H // 2 on only: the middle
-    # half-period, symmetric when the axis is, so theta and -theta, where
-    # their floats mirror, still take mirrored phases (and a real even
-    # window equal rows)
-    a = H // 2
-    # ds ascends, or ascends over the even and then over the odd diagonals
-    lo, hi = (ds.min(), ds.max()) if H else (ds[0], ds[-1])
-    phases = _angle_phases(thetas[a : a + H + 1] if H else thetas, ds, lo, hi)
-    if not hermitian:
-        # the next rows give the imaginary parts: -i e^{i d theta} pairs up
-        # as (sin, -cos)
-        phases = np.concatenate([phases, -1j * phases])
-    phases = phases.view(np.float64)
     if not H:
         out = _chain(phases, M, table)
         return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
@@ -318,31 +326,38 @@ def _chain(a, b, c, out=None):
     return np.dot(a, np.dot(b, c), out=out)
 
 
-# angles of the longest axis whose reference linspace is held for reuse
-_MEMO_ANGLES = 2**16
+# coarse step B of every phase column: exp(i d theta) = exp(i B q theta)
+# exp(i k theta) with d = B q + k and -B/2 <= k < B/2, at any table width
+_COARSE_STEP = 32
+# bytes of the largest phase table held between calls
+_HELD_BYTES = 4 * 2**20
+# the plan of the last angle axis held: (key, H, table), or None.  It is
+# replaced whole and never changed in place, so a thread that read it holds
+# a complete plan; threads that race to replace it lose only a rebuild
+_held = None
 
 
-@functools.lru_cache(maxsize=1)
-def _reference_axis(t0, n) -> np.ndarray:
-    """``np.linspace(t0, t0 + TWO_PI, n)``, read-only: the last axis tested
-    by :func:`_half_turns` is built once, not once per call."""
-    axis = np.linspace(t0, t0 + TWO_PI, n)
-    axis.setflags(write=False)
-    return axis
+def _axis_plan(thetas):
+    """``(key, H, table)`` for the angle axis ``thetas``: the held plan when
+    ``key``, the axis' shape and bytes, matches, else a new plan with its
+    half-turn answer ``H`` and no phase table yet."""
+    key = thetas.shape, thetas.tobytes()
+    plan = _held
+    if plan is not None and plan[0] == key:
+        return plan
+    return key, _half_turns(thetas), None
 
 
 def _half_turns(thetas) -> int:
     """``H`` when ``thetas`` is, bit for bit, ``np.linspace(t0, t0 + TWO_PI,
     2 H + 1)`` with ``H >= 1``, where ``theta_j + pi`` is ``theta_{j + H}``;
     otherwise 0.  Linear time, no tolerance: every angle is compared with
-    the reference axis, which is held (one axis, of at most
-    ``_MEMO_ANGLES`` angles) and never trusted in place of the comparison."""
+    the reference axis; :func:`_axis_plan` holds the answer for its axis."""
     n = thetas.size
     if thetas.ndim != 1 or n < 3 or n % 2 == 0 or thetas[-1] != thetas[0] + TWO_PI:
         return 0
     t0 = float(thetas[0])
-    reference = _reference_axis(t0, n) if n <= _MEMO_ANGLES else np.linspace(t0, t0 + TWO_PI, n)
-    return n // 2 if np.array_equal(thetas, reference) else 0
+    return n // 2 if np.array_equal(thetas, np.linspace(t0, t0 + TWO_PI, n)) else 0
 
 
 def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
@@ -367,33 +382,71 @@ def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
     return out[0] if parts == 1 else out[0] + 1j * out[1]
 
 
-def _angle_phases(thetas, ds, lo, hi):
-    """``exp(i d theta)``, one row per angle and one column per integer of
-    ``ds``, in any order, from ``lo = min(ds)`` to ``hi = max(ds)``.
+def _angle_phases(angles, ds, plan):
+    """``exp(i d theta)``, one row per angle of ``angles`` and one column per
+    integer ``d`` of ``ds``, in any order: column ``|d|`` of the phase table
+    of ``plan``, the plan of the axis that ``angles`` come from, conjugated
+    where ``d < 0``.
 
-    With ``B = ceil(sqrt(hi - lo + 1))`` each ``d`` is ``B q + k``
-    with ``-B/2 <= k < B/2``, and its phase is the product of one of ``J``
-    coarse phases ``e^{i B q theta}`` and one of ``B`` fine phases
-    ``e^{i k theta}``: the table costs ``len(thetas) * (J + B)`` cosines and
-    sines, not two per entry.  The remainder is centred on zero, so
-    ``|B q| <= |d| + B/2``: each factor's argument is rounded at about the
-    scale of ``d theta``, and a ``|d| < B/2`` (``q = 0``) takes its phase
-    from one cosine and one sine of ``d theta`` alone.
+    The table holds ``exp(i d theta)`` for ``d = 0..D-1``.  A new axis gets
+    exactly the ``D`` its window needs.  A window that needs more doubles
+    ``D`` (or takes what it needs, if that is more), keeping the old columns
+    and building only the new ones.  A new or grown table is held with its
+    plan, in place of the last plan held, unless it exceeds ``_HELD_BYTES``:
+    then it serves its call only.  A column has the same bits however wide
+    the table was when it was built (:func:`_phase_columns`), so a grid's
+    bits do not depend on the calls before it.
     """
-    B = math.isqrt(int(hi - lo)) + 1
-    # d + B//2 = B q + r: the fine step is k = r - B//2
-    q, r = np.divmod(ds + B // 2, B)
-    q0 = int(lo + B // 2) // B
-    J = int(hi + B // 2) // B - q0 + 1
-    multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(B) - B // 2])
-    angles = np.outer(thetas, multiples)
-    factors = np.empty(angles.shape, dtype=np.complex128)
-    np.cos(angles, out=factors.real)
-    np.sin(angles, out=factors.imag)
+    global _held
+    key, H, table = plan
+    mags = np.abs(ds)
+    need = int(mags.max()) + 1
+    have = 0 if table is None else table.shape[1]
+    if have < need:
+        width = need if table is None else max(need, min(2 * have, _HELD_BYTES // (16 * max(1, angles.size))))
+        fresh = _phase_columns(angles, have, width)
+        table = fresh if table is None else np.concatenate([table, fresh], axis=1)
+        if table.nbytes <= _HELD_BYTES:
+            table.setflags(write=False)
+            _held = key, H, table
+    if ds.size == table.shape[1] and np.array_equal(ds, np.arange(ds.size)):
+        # every column, in order (an open axis and a full band): no copy
+        return table
     # take, unlike [:, idx], returns C order, so the result views as real pairs
-    phases = factors.take(q - q0, axis=1)
-    phases *= factors.take(J + r, axis=1)
+    phases = table.take(mags, axis=1)
+    negative = ds < 0
+    if negative.any():
+        np.conjugate(phases, out=phases, where=negative)
     return phases
+
+
+def _phase_columns(angles, start, stop):
+    """``exp(i d theta)`` for ``d = start..stop-1``, one row per angle.
+
+    With the fixed step ``B = _COARSE_STEP`` each ``d`` is ``B q + k`` with
+    ``-B/2 <= k < B/2``, and its phase is a coarse ``e^{i B q theta}`` times
+    a fine ``e^{i k theta}``, each the cosine and sine of one rounded
+    product: ``len(angles) (J + min(B, stop - start))`` cosines and sines for
+    ``J`` coarse steps, not two per entry.  ``|B q| <= |d| + B/2``, so each
+    argument is rounded at about the scale of ``d theta``, and ``d < B/2``
+    takes the cosine and sine of ``d theta`` itself, times exactly 1.  ``q``
+    and ``k`` depend on ``d`` alone, so a column has the same bits whatever
+    ``start`` and ``stop`` are.
+    """
+    B = _COARSE_STEP
+    # d + B//2 = B q + r: the fine step is k = r - B//2
+    q, k = np.divmod(np.arange(start, stop) + B // 2, B)
+    k -= B // 2
+    q0, J = int(q[0]), int(q[-1] - q[0]) + 1
+    k0 = int(k.min())
+    multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(k0, int(k.max()) + 1)])
+    x = np.outer(angles, multiples)
+    factors = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=factors.real)
+    np.sin(x, out=factors.imag)
+    columns = factors.take(q - q0, axis=1)
+    columns *= factors.take(J + k - k0, axis=1)
+    return columns
 
 
 def _hermitian_residual(A, rows, cols, vals, lower: int) -> float:

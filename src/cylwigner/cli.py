@@ -24,6 +24,7 @@ from . import __version__
 from .specfun import bessel_i, bessel_i_scaled, sinc_pi  # noqa: F401
 from .states import (
     _MAX_DENSE_BYTES,
+    _VON_MISES_S_MAX,
     DensityMatrix,
     FourierState,
     _check_delta,
@@ -266,6 +267,8 @@ def _select_state(cfg: RunConfig):
     if cfg.state == "cat":
         return cat_state(cfg.alpha)
     if cfg.state == "vonmises":
+        if cfg.s > _VON_MISES_S_MAX:  # refused before any Bessel recurrence runs
+            raise ValueError(f"--s {cfg.s} is above the largest supported --s, {_VON_MISES_S_MAX}")
         return von_mises_state(cfg.s, cfg.pe)
     return thermal_density(ThermalParams(cfg.eps_beta))
 

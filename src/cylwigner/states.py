@@ -35,6 +35,11 @@ _MAX_DENSE_BYTES = 256 * 2**20
 # the default von Mises window drops every coefficient below this share of
 # the peak: far below roundoff of the largest grid values
 _VON_MISES_CUT = 2.0**-60
+# largest concentration whose Bessel recurrences fit: the default window's
+# starts at sqrt((ceil(9.2 sqrt(s)) + 8)^2 + 80 s) + 40 and the norm's
+# I_0(2 s) at sqrt(160 s) + 40, and both must stay within the 1e6 ratios
+# of specfun._BESSEL_N_LIMIT (the window's reaches it at s = 6.0733e9)
+_VON_MISES_S_MAX = 6.07e9
 # rows of the Hermiticity residual computed at a time: each temporary holds
 # at most this many rows of the window, however large K is (at K = 1161 a
 # block and its modulus take 8% of the window's bytes)
@@ -378,12 +383,19 @@ def von_mises_state(s: float, p_e: float, window_half_width: int | None = None) 
     ``window_half_width`` if given; by default it keeps exactly the
     coefficients at or above ``2**-60`` of the peak ``c_{n_e}``, about
     ``9.1 sqrt(s)`` orders each side (``K = 27, 73, 187, 579`` at ``s`` =
-    0.5, 12, 100, 1000), which drops a mass near ``2**-120``.
+    0.5, 12, 100, 1000), which drops a mass near ``2**-120``.  An ``s``
+    above ``_VON_MISES_S_MAX = 6.07e9`` raises ``ValueError`` before any
+    Bessel recurrence runs.
     """
     if not (np.isfinite(s) and np.isfinite(p_e)):
         raise ValueError("s and p_e must be finite")
     if s <= 0.0:
         raise ValueError("von_mises_state requires s > 0")
+    if s > _VON_MISES_S_MAX:
+        raise ValueError(
+            f"von_mises_state s = {s!r} is above {_VON_MISES_S_MAX}, the largest s whose window and norm "
+            "Bessel recurrences fit"
+        )
     n_e = floor(p_e)
     delta = p_e - n_e
     if delta >= 1.0:  # -2**-54 <= p_e < 0, where 1 + p_e rounds to 1: the nearest split is 0 + 0

@@ -102,8 +102,10 @@ def thermal_wigner(tp: ThermalParams, at) -> float:
     return wigner_function(thermal_density(tp), at)
 
 
-def low_temp_wigner(tp: ThermalParams, p: float) -> float:
-    """Low-temperature closed form, first order in the Boltzmann factor.
+def low_temp_wigner(tp: ThermalParams, p):
+    """Low-temperature closed form, first order in the Boltzmann factor, at
+    a momentum ``p`` (a float) or at each momentum of an array (an array of
+    its shape).
 
     Valid for ``eps_beta >= 3`` (guarded): the retained bracket
 
@@ -115,15 +117,17 @@ def low_temp_wigner(tp: ThermalParams, p: float) -> float:
 
         [sinc_pi(p) + exp(-eb) (sinc_pi(p-1) + sinc_pi(p+1))] / (2 pi Z)
 
-    which is finite everywhere and does not cancel near the poles."""
+    which is finite everywhere and does not cancel near the poles.  Each
+    momentum gets the bits a scalar call gives it."""
     if tp.eps_beta < _LOW_TEMP_MIN_EB:
         raise ValueError("low_temp_wigner requires eps_beta >= 3")
-    p = float(p)
-    if not np.isfinite(p):
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
         raise ValueError("p must be finite")
     q = exp(-tp.eps_beta)
     value = sinc_pi_array(p) + q * (sinc_pi_array(p - 1.0) + sinc_pi_array(p + 1.0))
-    return float(value / (TWO_PI * partition_function(tp)))
+    value /= TWO_PI * partition_function(tp)
+    return float(value) if value.ndim == 0 else value
 
 
 def high_temp_wigner(tp: ThermalParams, p: float) -> float:

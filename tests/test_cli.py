@@ -460,6 +460,16 @@ class TestExitCodes:
         assert run_cli("--command", "marginals", "--state", "vonmises", "--s", "1e7", "--out", str(out)) == 0
         assert json.loads(out.read_text())["state"]["n_min"] == -28840
 
+    @pytest.mark.parametrize("command", ["marginals", "reconstruct"])
+    @pytest.mark.parametrize("s", ["1e10", "6070000000.000001"])
+    def test_von_mises_s_above_the_limit_names_the_option(self, command, s, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run_cli("--command", command, "--state", "vonmises", "--s", s, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --s {float(s)!r} is above the largest supported --s, 6070000000.0\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

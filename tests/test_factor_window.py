@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylwigner import DensityMatrix, FourierState, PhasePoint, cli, reconstruct_density, von_mises_state, wigner
-from cylwigner._kernels import TWO_PI, _half_turns, phase_space_sum_grid, phase_space_sum_point
+from cylwigner._kernels import TWO_PI, _axis_plan, _half_turns, phase_space_sum_grid, phase_space_sum_point
 from cylwigner.cli import _write_json, main
 
 # magnitudes whose products stay normal, turn subnormal or underflow to 0
@@ -120,11 +120,14 @@ class TestHalfTurnMemo:
     def test_one_ulp_off_is_not_full_period(self):
         thetas = np.linspace(-pi, pi, 181)
         assert _half_turns(thetas) == 90
+        # the grid holds the plan of thetas, H = 90 with it
+        c = von_mises_state(2.0, 0.1).coeffs
+        phase_space_sum_grid((c.conj(), c), 0, 0.1, thetas, np.array([0.5]))
         off = thetas.copy()
         off[57] = np.nextafter(off[57], np.inf)
         assert (off[0], off.size) == (thetas[0], thetas.size)
-        assert _half_turns(off) == 0
-        assert _half_turns(thetas) == 90
+        assert _axis_plan(off)[1] == 0
+        assert _axis_plan(thetas)[1] == 90
 
     def test_memo_does_not_change_the_grid(self):
         c = von_mises_state(2.0, 0.1).coeffs

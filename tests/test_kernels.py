@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from math import pi
 from unittest import mock
@@ -449,3 +452,135 @@ class TestHalfTurnAxes:
         got, seen = _evaluate(A, n_min, delta, thetas, ps)
         assert seen == [thetas.size]
         assert np.max(np.abs(got - _brute_force_rows(A, n_min, delta, thetas, ps, 1))) <= 1e-13
+
+
+HELD_AXES = {
+    "full_period": np.linspace(-pi, pi, 181),
+    "open": -pi + 2 * pi * np.arange(64) / 64,
+}
+HELD_PS = np.linspace(-6.0, 6.0, 23)
+
+
+def _held_grid(kind, K, axis):
+    """A grid whose window reaches ``|d| = K - 1``: a state's factor pair
+    (the Hermitian path) or a dense non-Hermitian window (the complex path)."""
+    rng = np.random.default_rng(K)
+    if kind == "hermitian":
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        A = (c.conj(), c / np.linalg.norm(c) ** 2)
+    else:
+        A = (rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))) / K
+    return phase_space_sum_grid(A, -K // 3, 0.37, HELD_AXES[axis], HELD_PS)
+
+
+class TestHeldPlan:
+    """The phase table held for the last angle axis: a grid's bits do not
+    depend on what ran before it, nor on threads sharing the table."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_held", None)
+
+    def _width(self):
+        return _kernels._held[2].shape[1]
+
+    @pytest.mark.parametrize("axis", sorted(HELD_AXES))
+    @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
+    def test_history_does_not_change_the_bits(self, kind, axis):
+        other = "open" if axis == "full_period" else "full_period"
+        cold = _held_grid(kind, 40, axis)
+        assert np.iscomplexobj(cold) == (kind == "moyal")
+        assert self._width() == 40  # a new axis: exactly the columns it needs
+        runs = {}
+        _kernels._held = None
+        _held_grid(kind, 25, axis)
+        runs["grown"] = _held_grid(kind, 40, axis)
+        assert self._width() == 50  # doubled from 25
+        _held_grid(kind, 40, other)
+        runs["other axis between"] = _held_grid(kind, 40, axis)
+        _held_grid(kind, 90, axis)
+        runs["larger window first"] = _held_grid(kind, 40, axis)
+        assert self._width() == 90
+        for name, got in runs.items():
+            assert got.tobytes() == cold.tobytes(), name
+
+    def test_threads_share_the_table(self):
+        jobs = [(kind, K, axis) for kind in ("hermitian", "moyal") for K in (9, 33, 70) for axis in sorted(HELD_AXES)]
+        serial = {}
+        for job in jobs:
+            _kernels._held = None
+            serial[job] = _held_grid(*job).tobytes()
+        barrier = threading.Barrier(8)
+        mismatches = []
+
+        def worker(seed):
+            order = [jobs[i] for i in np.random.default_rng(seed).permutation(len(jobs))]
+            barrier.wait()
+            for job in order * 3:
+                if _held_grid(*job).tobytes() != serial[job]:
+                    mismatches.append(job)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
+    def test_columns_are_the_phases(self, kind):
+        thetas = HELD_AXES["open"]
+        ds = np.arange(-300, 301) if kind == "moyal" else np.arange(301)
+        plan = _kernels._axis_plan(thetas)
+        got = _kernels._angle_phases(thetas, ds, plan)
+        x = np.outer(thetas, ds)
+        # both round d theta once, so each may be off by about |d theta| ulp
+        assert np.all(np.abs(got - np.exp(1j * x)) <= 5e-16 * (1.0 + np.abs(x)))
+        # conjugate columns for -d: exactly mirrored
+        if kind == "moyal":
+            assert np.array_equal(got[:, :300], got[:, :300:-1].conj())
+
+    @pytest.mark.parametrize("axis", sorted(HELD_AXES))
+    def test_held_table_stays_under_the_cap(self, axis):
+        # a random K = 8031 state on 66 coefficients, its two ends among them
+        K = 8031
+        rng = np.random.default_rng(8031)
+        c = np.zeros(K, dtype=np.complex128)
+        at = np.unique(np.concatenate([[0, K - 1], rng.integers(0, K, 64)]))
+        c[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+        c /= np.linalg.norm(c)
+        thetas = HELD_AXES[axis]
+        _held_grid("hermitian", 30, axis)
+        tracemalloc.start()
+        try:
+            out = phase_space_sum_grid((c.conj(), c), 5, 0.1, thetas, HELD_PS)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = _kernels._held[2]
+        assert held.nbytes <= _kernels._HELD_BYTES
+        assert current <= _kernels._HELD_BYTES + out.nbytes + 2**16
+
+    def test_new_axis_replaces_the_table(self):
+        thetas = np.linspace(-3.0, 2.0, 1000)
+        moved = thetas + 0.25
+        tracemalloc.start()
+        try:
+            phase_space_sum_grid(random_window(np.random.default_rng(1), 100, 0), 0, 0.0, thetas, HELD_PS)
+            first, _ = tracemalloc.get_traced_memory()
+            phase_space_sum_grid(random_window(np.random.default_rng(2), 100, 0), 0, 0.0, moved, HELD_PS)
+            second, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = _kernels._held[2]
+        assert _kernels._held[0] == (moved.shape, moved.tobytes())
+        assert table.shape == (1000, 100)
+        assert first >= table.nbytes
+        # one table (1.6 MB) held, not two
+        assert second - first <= 2**16

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cylwigner import states
 from cylwigner.specfun import bessel_i, bessel_i_scaled
 from cylwigner.states import (
     DensityMatrix,
@@ -173,6 +174,20 @@ class TestVonMisesState:
             von_mises_state(-1.0, 0.0)
         with pytest.raises(ValueError):
             von_mises_state(1.0, 0.0, window_half_width=0)
+
+    def test_largest_supported_s(self, monkeypatch):
+        # at the limit both Bessel recurrences fit: K = 1,421,109
+        state = von_mises_state(6.07e9, 0.25)
+        assert state.coeffs.size == 1421109 and state.n_min == -710554
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+        def refuse(*args):
+            raise AssertionError("a Bessel recurrence ran for a refused s")
+
+        monkeypatch.setattr(states, "bessel_i_scaled", refuse)
+        for s in (float(np.nextafter(6.07e9, np.inf)), 1e10):
+            with pytest.raises(ValueError, match=rf"s = {s!r} is above 6070000000.0, the largest s"):
+                von_mises_state(s, 0.25)
 
     @pytest.mark.parametrize("p_e", [1e20, -1e20, 5e18])
     def test_window_outside_the_index_range_refused(self, p_e):

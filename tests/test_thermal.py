@@ -272,6 +272,20 @@ class TestLowTempWigner:
         with pytest.raises(ValueError):
             low_temp_wigner(ThermalParams(2.9), 0.0)
 
+    def test_array_of_momenta_has_the_scalar_bits(self):
+        tp = ThermalParams(5.0)
+        ps = np.concatenate([np.linspace(-2.5, 2.5, 101), [1.0, -1.0, 1e-9, 7.25]]).reshape(5, 21)
+        got = low_temp_wigner(tp, ps)
+        assert got.shape == ps.shape and got.dtype == np.float64
+        want = [low_temp_wigner(tp, float(p)) for p in ps.ravel()]
+        assert all(type(w) is float for w in want)
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, [0.5, np.nan]])
+    def test_non_finite_momentum_refused(self, bad):
+        with pytest.raises(ValueError, match="p must be finite"):
+            low_temp_wigner(ThermalParams(5.0), bad)
+
 
 class TestHighTempWigner:
     def test_gaussian_formula(self):
