@@ -275,7 +275,10 @@ def _select_state(cfg: RunConfig):
 
 def _cmd_fig1(cfg: RunConfig) -> WignerGrid:
     # basis-state profile: value = sinc((p - hbar m)/hbar), constant in theta
-    values = rescale_hbar(cfg.p_axis, cfg.hbar, cfg.m)
+    try:
+        values = rescale_hbar(cfg.p_axis, cfg.hbar, cfg.m)
+    except ValueError as exc:  # hbar is checked already: the index is refused
+        raise ValueError(f"--m {cfg.m}: {exc}") from None
     return WignerGrid(theta_axis=np.array([0.0]), p_axis=cfg.p_axis, values=values[None, :])
 
 

@@ -147,10 +147,19 @@ def wigner_pair_integral(k: int, l: int, m: int, n: int, delta: float = 0.0) -> 
     the momentum factor reduces exactly to a sinc of half-integer
     spacing; the result is ``delta_{kn} delta_{lm}`` up to quadrature
     error."""
-    nu = (l - k) + (n - m)
-    angle = integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=_PAIR_ORDER)
+    return complex(_pair_integrals(*(np.array([i]) for i in (k, l, m, n)))[0])
+
+
+def _pair_integrals(k, l, m, n) -> np.ndarray:
+    """:func:`wigner_pair_integral` at each index quadruple of the integer
+    arrays ``k, l, m, n``: the momentum factors from one sinc call, and the
+    angle integral once per distinct ``nu = (l - k) + (n - m)``."""
+    distinct, which = np.unique((l - k) + (n - m), return_inverse=True)
+    angle = np.array(
+        [integrate_theta(lambda t, nu=nu: np.exp(1j * nu * t), order=_PAIR_ORDER) for nu in distinct.tolist()]
+    )
     momentum = sinc_pi_array(0.5 * ((k + l) - (m + n)))
-    return complex(angle * momentum / TWO_PI)
+    return angle[which] * momentum / TWO_PI
 
 
 def _square_window(obj):
@@ -356,8 +365,8 @@ def _wigner_checks(rng) -> list[InvariantCheck]:
     out.append(_check("wigner.state_bound", max(0.0, worst - 1.0 / pi), 1e-12))
 
     worst = 0.0
-    for k, l, m, n in product(range(-2, 3), repeat=4):
-        got = wigner_pair_integral(k, l, m, n, delta=0.25)
+    quadruples = list(product(range(-2, 3), repeat=4))
+    for (k, l, m, n), got in zip(quadruples, _pair_integrals(*np.array(quadruples).T).tolist()):
         want = 1.0 if (k == n and l == m) else 0.0
         worst = max(worst, abs(got - want))
     out.append(_check("wigner.pair_orthogonality", worst, 1e-10))

@@ -15,7 +15,9 @@ truncation would cost three to four digits to the slow sinc tail).
 The angle integral of the reconstruction is an exact equispaced sum,
 taken by one real FFT.
 
-Evaluation functions are pure and keep no shared mutable state.
+Evaluation functions are pure and keep no shared mutable state.  CSV
+export holds the text of the axes it formatted for later exports, which
+never changes their bytes (see :func:`write_grid_csv`).
 """
 
 import operator
@@ -310,6 +312,15 @@ _CSV_HOLD = 2**15
 # text never holds it
 _OPEN = b"%"
 _COMMA, _NEWLINE = ord(","), ord("\n")
+# bytes of axis text held between exports
+_AXIS_TEXT_BYTES = 4 * 2**20
+# the text of the axes last exported, oldest first: (_CSV_BLOCK, shape,
+# bytes) of an axis -> its read-only g17_fields blocks.  An axis longer than
+# one block is keyed by the SHA-256 digest of its bytes, which would hold 8
+# bytes a value, more than a third of its text.  The dict is replaced whole
+# and never changed in place, so a thread that read it holds complete
+# entries; threads that race to replace it lose only a rebuild
+_held_axes = {}
 
 
 def write_grid_csv(grid: WignerGrid, path) -> None:
@@ -321,12 +332,16 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     ``write``, which gets the same bytes decoded as ASCII, once per write;
     lines end in ``"\\n"`` either way.  The bytes are formatted in numpy
     and written in blocks of at most ``_CSV_BLOCK`` entries: whole theta
-    rows, or slices of a longer row.  Each theta and each momentum of a
-    block is formatted once.  A row whose values recur later in the grid,
-    bit for bit (a theta-independent function, or the mirrored rows of a
-    real state), is formatted once into bytes that leave only its theta
-    open, filled in at each occurrence and dropped after the last; at most
-    ``_CSV_HOLD`` entries are held so, and a repeat beyond them is
+    rows, or slices of a longer row.  Each axis is formatted once, and its
+    text is held for later exports on the same axis, bit for bit: at most
+    ``_AXIS_TEXT_BYTES`` (4 MiB) of it, the oldest axis dropped first, and
+    an axis whose text alone is larger is not held.  Only a process that
+    exports several grids on the same axes gains; a one-shot export
+    formats each axis once either way.  A row whose values recur later in
+    the grid, bit for bit (a theta-independent function, or the mirrored
+    rows of a real state), is formatted once into bytes that leave only its
+    theta open, filled in at each occurrence and dropped after the last; at
+    most ``_CSV_HOLD`` entries are held so, and a repeat beyond them is
     formatted again.
     """
     if np.iscomplexobj(grid.values):
@@ -338,14 +353,54 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
             _stream_grid_csv(grid, fh.write)
 
 
+def _axis_fields(axis) -> tuple:
+    """The ``g17_fields`` rows of an axis, ``_CSV_BLOCK`` values at a time:
+    a tuple of read-only blocks, each as wide as its own text.  They are
+    the held ones when an axis of the same shape and bytes was exported
+    before with the same ``_CSV_BLOCK``.  A new axis is held after
+    those held before; the oldest are dropped while the total would pass
+    ``_AXIS_TEXT_BYTES``, and an axis whose own text passes it serves its
+    call only.
+    """
+    global _held_axes
+    axis = np.ascontiguousarray(axis, dtype=np.float64)
+    if axis.size <= _CSV_BLOCK:
+        key = _CSV_BLOCK, axis.shape, axis.tobytes()
+    else:  # imported here: a process without long axes never loads hashlib (about 4 ms)
+        import hashlib
+
+        key = _CSV_BLOCK, axis.shape, hashlib.sha256(axis).digest()
+    held = _held_axes
+    blocks = held.get(key)
+    if blocks is not None:
+        return blocks
+    flat = axis.ravel()
+    # each block leaves its 32-byte rows for a copy of its own width
+    blocks = tuple(g17_fields(flat[lo : lo + _CSV_BLOCK]).copy() for lo in range(0, flat.size, _CSV_BLOCK))
+    for block in blocks:
+        block.setflags(write=False)
+    size = _text_bytes(blocks)
+    if size <= _AXIS_TEXT_BYTES:
+        kept = list(held.items())
+        total = size + sum(_text_bytes(text) for _, text in kept)
+        while total > _AXIS_TEXT_BYTES:  # drop the oldest
+            total -= _text_bytes(kept.pop(0)[1])
+        _held_axes = dict([*kept, (key, blocks)])
+    return blocks
+
+
+def _text_bytes(blocks) -> int:
+    """The bytes of an axis' held text."""
+    return sum(block.nbytes for block in blocks)
+
+
 def _stream_grid_csv(grid: WignerGrid, write) -> None:
     """Write the CSV bytes of ``grid`` through ``write``, which takes any
     bytes-like object."""
     values = grid.values
     n_theta, n_p = values.shape
     span = max(1, min(n_p, _CSV_BLOCK))  # momenta of a block
-    # the momenta of whole-row blocks are formatted once for the grid
-    p_fields = g17_fields(grid.p_axis) if span == n_p else None
+    theta_blocks, p_blocks = _axis_fields(grid.theta_axis), _axis_fields(grid.p_axis)
     first_of, last_of = _repeated_rows(values)
     held = {}  # first row of a repeated row -> its bytes per block, theta left open
     room = _CSV_HOLD
@@ -355,7 +410,7 @@ def _stream_grid_csv(grid: WignerGrid, write) -> None:
     write(b"theta,p,value\n")
     for i in range(n_theta):
         if i % _CSV_BLOCK == 0:  # the angles, _CSV_BLOCK at a time
-            theta_fields = g17_fields(grid.theta_axis[i : i + _CSV_BLOCK])
+            theta_fields = theta_blocks[i // _CSV_BLOCK]
         field = theta_fields[i % _CSV_BLOCK]
         first = first_of[i]
         texts = held.get(first)
@@ -367,27 +422,32 @@ def _stream_grid_csv(grid: WignerGrid, write) -> None:
         if texts is None or fill:
             fresh.append(i)
         if fill:  # its text is held with the theta field open
+            if not theta_fields.flags.writeable:  # the held text is not changed
+                theta_fields = theta_fields.copy()
+            field = theta_fields[i % _CSV_BLOCK]
             field[:] = 0
             field[0] = _OPEN[0]
         if last_of[first] == i and first in held:
             del held[first]
             room += n_p
         if (len(fresh) + 1) * n_p > _CSV_BLOCK or i % _CSV_BLOCK == _CSV_BLOCK - 1 or i == n_theta - 1:
-            _write_planned(write, plan, fresh, theta_fields, p_fields, grid, span)
+            _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span)
             plan, fresh = [], []
 
 
-def _write_planned(write, plan, fresh, theta_fields, p_fields, grid, span) -> None:
+def _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span) -> None:
     """Write the rows of ``plan`` in order, a block of ``span`` momenta at
-    a time: the ``fresh`` rows from one ``_csv_lines`` call per block, the
-    others from held bytes; a row that fills held bytes writes them too."""
+    a time, each with its block of ``p_blocks``: the ``fresh`` rows from one
+    ``_csv_lines`` call per block, the others from held bytes; a row that
+    fills held bytes writes them too."""
     rows = np.array(fresh, dtype=np.intp)
     plain = all(texts is None for _, texts in plan)
-    for piece, start in enumerate(range(0, grid.p_axis.size, span)):
+    for piece, p_fields in enumerate(p_blocks):
         if fresh:
+            start = piece * span
             data = _csv_lines(
                 theta_fields[rows % _CSV_BLOCK],
-                g17_fields(grid.p_axis[start : start + span]) if p_fields is None else p_fields,
+                p_fields,
                 grid.values[rows, start : start + span],
             )
             if plain:
@@ -697,8 +757,11 @@ def rescale_hbar(p_physical, hbar: float, m: int):
     ``hbar -> 0`` with ``hbar m`` fixed, ``(1/hbar)`` times the result
     concentrates its unit mass at ``p = hbar m``.  Where the scaled
     argument overflows (a finite ``p`` at an extreme ``hbar``) the value is
-    sinc's limit 0, as ``|sinc| < 2e-309`` there."""
+    sinc's limit 0, as ``|sinc| < 2e-309`` there.  An index outside ``|m| <
+    2**51``, where float64 momenta no longer hold the half-integer lattice,
+    is refused with ``ValueError``, as in :func:`wigner_matrix_element`."""
     hbar = _check_hbar(hbar)
+    _check_momenta(m, m)
     p = np.asarray(p_physical, dtype=np.float64)
     with np.errstate(over="ignore"):
         x = (p - hbar * m) / hbar

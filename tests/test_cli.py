@@ -108,6 +108,24 @@ class TestFig1:
         assert run_cli("--command", "fig1", *flags, "--p-steps=5", "--out", str(out)) == 0
         assert all(abs(v) <= 2e-309 for _, p, v in read_csv(out) if p != 0.0)
 
+    def test_largest_index_on_the_half_integer_lattice(self, tmp_path):
+        # m = 2**51 - 1 is odd: sinc(p - m) = +-1/(pi (m -+ 1/2)) at p = +-1/2
+        out = tmp_path / "fig1m.csv"
+        m = 2**51 - 1
+        assert run_cli("--command", "fig1", f"--m={m}", "--p-min=-1", "--p-max=1", "--p-steps=5", "--out", str(out)) == 0
+        rows = {p: v for _, p, v in read_csv(out)}
+        assert rows[0.5] == pytest.approx(1.0 / (math.pi * (m - 0.5)), rel=1e-15)
+        assert rows[-0.5] == pytest.approx(-1.0 / (math.pi * (m + 0.5)), rel=1e-15)
+        assert rows[-1.0] == rows[0.0] == rows[1.0] == 0.0
+
+    @pytest.mark.parametrize("m", [2**51, -(2**51), 2**52 + 1])
+    def test_index_off_the_half_integer_lattice_refused(self, m, tmp_path, capsys):
+        out = tmp_path / "fig1m.csv"
+        assert run_cli("--command", "fig1", f"--m={m}", "--p-min=-1", "--p-max=1", "--p-steps=5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --m ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFig2:
     def test_caption_values(self, tmp_path):

@@ -2,7 +2,9 @@
 probability extraction, pairings, reconstruction, and bounds."""
 
 import io
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from math import pi
 from pathlib import Path
 
@@ -812,6 +814,13 @@ class TestRescaleHbar:
         with pytest.raises(ValueError, match="finite"):
             rescale_hbar(np.inf, 1e-310, 0)
 
+    def test_index_bound(self):
+        m = 2**51 - 1
+        assert rescale_hbar(0.5, 1.0, m) == pytest.approx(1.0 / (pi * (m - 0.5)), rel=1e-15)
+        for m in (2**51, -(2**51)):
+            with pytest.raises(ValueError, match="2\\*\\*51"):
+                rescale_hbar(0.5, 1.0, m)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             rescale_hbar(0.0, 0.0, 1)
@@ -1182,3 +1191,134 @@ class TestGridCsv:
             theta_axis=np.array([-0.0, 1e308]), p_axis=np.linspace(-100.0, 100.0, n), values=values
         )
         assert _written_bytes(grid, to_path) == _reference_csv(grid).encode("ascii")
+
+
+def _axes_grid(seed, n_theta=5, n_p=7):
+    """A grid of random values on axes drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return WignerGrid(
+        theta_axis=np.sort(rng.uniform(-pi, pi, n_theta)),
+        p_axis=np.linspace(-5.0, 5.0, n_p) + rng.uniform(-0.5, 0.5),
+        values=rng.standard_normal((n_theta, n_p)),
+    )
+
+
+def _held_total():
+    return sum(wigner._text_bytes(blocks) for blocks in wigner._held_axes.values())
+
+
+class TestHeldAxisText:
+    """The text of an export's axes is held between exports; the bytes never
+    depend on what is held."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_held(self, monkeypatch):
+        monkeypatch.setattr(wigner, "_held_axes", {})
+
+    @pytest.mark.parametrize("to_path", [False, True])
+    def test_cold_and_warm_exports_match(self, to_path):
+        grid = _axes_grid(1)
+        want = _reference_csv(grid).encode("ascii")
+        assert _written_bytes(grid, to_path) == want
+        assert len(wigner._held_axes) == 2
+        assert _written_bytes(grid, to_path) == want
+        # other values on the same axes, the sweep the held text is for
+        other = WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=-grid.values)
+        assert _written_bytes(other, to_path) == _reference_csv(other).encode("ascii")
+        assert len(wigner._held_axes) == 2
+
+    def test_export_after_other_axes(self):
+        a, b = _axes_grid(1), _axes_grid(2, 6, 9)
+        for grid in (a, b, a, b):
+            assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
+        assert len(wigner._held_axes) == 4
+
+    def test_held_blocks_are_read_only(self):
+        grid = _axes_grid(3)
+        _written_bytes(grid, False)
+        blocks = wigner._axis_fields(grid.theta_axis)
+        assert blocks is wigner._axis_fields(grid.theta_axis)
+        for held in wigner._held_axes.values():
+            for block in held:
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 0
+
+    def test_repeated_rows_leave_the_held_theta_text(self):
+        # repeated rows hold their text with the theta field open; that is
+        # written into a copy, so a later export on the axis has its angles
+        grid = _axes_grid(4)
+        repeated = WignerGrid(
+            theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=np.tile(grid.values[:1], (5, 1))
+        )
+        for g in (repeated, grid, repeated):
+            assert _written_bytes(g, True) == _reference_csv(g).encode("ascii")
+
+    @pytest.mark.parametrize("long_axis", ["theta", "p"])
+    def test_long_axis_of_blocks_with_different_widths(self, long_axis):
+        n = 2 * _CSV_BLOCK + 3
+        axis = np.arange(n, dtype=np.float64)  # integers: narrow text
+        axis[_CSV_BLOCK : 2 * _CSV_BLOCK] = -np.geomspace(1e-300, 1e-5, _CSV_BLOCK)
+        widths = {block.shape[1] for block in wigner._axis_fields(axis)}
+        assert len(widths) > 1
+        values = np.random.default_rng(6).standard_normal(n)
+        if long_axis == "theta":
+            grid = WignerGrid(theta_axis=axis, p_axis=np.array([0.5]), values=values[:, None])
+        else:
+            grid = WignerGrid(theta_axis=np.array([0.5]), p_axis=axis, values=values[None, :])
+        want = _reference_csv(grid).encode("ascii")
+        for to_path in (False, True, False):
+            assert _written_bytes(grid, to_path) == want
+
+    def test_oldest_axis_dropped_at_the_cap(self, monkeypatch):
+        a, b, c = _axes_grid(7), _axes_grid(8), _axes_grid(9)
+        held = [wigner._axis_fields(axis) for axis in (a.theta_axis, a.p_axis)]
+        # room for the four axes of two grids, not six
+        monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", _held_total() * 2 + 20)
+        for grid in (a, b, c):
+            assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
+            assert _held_total() <= wigner._AXIS_TEXT_BYTES
+        assert len(wigner._held_axes) == 4
+        assert wigner._axis_fields(b.p_axis) is wigner._axis_fields(b.p_axis)
+        assert wigner._axis_fields(a.theta_axis) is not held[0]
+        # a's axes again, formatted anew: the same bytes
+        assert _written_bytes(a, True) == _reference_csv(a).encode("ascii")
+
+    def test_axis_above_the_cap_is_not_held(self, monkeypatch):
+        grid = _axes_grid(10, n_theta=3, n_p=200)
+        monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", 1000)
+        assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
+        assert len(wigner._held_axes) == 1  # the angles only
+        assert wigner._axis_fields(grid.p_axis) is not wigner._axis_fields(grid.p_axis)
+        assert _held_total() <= 1000
+
+    def test_held_total_stays_under_the_cap(self, monkeypatch):
+        grids = [_axes_grid(20 + i, n_theta=4, n_p=50) for i in range(12)]
+        monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", 4000)
+        for grid in grids:
+            _written_bytes(grid, False)
+            assert _held_total() <= 4000
+        assert sum(wigner._text_bytes(wigner._axis_fields(ax)) for g in grids for ax in (g.theta_axis, g.p_axis)) > 4000
+
+    def test_threads_on_interleaved_axes_match_serial_runs(self, monkeypatch):
+        grids = [_axes_grid(30 + i, n_theta=6, n_p=40) for i in range(4)]
+        want = [_reference_csv(grid).encode("ascii") for grid in grids]
+        serial = [_written_bytes(grid, False) for grid in grids]
+        assert serial == want
+        # room for about two grids' axes, so threads also drop and rebuild
+        monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", _held_total() // 2)
+        monkeypatch.setattr(wigner, "_held_axes", {})
+
+        def run(start):
+            order = [(start + j) % len(grids) for j in range(3 * len(grids))]
+            return [(i, _written_bytes(grids[i], False)) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the dict updates too
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(run, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(data == serial[i] for result in results for i, data in result)
+        assert _held_total() <= wigner._AXIS_TEXT_BYTES
