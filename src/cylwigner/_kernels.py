@@ -53,14 +53,15 @@ test for such an axis compares every angle with the reference
 ``linspace``.
 
 The phases depend on the axis only, not on the window, so the kernel
-holds one plan, that of the last angle axis it saw, keyed by the axis'
-shape and bytes: its half-turn answer ``H`` and its phase table
-``exp(i d theta)`` for ``d = 0..D-1`` at the angles it takes phases at
-(the ``H + 1`` middle angles, or all of them).  Each grid takes the
-columns ``|d|`` of its diagonals, conjugated for ``d < 0``.  A new axis
-replaces the plan with a table of exactly the columns its window needs; a
-wider window doubles the table, building only the new columns; a table
-above ``_HELD_BYTES`` (4 MiB) is built for its call and not held.  Column
+holds the plans of several angle axes, each keyed by the axis' shape and
+bytes: its half-turn answer ``H`` and its phase table ``exp(i d theta)``
+for ``d = 0..D-1`` at the angles it takes phases at (the ``H + 1`` middle
+angles, or all of them).  Each grid takes the columns ``|d|`` of its
+diagonals, conjugated for ``d < 0``.  A new axis gets a table of exactly
+the columns its window needs; a wider window doubles the table, building
+only the new columns.  The tables held total at most ``_HELD_BYTES`` (4
+MiB), the oldest plan dropped first (:func:`_held_with`), and a table
+above that is built for its call and not held.  Column
 ``d = B q + k`` is a coarse ``exp(i B q theta)`` times a fine ``exp(i k
 theta)``, ``-B/2 <= k < B/2``, with the fixed step ``B = 32``, so the
 cosines and sines are taken per factor, not per (angle, diagonal) pair,
@@ -329,21 +330,44 @@ def _chain(a, b, c, out=None):
 # coarse step B of every phase column: exp(i d theta) = exp(i B q theta)
 # exp(i k theta) with d = B q + k and -B/2 <= k < B/2, at any table width
 _COARSE_STEP = 32
-# bytes of the largest phase table held between calls
+# bytes of the phase tables held between calls
 _HELD_BYTES = 4 * 2**20
-# the plan of the last angle axis held: (key, H, table), or None.  It is
-# replaced whole and never changed in place, so a thread that read it holds
-# a complete plan; threads that race to replace it lose only a rebuild
-_held = None
+# the plans of the angle axes held, oldest first: key -> (key, H, table)
+_held_plans = {}
+
+
+def _held_with(held: dict, key, value, size, cap) -> dict:
+    """The store ``held`` with ``value`` held under ``key``, as a new dict.
+
+    ``value`` goes last, in place of any entry under ``key``, and the
+    oldest entries are dropped while the ``size`` of those held would pass
+    ``cap``; a value whose own size passes ``cap`` is not held, and
+    ``held`` is returned as it is.  A store is replaced whole by the dict
+    returned, never changed in place, so a thread that read it holds
+    complete entries; threads that race to replace it lose only a rebuild.
+    """
+    total = size(value)
+    if total > cap:
+        return held
+    kept = [(k, v) for k, v in held.items() if k != key]
+    total += sum(size(v) for _, v in kept)
+    while total > cap:  # drop the oldest
+        total -= size(kept.pop(0)[1])
+    return dict([*kept, (key, value)])
+
+
+def _table_bytes(plan) -> int:
+    """The bytes of a held plan's phase table."""
+    return plan[2].nbytes
 
 
 def _axis_plan(thetas):
     """``(key, H, table)`` for the angle axis ``thetas``: the held plan when
-    ``key``, the axis' shape and bytes, matches, else a new plan with its
-    half-turn answer ``H`` and no phase table yet."""
+    one is held for ``key``, the axis' shape and bytes, else a new plan with
+    its half-turn answer ``H`` and no phase table yet."""
     key = thetas.shape, thetas.tobytes()
-    plan = _held
-    if plan is not None and plan[0] == key:
+    plan = _held_plans.get(key)
+    if plan is not None:
         return plan
     return key, _half_turns(thetas), None
 
@@ -392,12 +416,13 @@ def _angle_phases(angles, ds, plan):
     exactly the ``D`` its window needs.  A window that needs more doubles
     ``D`` (or takes what it needs, if that is more), keeping the old columns
     and building only the new ones.  A new or grown table is held with its
-    plan, in place of the last plan held, unless it exceeds ``_HELD_BYTES``:
-    then it serves its call only.  A column has the same bits however wide
+    plan, last among the plans held and in place of its axis' older plan,
+    by :func:`_held_with` with the cap ``_HELD_BYTES``; a table above the
+    cap serves its call only.  A column has the same bits however wide
     the table was when it was built (:func:`_phase_columns`), so a grid's
     bits do not depend on the calls before it.
     """
-    global _held
+    global _held_plans
     key, H, table = plan
     mags = np.abs(ds)
     need = int(mags.max()) + 1
@@ -406,9 +431,8 @@ def _angle_phases(angles, ds, plan):
         width = need if table is None else max(need, min(2 * have, _HELD_BYTES // (16 * max(1, angles.size))))
         fresh = _phase_columns(angles, have, width)
         table = fresh if table is None else np.concatenate([table, fresh], axis=1)
-        if table.nbytes <= _HELD_BYTES:
-            table.setflags(write=False)
-            _held = key, H, table
+        table.setflags(write=False)
+        _held_plans = _held_with(_held_plans, key, (key, H, table), _table_bytes, _HELD_BYTES)
     if ds.size == table.shape[1] and np.array_equal(ds, np.arange(ds.size)):
         # every column, in order (an open axis and a full band): no copy
         return table

@@ -15,11 +15,12 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from math import exp, isfinite, pi
+from math import exp, isfinite, pi, prod
 
 import numpy as np
 
 from . import __version__
+from ._kernels import _held_with
 # bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.cli.bessel_i
 from .specfun import bessel_i, bessel_i_scaled, sinc_pi  # noqa: F401
 from .states import (
@@ -58,6 +59,11 @@ _STATES = ("basis", "cat", "vonmises", "thermal")
 # values of a 1-D JSON array formatted and written at a time (about 100 kB
 # of text), so a long angle marginal is never held as one string
 _JSON_SLICE = 4096
+# bytes of array templates held between payloads
+_TEMPLATE_BYTES = 2**20
+# the templates of the arrays last written, oldest first: (shape, level) ->
+# the text of _array_template; kept by _kernels._held_with
+_held_templates = {}
 # largest fig3 s whose scale 2 pi I_0(2 s) fits in a double (it overflows
 # above s = 356.0738), rounded down
 _FIG3_S_MAX = 356.07
@@ -200,24 +206,43 @@ def _array_template(shape: tuple, level: int) -> str:
     return "[" + pad + items + "\n" + "  " * level + "]"
 
 
+def _template(shape: tuple, level: int) -> str:
+    """``_array_template(shape, level)``, held for later arrays of the same
+    shape and level when it takes at most ``_JSON_SLICE`` values: at most
+    ``_TEMPLATE_BYTES`` of text, the oldest dropped first."""
+    global _held_templates
+    key = shape, level
+    text = _held_templates.get(key)
+    if text is None:
+        text = _array_template(shape, level)
+        if prod(shape) <= _JSON_SLICE:
+            _held_templates = _held_with(_held_templates, key, text, len, _TEMPLATE_BYTES)
+    return text
+
+
+# the text of each dict key, as json.dumps writes it
+_json_key = functools.lru_cache(maxsize=256)(json.dumps)
+
+
 def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
     ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64 array
-    as its nested list: blocks of whole first-axis rows, at most
-    ``_JSON_SLICE`` values (or one longer row), each from one ``%`` template."""
+    as its nested list: one ``%`` template for an array of at most
+    ``_JSON_SLICE`` values, else blocks of whole first-axis rows, at most
+    ``_JSON_SLICE`` values (or one longer row), each from one template."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 0 or obj.shape[0] == 0:
-            write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
+        if obj.ndim == 0 or obj.size <= _JSON_SLICE:
+            write(_template(obj.shape, level) % tuple(obj.ravel().tolist()))
             return
-        template = _array_template(obj.shape[1:], level + 1)
+        template = _template(obj.shape[1:], level + 1)
         per_block = max(1, _JSON_SLICE // max(1, obj[0].size))
         for lo in range(0, obj.shape[0], per_block):
             block = obj[lo : lo + per_block]
             write(("[" if lo == 0 else ",") + pad + ("," + pad).join([template] * len(block)) % tuple(block.ravel().tolist()))
     elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
-            write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
+            write(("{" if i == 0 else ",") + pad + _json_key(key) + ": ")
             _stream_json(obj[key], level + 1, write)
     elif isinstance(obj, list) and obj:
         for i, value in enumerate(obj):

@@ -33,6 +33,7 @@ from ._kernels import (
     TWO_PI,
     _check_momenta,
     _diagonal_sum,
+    _held_with,
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
@@ -317,9 +318,8 @@ _AXIS_TEXT_BYTES = 4 * 2**20
 # the text of the axes last exported, oldest first: (_CSV_BLOCK, shape,
 # bytes) of an axis -> its read-only g17_fields blocks.  An axis longer than
 # one block is keyed by the SHA-256 digest of its bytes, which would hold 8
-# bytes a value, more than a third of its text.  The dict is replaced whole
-# and never changed in place, so a thread that read it holds complete
-# entries; threads that race to replace it lose only a rebuild
+# bytes a value, more than a third of its text.  The store is kept by
+# _kernels._held_with, as the kernel keeps its phase plans
 _held_axes = {}
 
 
@@ -358,9 +358,9 @@ def _axis_fields(axis) -> tuple:
     a tuple of read-only blocks, each as wide as its own text.  They are
     the held ones when an axis of the same shape and bytes was exported
     before with the same ``_CSV_BLOCK``.  A new axis is held after
-    those held before; the oldest are dropped while the total would pass
-    ``_AXIS_TEXT_BYTES``, and an axis whose own text passes it serves its
-    call only.
+    those held before, by :func:`_kernels._held_with`: the oldest are
+    dropped while the total would pass ``_AXIS_TEXT_BYTES``, and an axis
+    whose own text passes it serves its call only.
     """
     global _held_axes
     axis = np.ascontiguousarray(axis, dtype=np.float64)
@@ -379,13 +379,7 @@ def _axis_fields(axis) -> tuple:
     blocks = tuple(g17_fields(flat[lo : lo + _CSV_BLOCK]).copy() for lo in range(0, flat.size, _CSV_BLOCK))
     for block in blocks:
         block.setflags(write=False)
-    size = _text_bytes(blocks)
-    if size <= _AXIS_TEXT_BYTES:
-        kept = list(held.items())
-        total = size + sum(_text_bytes(text) for _, text in kept)
-        while total > _AXIS_TEXT_BYTES:  # drop the oldest
-            total -= _text_bytes(kept.pop(0)[1])
-        _held_axes = dict([*kept, (key, blocks)])
+    _held_axes = _held_with(held, key, blocks, _text_bytes, _AXIS_TEXT_BYTES)
     return blocks
 
 
@@ -495,6 +489,8 @@ def _repeated_rows(values):
     its last occurrence.  Rows are keyed by the hash of their bytes and
     confirmed on a hit, so only one row's bytes are held at a time; a row
     whose hash meets different bytes is taken as a row of its own."""
+    if len(values) == 1:  # no row can repeat: nothing to copy or hash
+        return [0], {0: 0}
     seen = {}  # hash of a row's bytes -> the first row with that hash
     first_of, last_of = [], {}
     for i, row in enumerate(values):

@@ -473,16 +473,31 @@ def _held_grid(kind, K, axis):
     return phase_space_sum_grid(A, -K // 3, 0.37, HELD_AXES[axis], HELD_PS)
 
 
+def _plan_of(thetas):
+    return _kernels._held_plans[thetas.shape, thetas.tobytes()]
+
+
+def _held_total():
+    return sum(plan[2].nbytes for plan in _kernels._held_plans.values())
+
+
+def _random_density(rng, K):
+    A = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestHeldPlan:
-    """The phase table held for the last angle axis: a grid's bits do not
-    depend on what ran before it, nor on threads sharing the table."""
+    """The phase tables held for several angle axes: a grid's bits do not
+    depend on what ran before it, nor on threads sharing the tables, and
+    the tables held stay under ``_HELD_BYTES``."""
 
     @pytest.fixture(autouse=True)
     def _cold(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_held", None)
+        monkeypatch.setattr(_kernels, "_held_plans", {})
 
-    def _width(self):
-        return _kernels._held[2].shape[1]
+    def _width(self, axis):
+        return _plan_of(HELD_AXES[axis])[2].shape[1]
 
     @pytest.mark.parametrize("axis", sorted(HELD_AXES))
     @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
@@ -490,25 +505,26 @@ class TestHeldPlan:
         other = "open" if axis == "full_period" else "full_period"
         cold = _held_grid(kind, 40, axis)
         assert np.iscomplexobj(cold) == (kind == "moyal")
-        assert self._width() == 40  # a new axis: exactly the columns it needs
+        assert self._width(axis) == 40  # a new axis: exactly the columns it needs
         runs = {}
-        _kernels._held = None
+        _kernels._held_plans = {}
         _held_grid(kind, 25, axis)
         runs["grown"] = _held_grid(kind, 40, axis)
-        assert self._width() == 50  # doubled from 25
+        assert self._width(axis) == 50  # doubled from 25
         _held_grid(kind, 40, other)
         runs["other axis between"] = _held_grid(kind, 40, axis)
+        assert self._width(other) == 40  # the other axis is held beside it
         _held_grid(kind, 90, axis)
         runs["larger window first"] = _held_grid(kind, 40, axis)
-        assert self._width() == 90
+        assert self._width(axis) == 100  # doubled from 50
         for name, got in runs.items():
             assert got.tobytes() == cold.tobytes(), name
 
-    def test_threads_share_the_table(self):
+    def test_threads_share_the_tables(self):
         jobs = [(kind, K, axis) for kind in ("hermitian", "moyal") for K in (9, 33, 70) for axis in sorted(HELD_AXES)]
         serial = {}
         for job in jobs:
-            _kernels._held = None
+            _kernels._held_plans = {}
             serial[job] = _held_grid(*job).tobytes()
         barrier = threading.Barrier(8)
         mismatches = []
@@ -532,6 +548,7 @@ class TestHeldPlan:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+        assert len(_kernels._held_plans) == len(HELD_AXES)
 
     @pytest.mark.parametrize("kind", ["hermitian", "moyal"])
     def test_columns_are_the_phases(self, kind):
@@ -547,7 +564,7 @@ class TestHeldPlan:
             assert np.array_equal(got[:, :300], got[:, :300:-1].conj())
 
     @pytest.mark.parametrize("axis", sorted(HELD_AXES))
-    def test_held_table_stays_under_the_cap(self, axis):
+    def test_held_tables_stay_under_the_cap(self, axis):
         # a random K = 8031 state on 66 coefficients, its two ends among them
         K = 8031
         rng = np.random.default_rng(8031)
@@ -563,24 +580,87 @@ class TestHeldPlan:
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = _kernels._held[2]
-        assert held.nbytes <= _kernels._HELD_BYTES
+        assert _held_total() <= _kernels._HELD_BYTES
         assert current <= _kernels._HELD_BYTES + out.nbytes + 2**16
 
-    def test_new_axis_replaces_the_table(self):
-        thetas = np.linspace(-3.0, 2.0, 1000)
-        moved = thetas + 0.25
+    def test_oldest_plan_is_dropped_at_the_cap(self):
+        axes = [np.linspace(-3.0, 2.0, 1000) + 0.25 * i for i in range(3)]
+        used = []
         tracemalloc.start()
         try:
-            phase_space_sum_grid(random_window(np.random.default_rng(1), 100, 0), 0, 0.0, thetas, HELD_PS)
-            first, _ = tracemalloc.get_traced_memory()
-            phase_space_sum_grid(random_window(np.random.default_rng(2), 100, 0), 0, 0.0, moved, HELD_PS)
-            second, _ = tracemalloc.get_traced_memory()
+            for i, thetas in enumerate(axes):
+                phase_space_sum_grid(random_window(np.random.default_rng(i), 100, 0), 0, 0.0, thetas, HELD_PS)
+                used.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        table = _kernels._held[2]
-        assert _kernels._held[0] == (moved.shape, moved.tobytes())
-        assert table.shape == (1000, 100)
-        assert first >= table.nbytes
-        # one table (1.6 MB) held, not two
-        assert second - first <= 2**16
+        # two tables of 1.6 MB fit under the 4 MiB cap; the third drops the first
+        assert list(_kernels._held_plans) == [(t.shape, t.tobytes()) for t in axes[1:]]
+        assert all(plan[2].shape == (1000, 100) for plan in _kernels._held_plans.values())
+        assert _held_total() <= _kernels._HELD_BYTES
+        assert used[1] - used[0] >= 1000 * 100 * 16
+        # the third table takes the first one's room: no more memory held
+        assert used[2] - used[1] <= 2**16
+
+    def test_grown_plan_replaces_its_own_entry(self):
+        _held_grid("hermitian", 10, "open")
+        _held_grid("hermitian", 10, "full_period")
+        before = _kernels._held_plans
+        _held_grid("hermitian", 30, "open")
+        # a new dict, with the grown plan last and no other entry for its axis
+        assert before is not _kernels._held_plans
+        assert self._width("open") == 30 and before[next(iter(before))][2].shape[1] == 10
+        assert list(_kernels._held_plans) == [
+            (HELD_AXES[axis].shape, HELD_AXES[axis].tobytes()) for axis in ("full_period", "open")
+        ]
+
+    def test_evicted_axis_is_rebuilt_with_the_same_bits(self, monkeypatch):
+        cold = {kind: _held_grid(kind, 40, "open") for kind in ("hermitian", "moyal")}
+        # room for one of the two tables, the larger one at the H + 1 = 91
+        # middle angles of the full-period axis: each axis evicts the other
+        monkeypatch.setattr(_kernels, "_HELD_BYTES", 16 * 40 * 91)
+        _held_grid("hermitian", 40, "full_period")
+        assert list(_kernels._held_plans) == [(HELD_AXES["full_period"].shape, HELD_AXES["full_period"].tobytes())]
+        for kind, want in cold.items():
+            assert _held_grid(kind, 40, "open").tobytes() == want.tobytes(), kind
+        assert _held_total() <= _kernels._HELD_BYTES
+
+    def test_a_second_round_builds_no_phase_columns(self):
+        # reconstructions sample on N = 64 angles for K = 5..11, on 65 for
+        # K = 12 and on 69 for K = 13: three axes, each built in the first round
+        rng = np.random.default_rng(12)
+        rhos = {K: DensityMatrix(delta=0.25, n_min=-K // 2, entries=_random_density(rng, K)) for K in range(5, 14)}
+
+        def one_round(order):
+            return {
+                K: reconstruct_density(lambda axes, K=K: wigner_grid(rhos[K], *axes).values, rhos[K].n_min, rhos[K].n_max, 0.25)
+                for K in order
+            }
+
+        first = one_round(rng.permutation(list(rhos)).tolist())
+        assert len(_kernels._held_plans) == 3
+        with mock.patch.object(_kernels, "_phase_columns", wraps=_kernels._phase_columns) as built:
+            second = one_round(rng.permutation(list(rhos)).tolist())
+        assert built.call_count == 0
+        for K, rebuilt in first.items():
+            assert second[K].entries.tobytes() == rebuilt.entries.tobytes()
+
+
+class TestHeldWith:
+    """The rule of every held store: a new dict, the newest entry last, the
+    oldest dropped at the cap, and a value above the cap not held."""
+
+    def test_newest_last_and_oldest_dropped(self):
+        held = _kernels._held_with({}, "a", "xx", len, 5)
+        held = _kernels._held_with(held, "b", "yy", len, 5)
+        before = held
+        held = _kernels._held_with(held, "c", "zz", len, 5)
+        assert held == {"b": "yy", "c": "zz"}
+        assert before == {"a": "xx", "b": "yy"}  # replaced whole, never changed
+
+    def test_a_key_held_again_moves_last(self):
+        held = {"a": "x", "b": "y"}
+        assert list(_kernels._held_with(held, "a", "xxx", len, 5).items()) == [("b", "y"), ("a", "xxx")]
+
+    def test_a_value_above_the_cap_is_not_held(self):
+        held = {"a": "x"}
+        assert _kernels._held_with(held, "b", "yyyyyy", len, 5) is held

@@ -1,6 +1,7 @@
 """State construction, wavefunction evaluation, and density matrices."""
 
 import json
+from fractions import Fraction
 from math import ceil, log10, pi, sqrt
 
 import numpy as np
@@ -226,6 +227,49 @@ class TestEvaluateWavefunction:
         value = evaluate_wavefunction(st, 0.7)
         assert type(value) is complex
         assert value == pytest.approx(evaluate_wavefunction(st, np.array([0.7, 1.2]))[0], abs=1e-15)
+
+
+class TestFarWavefunctionPhase:
+    """An index ``|n| >= 64`` takes ``n phi`` as an exact pair of floats;
+    a smaller one keeps the rounded product ``(n + delta) phi``."""
+
+    # exp(i (n + delta) phi) at phi = 0.3 (the float), from mpmath at 40 digits
+    @pytest.mark.parametrize(
+        "n, delta, want",
+        [
+            (10**9, 0.0, 0.8982171149190737 - 0.4395520611559631j),
+            (10**12, 0.0, -0.9085400683742367 - 0.41779773115532504j),
+            (10**12, 0.25, -0.8746805352950049 - 0.48469986710957924j),
+            (-(2**51 - 1), 0.7, 0.09070012739267319 + 0.9958782490299468j),
+        ],
+    )
+    def test_far_basis_state_is_exact(self, n, delta, want):
+        # the rounded product was off by 1.1e-8 at n = 10**9 and 1.1e-5 at 10**12
+        assert abs(evaluate_wavefunction(basis_state(n, delta), 0.3) - want) <= 4e-16
+
+    @pytest.mark.parametrize("n_min", [-63, -20, 0, 17, 50])
+    def test_small_windows_keep_their_bits(self, n_min):
+        rng = np.random.default_rng(n_min + 100)
+        K = min(14, 64 - n_min)
+        coeffs = rng.normal(size=K) + 1j * rng.normal(size=K)
+        st = FourierState(delta=0.37, n_min=n_min, coeffs=coeffs / np.linalg.norm(coeffs))
+        phis = np.concatenate([rng.uniform(-pi, pi, 9), [0.0, 7.5, -40.0]])
+        want = st.coeffs @ np.exp(1j * np.outer(st.indices + st.delta, phis))
+        assert evaluate_wavefunction(st, phis).tobytes() == want.tobytes()
+
+    def test_window_beyond_the_half_integer_lattice_is_refused(self):
+        with pytest.raises(ValueError, match=r"index window \[2251799813685248, 2251799813685248\] leaves \|n\| < 2\*\*51"):
+            evaluate_wavefunction(basis_state(2**51), 0.3)
+
+    def test_two_product_is_exact(self):
+        rng = np.random.default_rng(51)
+        # indices as the wavefunction passes them, and doubles of any 53 bits
+        a = np.concatenate([rng.integers(-(2**51), 2**51, 1000).astype(np.float64), rng.normal(size=1000) * 1e9])
+        b = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-900, 900, 2000))
+        p, e = states._two_product(a, b)
+        assert np.array_equal(p, a * b)
+        for x, y, hi, lo in zip(a, b, p, e):
+            assert Fraction(x) * Fraction(y) == Fraction(hi) + Fraction(lo)
 
 
 class TestExpectationL:
