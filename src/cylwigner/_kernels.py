@@ -24,12 +24,13 @@ d theta)`` as (cos, sin) column pairs, the real and imaginary parts of
 by the cost rule of ``numpy.linalg.multi_dot`` (two ``np.dot`` calls, the
 same products without its per-call checks).  Only the nonzero entries of
 ``A`` enter, so a banded window costs in proportion to its band.  A square
-window is scanned for them (one pass over its K x K entries) and tested
-for Hermiticity once per mirrored pair.  A state's own window ``conj(c)
-c^T`` is passed as its factor pair ``(conj(c), c)``: its entries on and
-above the diagonal are formed as the products ``conj(c_m) c_n``, the same
-bits as ``np.outer`` gives, with no matrix, scan or test; a zero product
-is no entry, as the scan would not find it.  A Hermitian window folds
+window is scanned for them (one pass over its K x K entries), and its
+Hermiticity test compares each of them with its mirror in one more pass
+(one gather).  A state's own window ``conj(c) c^T`` is passed as its
+factor pair ``(conj(c), c)``: its entries on and above the diagonal are
+formed as the products ``conj(c_m) c_n``, the same bits as ``np.outer``
+gives, with no matrix, scan or test; a zero product is no entry, as the
+scan would not find it.  A Hermitian window folds
 ``-d`` onto ``d`` and yields a real grid; any other window stacks rows for
 the imaginary part and yields a complex grid.  A window beyond ``|n| <
 2**51``, where float64 momenta no longer hold the half-integer lattice, is
@@ -66,11 +67,13 @@ above that is built for its call and not held.  Column
 theta)``, ``-B/2 <= k < B/2``, with the fixed step ``B = 32``, so the
 cosines and sines are taken per factor, not per (angle, diagonal) pair,
 and a column's bits do not depend on the table's width or history.  The
-centres all lie on one half-integer lattice shifted
-by ``delta``, so ``sin(pi (p - centre))`` is ``+-sin(pi f)`` or
-``+-cos(pi f)`` for one reduced remainder ``f`` per momentum: the sinc
-table costs one sine or cosine per momentum and centre parity and a
-division per run of rows with one residue; one row is :func:`sinc_pi_array`.
+same builder, :func:`_phase_columns`, gives ``wigner.marginal_angle`` its
+phases ``exp(i k theta)``, a block of angles at a time and not held.  The
+centres all lie on one half-integer lattice shifted by ``delta``, so
+``sin(pi (p - centre))`` is ``+-sin(pi f)`` or ``+-cos(pi f)`` for one
+reduced remainder ``f`` per momentum: the sinc table costs one sine or
+cosine per momentum and centre parity and a division per run of rows
+with one residue; one row is :func:`sinc_pi_array`.
 The occupied diagonals and centres are found with presence tables over
 their ``2K - 1`` possible values, not by sorting the entries, and the
 centres are grouped by residue with four strided ranges (residues 0, 2, 1,
@@ -199,17 +202,15 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     ps = np.asarray(ps, dtype=np.float64)
     if isinstance(A, tuple):
         u, v = (np.asarray(f) for f in A)
-        K = v.size
-        _check_momenta(n_min, n_min + K - 1)
+        K, hermitian = v.size, True
         rows, cols, vals = _factor_entries(u, v)
-        hermitian = True
     else:
         A = np.asarray(A)
         if A.ndim == 1:
             return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
         K = A.shape[0]
-        _check_momenta(n_min, n_min + K - 1)
         rows, cols, vals, hermitian = _matrix_entries(A)
+    _check_momenta(n_min, n_min + K - 1)
     diag = cols - rows
     if not diag.any():
         # only the diagonal d = 0 is occupied, if any: no angle enters
@@ -311,10 +312,9 @@ def _matrix_entries(A):
     # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
     rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[0])
     vals = A[rows, cols]
-    upper = cols >= rows
-    rows_u, cols_u, vals_u = rows[upper], cols[upper], vals[upper]
-    if _hermitian_residual(A, rows_u, cols_u, vals_u, vals.size - vals_u.size) <= _HERMITIAN_TOL:
-        return rows_u, cols_u, vals_u, True
+    if _hermitian_residual(A, rows, cols, vals) <= _HERMITIAN_TOL:
+        upper = cols >= rows
+        return rows[upper], cols[upper], vals[upper], True
     return rows, cols, vals, False
 
 
@@ -473,21 +473,12 @@ def _phase_columns(angles, start, stop):
     return columns
 
 
-def _hermitian_residual(A, rows, cols, vals, lower: int) -> float:
-    """Largest ``|A_mn - conj(A_nm)|`` over the nonzero entries of the
-    square ``A``, each mirrored pair compared once.
-
-    ``vals`` are the nonzero entries on and above the diagonal, at ``(rows,
-    cols)``, and ``lower`` counts those below it.  Each entry above meets
-    its mirror.  An entry below with a nonzero mirror was met from above,
-    and those are as many as the nonzero mirrors off the diagonal; only a
-    surplus below (entries with a zero mirror) needs a pass of its own.
-    """
-    mirror = A[cols, rows]
-    residual = float(np.max(np.abs(vals - mirror.conj()), initial=0.0))
-    if lower > np.count_nonzero(mirror) - np.count_nonzero(A.diagonal()):
-        residual = max(residual, float(np.max(np.abs(np.tril(A, -1)[A.T == 0]))))
-    return residual
+def _hermitian_residual(A, rows, cols, vals) -> float:
+    """Largest ``|A_mn - conj(A_nm)|`` over the nonzero entries ``vals`` of
+    the square ``A``, at ``(rows, cols)``: each is compared with its mirror,
+    gathered in one pass.  A pair of nonzero mirrors is met from both sides,
+    with the same modulus; an entry whose mirror is zero counts in full."""
+    return float(np.max(np.abs(vals - A[cols, rows].conj()), initial=0.0))
 
 
 def phase_space_sum_point(A, n_min, delta, theta: float, p: float) -> complex:

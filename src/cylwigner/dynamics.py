@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import DensityMatrix, FourierState, _check_delta, _check_hbar, _check_index, _frozen_array
-from .wigner import _as_point, _require_real, _window, wigner_matrix_element
+from .wigner import _as_point, _require_real, _window_matrix, wigner_matrix_element
 from ._kernels import phase_space_sum_point
 
 __all__ = [
@@ -136,7 +136,7 @@ def wigner_time_derivative(state: FourierState, H: DiagonalHamiltonian, at) -> f
     Contracts the coefficient matrix against the generator matrix; for
     any stationary state (single energy shell) the value is zero."""
     pt = _as_point(at)
-    A, n_min, delta = _window(state)
+    A, n_min, delta = _window_matrix(state)
     energies = H.energies(state.n_min, state.n_max)
     gen = 1j * (energies[:, None] - energies[None, :])
     value = phase_space_sum_point(A * gen, n_min, delta, pt.theta, pt.p)

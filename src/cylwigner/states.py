@@ -15,7 +15,7 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from ._kernels import _check_momenta
+from ._kernels import _TABLE_BLOCK, _check_momenta
 # bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.states.bessel_i
 from .specfun import bessel_i, bessel_i_scaled  # noqa: F401
 
@@ -445,13 +445,21 @@ def evaluate_wavefunction(state: FourierState, phi):
     _check_momenta(state.n_min, state.n_max)
     n = state.indices
     near = np.abs(n) < _ROUNDED_PHASE
-    phases = np.empty((n.size, phis.size), dtype=np.complex128)
-    phases[near] = np.exp(1j * np.outer(n[near] + state.delta, phis))
-    if not near.all():
-        p, e = _two_product(n[~near].astype(np.float64)[:, None], phis)
-        e += state.delta * phis
-        phases[~near] = np.exp(1j * p) * np.exp(1j * e)
-    values = state.coeffs @ phases
+    far = n[~near].astype(np.float64)[:, None]
+    values = np.empty(phis.size, dtype=np.complex128)
+    # phases for a block of angles at a time, of at most _TABLE_BLOCK entries:
+    # a multiple of 16 angles, so that each angle meets the product's kernel
+    # as in one pass and, with BLAS on one thread, gets the same bits
+    step = max(16, _TABLE_BLOCK // n.size // 16 * 16)
+    for lo in range(0, phis.size, step):
+        block = phis[lo : lo + step]
+        phases = np.empty((n.size, block.size), dtype=np.complex128)
+        phases[near] = np.exp(1j * np.outer(n[near] + state.delta, block))
+        if far.size:
+            p, e = _two_product(far, block)
+            e += state.delta * block
+            phases[~near] = np.exp(1j * p) * np.exp(1j * e)
+        values[lo : lo + step] = state.coeffs @ phases
     return values.item() if np.ndim(phi) == 0 else values.reshape(np.shape(phi))
 
 

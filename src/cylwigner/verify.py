@@ -39,7 +39,7 @@ from .states import (
     pure_density,
     von_mises_state,
 )
-from .wigner import CardinalSeries, _require_real, _window
+from .wigner import CardinalSeries, _require_real, _window_matrix
 
 __all__ = [
     "InvariantCheck", "run_verification", "report_as_json_entries",
@@ -162,21 +162,13 @@ def _pair_integrals(k, l, m, n) -> np.ndarray:
     return angle[which] * momentum / TWO_PI
 
 
-def _square_window(obj):
-    """``wigner._window(obj)`` with a diagonal window's 1-D diagonal made
-    its square matrix: the cross-routes read ``A`` as a matrix, and the
-    kernel then takes its dense path, not the diagonal one."""
-    A, n_min, delta = _window(obj)
-    return (np.diag(A) if A.ndim == 1 else A), n_min, delta
-
-
 def momentum_marginal_via_quadrature(obj, p: float) -> float:
     """Angle quadrature of the Wigner function at fixed momentum.
 
     Cross-route for :func:`cylwigner.wigner.marginal_momentum`: integrates
     the grid evaluation over theta instead of reading off the diagonal
     samples."""
-    A, n_min, delta = _square_window(obj)
+    A, n_min, delta = _window_matrix(obj)
     nodes, weights = gauss_legendre_rule(oscillation_order(float(A.shape[0] - 1)))
     values = phase_space_sum_grid(A, n_min, delta, pi * nodes, np.array([float(p)]))[:, 0]
     return float(_require_real(pi * weights @ values, tol=1e-10))
@@ -188,7 +180,7 @@ def angle_marginal_via_swap(obj, theta):
     Each window element integrates over p to ``(1/2pi) exp(i(n-m)theta)``
     exactly, so the marginal is the phase-weighted window contraction.
     Cross-route for :func:`cylwigner.wigner.marginal_angle`."""
-    A, n_min, delta = _square_window(obj)
+    A, n_min, delta = _window_matrix(obj)
     K = A.shape[0]
     # sum_d exp(i d theta) * (sum of the d-th diagonal of A)
     diag_sums = np.array([np.sum(np.diagonal(A, offset=d)) for d in range(-(K - 1), K)])
@@ -199,7 +191,7 @@ def angle_marginal_via_swap(obj, theta):
 
 def total_integral(obj) -> float:
     """Full phase-space integral, reduced analytically to the trace."""
-    A, _, _ = _square_window(obj)
+    A, _, _ = _window_matrix(obj)
     return float(_require_real(np.trace(A), tol=1e-10))
 
 

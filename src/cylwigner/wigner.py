@@ -34,6 +34,7 @@ from ._kernels import (
     _check_momenta,
     _diagonal_sum,
     _held_with,
+    _phase_columns,
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
@@ -212,10 +213,12 @@ def _require_real(values, tol: float = _IMAG_RESIDUE_TOL):
 
 
 def _window(obj, ket=None):
-    """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p): the
-    pair ``(obj, ket)`` of states, a state ``obj`` as the pair ``(obj,
-    obj)``, or a density matrix ``obj``; a diagonal density matrix gives its
-    1-D diagonal, as the grid kernel takes it."""
+    """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p), ``A``
+    as the grid kernel takes it: a state ``obj`` as its factor pair
+    ``(conj(c), c)`` (Hermitian by construction: no K x K matrix, scan or
+    test), the pair ``(obj, ket)`` of states as the dense matrix on the
+    union of their windows, and a density matrix ``obj`` as its 1-D
+    diagonal (a diagonal window) or its entries transposed."""
     if isinstance(obj, DensityMatrix) and ket is None:
         if obj._weights is not None:
             return obj._weights, obj.n_min, obj.delta
@@ -223,10 +226,22 @@ def _window(obj, ket=None):
         return obj.entries.T, obj.n_min, obj.delta
     if not isinstance(obj, FourierState):
         raise TypeError("expected a FourierState or DensityMatrix")
-    ket = obj if ket is None else ket
+    if ket is None:
+        return (obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
     n_min, n_max = _union(obj, ket)
     A = np.outer(_on_window(obj, n_min, n_max).conj(), _on_window(ket, n_min, n_max))
     return A, n_min, obj.delta
+
+
+def _window_matrix(obj):
+    """``_window(obj)`` with ``A`` expanded to its K x K matrix, for the
+    readers that contract the whole window."""
+    A, n_min, delta = _window(obj)
+    if isinstance(A, tuple):
+        A = np.outer(*A)
+    elif A.ndim == 1:
+        A = np.diag(A)
+    return A, n_min, delta
 
 
 def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
@@ -249,20 +264,11 @@ def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
     return phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
 
 
-def _own_window(obj):
-    """``_window(obj)``, with a state's window ``conj(c) c^T`` given as its
-    factor pair ``(conj(c), c)``: the kernel forms its entries from the
-    coefficients, with no K x K matrix and no Hermiticity test."""
-    if isinstance(obj, FourierState):
-        return (obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
-    return _window(obj)
-
-
 def wigner_function(obj, at) -> float:
     """Wigner function of a pure state or of a density matrix,
     ``tr[rho V(theta, p)]``; real, bounded by 1/pi."""
     pt = _as_point(at)
-    A, n_min, delta = _own_window(obj)
+    A, n_min, delta = _window(obj)
     value = phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
     return float(_require_real(value))
 
@@ -292,7 +298,7 @@ def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=Non
 def wigner_grid(obj, theta_axis=None, p_axis=None) -> WignerGrid:
     """Real-valued Wigner grid of a state or density matrix."""
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
-    A, n_min, delta = _own_window(obj)
+    A, n_min, delta = _window(obj)
     values = _require_real(phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis))
     values.setflags(write=False)  # the kernel's fresh output: held, not copied
     return WignerGrid(theta_axis=theta_axis, p_axis=p_axis, values=values)
@@ -508,31 +514,30 @@ def marginal_angle(obj, theta):
 
     Computed analytically from the coefficients, never by momentum
     quadrature.  Accepts scalar or array ``theta``; a non-finite angle
-    raises ``ValueError``.  The phases are taken from ``n - n_min``, exact
-    however far from 0 the window lies: the common ``n_min + delta`` drops out.
+    raises ``ValueError``.  The phases ``exp(i k theta)``, ``k = n - n_min``,
+    come from the kernel's :func:`_kernels._phase_columns`: the common
+    ``n_min + delta`` drops out, however far from 0 the window lies.
     """
-    if not isinstance(obj, (FourierState, DensityMatrix)):
-        raise TypeError("expected a FourierState or DensityMatrix")
+    A, _, _ = _window(obj)
     thetas = _finite(theta, "angles").ravel()
-    if isinstance(obj, DensityMatrix) and obj._weights is not None:
+    pure = isinstance(A, tuple)
+    if not pure and A.ndim == 1:
         # a diagonal window has no coherences: the constant trace / 2 pi
         values = np.full(thetas.shape, obj.trace() / TWO_PI)
     else:
-        pure = isinstance(obj, FourierState)
-        K = obj.coeffs.size if pure else obj.n_max - obj.n_min + 1
+        K = A[1].size if pure else A.shape[0]
         values = np.empty(thetas.size, dtype=np.float64 if pure else np.complex128)
-        # the K x N phase matrices are built for a block of angles at a
+        # the N x K phase matrices are built for a block of angles at a
         # time, of at most _TABLE_BLOCK entries (a multiple of 16 angles, so
         # that each angle meets the products' kernels as in one pass over
         # all angles and gets the same bits)
         step = max(16, _TABLE_BLOCK // K // 16 * 16)
         for lo in range(0, thetas.size, step):
-            phases = np.exp(1j * np.outer(np.arange(K), thetas[lo : lo + step]))
+            phases = _phase_columns(thetas[lo : lo + step], 0, K)
             if pure:
-                values[lo : lo + step] = np.abs(obj.coeffs @ phases) ** 2 / TWO_PI
-            else:
-                tmp = obj.entries @ phases.conj()
-                values[lo : lo + step] = np.sum(phases * tmp, axis=0)
+                values[lo : lo + step] = np.abs(phases @ A[1]) ** 2 / TWO_PI
+            else:  # sum_mn e^{i m theta} rho_mn e^{-i n theta}, A = rho^T
+                values[lo : lo + step] = np.sum(phases * (phases.conj() @ A), axis=1)
         if not pure:
             values = _require_real(values) / TWO_PI
     return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
@@ -725,16 +730,18 @@ def uncertainty_product(state: FourierState) -> UncertaintyProduct:
     """Evaluate ``(dS)^2 (dL)^2 >= cov_sym(S, L)^2 + |<[S, L]>|^2 / 4``
     for ``S = sin(phi)`` and the angular momentum ``L``.
 
-    The window is padded so the tridiagonal action of ``S`` is exact.
-    Minimal-uncertainty states saturate the bound; momentum eigenstates
-    send both sides to zero."""
+    The window is padded so the tridiagonal action of ``S`` is exact: it
+    is applied as two shifted slices, ``(S c)_j = (i/2) c_{j+1} - (i/2)
+    c_{j-1}``, with no matrix.  Minimal-uncertainty states saturate the
+    bound; momentum eigenstates send both sides to zero."""
     pad = 2
     n_min = state.n_min - pad
     n_max = state.n_max + pad
     c = _on_window(state, n_min, n_max)
-    S = sine_operator(n_min, n_max)
     lvals = np.arange(n_min, n_max + 1) + state.delta
-    s_psi = S @ c
+    # the padded ends are zero, so S c vanishes at the first and last index
+    s_psi = np.zeros_like(c)
+    s_psi[1:-1] = 0.5j * c[2:] - 0.5j * c[:-2]
     l_psi = lvals * c
     mean_s = float(np.vdot(c, s_psi).real)
     mean_l = float(np.vdot(c, l_psi).real)

@@ -205,7 +205,42 @@ class TestSlices:
         assert np.all(grid[:, lattice] == w * (1 / (2 * pi)))
 
 
+def _brute_residual(A):
+    """``max |A_mn - conj(A_nm)|`` over the nonzero entries of ``A``, entry by entry."""
+    K = A.shape[0]
+    return max(
+        (abs(complex(A[m, n]) - complex(A[n, m]).conjugate()) for m in range(K) for n in range(K) if A[m, n] != 0),
+        default=0.0,
+    )
+
+
+@st.composite
+def _sparse_windows(draw):
+    """A square window with random sparsity: Hermitian, near-Hermitian at
+    1e-13 or not at all, with some entries whose mirror is zero."""
+    K = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+    kind = draw(st.sampled_from(["hermitian", "near", "any"]))
+    if kind != "any":
+        A = A + A.conj().T
+    if kind == "near":
+        A = A + 1e-13 * (rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K)))
+    keep = rng.random((K, K)) < draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        keep = keep & keep.T  # mirrored sparsity: every mirror of an entry is an entry
+    return np.where(keep, A, 0.0)
+
+
 class TestHermiticityTest:
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_windows())
+    def test_residual_against_brute_force(self, A):
+        rows, cols = np.nonzero(A)
+        # the moduli may differ in the last bit: numpy's and Python's hypot
+        got = _kernels._hermitian_residual(A, rows, cols, A[rows, cols])
+        assert got == pytest.approx(_brute_residual(A), rel=4e-16, abs=0.0)
+
     def test_state_windows_are_not_tested(self, monkeypatch):
         tested = []
         residual = _kernels._hermitian_residual

@@ -1,5 +1,6 @@
-"""A state's window given by its factor pair, and the bounds that ride with it:
-far reconstruction windows, the blocked angle marginal and sliced JSON arrays."""
+"""A state's window given by its factor pair, the one window builder, and the
+bounds that ride with them: far reconstruction windows, the blocked angle
+marginal and sliced JSON arrays."""
 
 import contextlib
 import io
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from cylwigner import DensityMatrix, FourierState, PhasePoint, cli, reconstruct_density, von_mises_state, wigner
 from cylwigner._kernels import TWO_PI, _axis_plan, _half_turns, phase_space_sum_grid, phase_space_sum_point
 from cylwigner.cli import _write_json, main
+from cylwigner.states import pure_density
+from cylwigner.verify import angle_marginal_via_swap
 
 # magnitudes whose products stay normal, turn subnormal or underflow to 0
 _SCALES = [0.0, 1.0, 0.3, 1e-150, 1e-160, 1e-170, 1e-300]
@@ -114,6 +117,38 @@ class TestFactorPair:
         dense = phase_space_sum_point(np.outer(state.coeffs.conj(), state.coeffs), state.n_min, state.delta,
                                       at.theta, at.p)
         assert wigner.wigner_function(state, at) == dense.real
+
+
+class TestWindowBuilder:
+    """``wigner._window`` gives each window as the kernel takes it, and
+    ``wigner._window_matrix`` expands it to the K x K matrix, byte for byte."""
+
+    def test_state_is_its_factor_pair(self):
+        state = von_mises_state(2.0, 0.3)
+        (u, v), n_min, delta = wigner._window(state)
+        assert v is state.coeffs and u.tobytes() == state.coeffs.conj().tobytes()
+        assert (n_min, delta) == (state.n_min, state.delta)
+        A, n_min, delta = wigner._window_matrix(state)
+        assert A.tobytes() == np.outer(state.coeffs.conj(), state.coeffs).tobytes()
+        assert (n_min, delta) == (state.n_min, state.delta)
+
+    def test_diagonal_window(self):
+        w = np.array([0.5, 0.25, 0.0, 0.25])
+        rho = DensityMatrix._diagonal(0.4, -2, w)
+        assert wigner._window(rho)[0] is rho._weights
+        A, n_min, delta = wigner._window_matrix(rho)
+        assert A.tobytes() == np.diag(w).tobytes() and (n_min, delta) == (-2, 0.4)
+
+    def test_dense_density(self):
+        rho = pure_density(von_mises_state(2.0, 0.3))
+        A, n_min, delta = wigner._window_matrix(rho)
+        assert A.tobytes() == rho.entries.T.tobytes() and (n_min, delta) == (rho.n_min, rho.delta)
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="expected a FourierState or DensityMatrix"):
+            wigner._window(np.eye(2))
+        with pytest.raises(TypeError, match="expected a FourierState or DensityMatrix"):
+            wigner.marginal_angle(np.eye(2), 0.3)
 
 
 class TestHalfTurnMemo:
@@ -219,6 +254,15 @@ class TestBlockedAngleMarginal:
         blocked = wigner.marginal_angle(obj, thetas)
         np.testing.assert_allclose(blocked, one_pass, rtol=0.0, atol=1e-15)
         assert wigner.marginal_angle(obj, thetas.reshape(7, 143)).shape == (7, 143)
+
+    def test_large_window_against_the_swap(self):
+        # K = 579, values up to 17.8: the two routes take their phases and
+        # sums in different orders, and agree within 4e-15 of the peak
+        state = von_mises_state(1000.0, 0.3)
+        thetas = np.linspace(-pi, pi, 181)
+        for obj in (state, pure_density(state)):
+            direct = wigner.marginal_angle(obj, thetas)
+            assert np.max(np.abs(direct - angle_marginal_via_swap(obj, thetas))) <= 4e-15 * np.max(direct)
 
     def test_memory_bounded_by_the_block(self, traced):
         state = von_mises_state(3.0, 0.0)

@@ -1,8 +1,12 @@
 """State construction, wavefunction evaluation, and density matrices."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, log10, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,42 @@ class TestEvaluateWavefunction:
         value = evaluate_wavefunction(st, 0.7)
         assert type(value) is complex
         assert value == pytest.approx(evaluate_wavefunction(st, np.array([0.7, 1.2]))[0], abs=1e-15)
+
+
+_BLOCKED_WAVEFUNCTION = """
+from unittest import mock
+import numpy as np
+from cylwigner import states
+rng = np.random.default_rng(16)
+phis = rng.uniform(-7.0, 7.0, 1001)
+for K, n_min in ((3, -1), (40, -20), (40, 10**9), (129, -(10**12))):
+    coeffs = rng.normal(size=K) + 1j * rng.normal(size=K)
+    st = states.FourierState(delta=0.37, n_min=n_min, coeffs=coeffs / np.linalg.norm(coeffs))
+    one_pass = states.evaluate_wavefunction(st, phis)
+    for block in (1, 64, 5000):
+        with mock.patch.object(states, "_TABLE_BLOCK", block):
+            assert states.evaluate_wavefunction(st, phis).tobytes() == one_pass.tobytes(), (K, n_min, block)
+"""
+
+
+class TestBlockedWavefunction:
+    def test_blocks_match_one_pass(self):
+        # one BLAS thread, as the CI and the benchmark run: a threaded
+        # matrix-vector product splits its sums at sizes that depend on the
+        # block's shape, so its bits do not (README, CSV byte identity)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(states.__file__).parents[1]), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _BLOCKED_WAVEFUNCTION], env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+
+    def test_memory_bounded_by_the_block(self, traced):
+        # K = 18,241, nearly all of it past |n| >= 64 (the exact-pair phases):
+        # the whole K x N phase matrix and its temporaries took 250.6 MiB
+        state = von_mises_state(1e6, 0.0)
+        thetas = np.linspace(-pi, pi, 181)
+        values, peak = traced(evaluate_wavefunction, state, thetas)
+        assert values.shape == (181,)
+        assert peak < 48 * 2**20
 
 
 class TestFarWavefunctionPhase:
