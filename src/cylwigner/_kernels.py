@@ -80,6 +80,8 @@ centres are grouped by residue with four strided ranges (residues 0, 2, 1,
 3 on a full-period axis, so the even centres come first).
 """
 
+from math import isfinite
+
 import numpy as np
 
 __all__ = [
@@ -89,7 +91,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 # largest |A_mn - conj(A_nm)| that still takes the real (Hermitian) path;
-# the same tolerance DensityMatrix.validate applies by default
+# DensityMatrix.validate's default and wigner.expectation_via_phase_space's
+# test of its operator
 _HERMITIAN_TOL = 1e-12
 # entries (4 MiB) of a diagonal-window slice: per weight, len(ps) + about 16
 _TABLE_BLOCK = 2**19
@@ -173,6 +176,17 @@ def _check_momenta(n_min, n_max) -> None:
         raise ValueError(
             f"index window [{n_min}, {n_max}] leaves |n| < 2**51, where float64 momenta resolve half-integers"
         )
+
+
+def _check_phases(angles, top) -> None:
+    """``ValueError`` naming the angle of ``angles`` largest in size when its
+    phase product with the index ``top`` is not finite, with a margin of
+    ``2**-24`` for the partial products of its exact split: such a phase
+    would be NaN, not a number."""
+    if angles.size:
+        theta = float(angles[np.argmax(np.abs(angles))])
+        if not isfinite(abs(theta) * top * (1.0 + 2.0**-24)):
+            raise ValueError(f"the phase product of angle {theta!r} and index {top} overflows float64")
 
 
 def _compact(keys, order):
@@ -455,7 +469,9 @@ def _phase_columns(angles, start, stop):
     argument is rounded at about the scale of ``d theta``, and ``d < B/2``
     takes the cosine and sine of ``d theta`` itself, times exactly 1.  ``q``
     and ``k`` depend on ``d`` alone, so a column has the same bits whatever
-    ``start`` and ``stop`` are.
+    ``start`` and ``stop`` are.  An angle whose product with the largest
+    multiple overflows raises ``ValueError`` (:func:`_check_phases`); this
+    runs only for a new or grown table, so a held plan pays nothing.
     """
     B = _COARSE_STEP
     # d + B//2 = B q + r: the fine step is k = r - B//2
@@ -464,6 +480,7 @@ def _phase_columns(angles, start, stop):
     q0, J = int(q[0]), int(q[-1] - q[0]) + 1
     k0 = int(k.min())
     multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(k0, int(k.max()) + 1)])
+    _check_phases(angles, int(np.abs(multiples).max()))
     x = np.outer(angles, multiples)
     factors = np.empty(x.shape, dtype=np.complex128)
     np.cos(x, out=factors.real)

@@ -15,19 +15,18 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from math import exp, isfinite, pi, prod
+from math import exp, isfinite, pi
 
 import numpy as np
 
 from . import __version__
-from ._kernels import _held_with
 # bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.cli.bessel_i
 from .specfun import bessel_i, bessel_i_scaled, sinc_pi  # noqa: F401
 from .states import (
-    _MAX_DENSE_BYTES,
     _VON_MISES_S_MAX,
     DensityMatrix,
     FourierState,
+    _check_bytes,
     _check_delta,
     _check_hbar,
     _real_view,
@@ -56,14 +55,10 @@ __all__ = ["main", "RunConfig"]
 
 _COMMANDS = ("fig1", "fig2", "fig3", "thermal", "marginals", "reconstruct", "verify")
 _STATES = ("basis", "cat", "vonmises", "thermal")
-# values of a 1-D JSON array formatted and written at a time (about 100 kB
-# of text), so a long angle marginal is never held as one string
+# values of a JSON array formatted and written at a time, in whole
+# first-axis rows (about 100 kB of text), so a long angle marginal is never
+# held as one string
 _JSON_SLICE = 4096
-# bytes of array templates held between payloads
-_TEMPLATE_BYTES = 2**20
-# the templates of the arrays last written, oldest first: (shape, level) ->
-# the text of _array_template; kept by _kernels._held_with
-_held_templates = {}
 # largest fig3 s whose scale 2 pi I_0(2 s) fits in a double (it overflows
 # above s = 356.0738), rounded down
 _FIG3_S_MAX = 356.07
@@ -101,8 +96,7 @@ class RunConfig:
             raise ValueError("grid resolutions must be at least 2")
         # each axis is a float64 array, refused before it is built
         for axis, steps in (("theta", self.theta_steps), ("p", self.p_steps)):
-            if 8 * steps > _MAX_DENSE_BYTES:
-                raise ValueError(f"{axis} axis of {steps} steps needs {8 * steps} bytes (limit {_MAX_DENSE_BYTES})")
+            _check_bytes(f"{axis} axis of {steps} steps", 8 * steps)
         if not (isfinite(self.p_min) and isfinite(self.p_max)):
             raise ValueError(f"p range must be finite, got [{self.p_min}, {self.p_max}]")
         if not (self.p_min < self.p_max):
@@ -193,6 +187,8 @@ def _json_arrays(obj, field: str = ""):
     return arr
 
 
+# the row templates of recent arrays; a template is at most one row's text
+@functools.lru_cache(maxsize=16)
 def _array_template(shape: tuple, level: int) -> str:
     """The ``%r`` template of a nested list of ``shape`` opened at indent
     ``level``, laid out as ``json.dumps(indent=2)`` lays it out; ``%r`` of a
@@ -206,20 +202,6 @@ def _array_template(shape: tuple, level: int) -> str:
     return "[" + pad + items + "\n" + "  " * level + "]"
 
 
-def _template(shape: tuple, level: int) -> str:
-    """``_array_template(shape, level)``, held for later arrays of the same
-    shape and level when it takes at most ``_JSON_SLICE`` values: at most
-    ``_TEMPLATE_BYTES`` of text, the oldest dropped first."""
-    global _held_templates
-    key = shape, level
-    text = _held_templates.get(key)
-    if text is None:
-        text = _array_template(shape, level)
-        if prod(shape) <= _JSON_SLICE:
-            _held_templates = _held_with(_held_templates, key, text, len, _TEMPLATE_BYTES)
-    return text
-
-
 # the text of each dict key, as json.dumps writes it
 _json_key = functools.lru_cache(maxsize=256)(json.dumps)
 
@@ -227,15 +209,12 @@ _json_key = functools.lru_cache(maxsize=256)(json.dumps)
 def _stream_json(obj, level: int, write) -> None:
     """Write ``obj``, as ``_json_arrays`` returns it, at indent ``level`` as
     ``json.dumps(obj, indent=2, sort_keys=True)`` would, with a float64 array
-    as its nested list: one ``%`` template for an array of at most
-    ``_JSON_SLICE`` values, else blocks of whole first-axis rows, at most
-    ``_JSON_SLICE`` values (or one longer row), each from one template."""
+    as its nested list: blocks of whole first-axis rows, at most
+    ``_JSON_SLICE`` values (or one longer row), each from the row template
+    repeated, so an array of at most ``_JSON_SLICE`` values is one block."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 0 or obj.size <= _JSON_SLICE:
-            write(_template(obj.shape, level) % tuple(obj.ravel().tolist()))
-            return
-        template = _template(obj.shape[1:], level + 1)
+    if isinstance(obj, np.ndarray) and obj.ndim and len(obj):
+        template = _array_template(obj.shape[1:], level + 1)
         per_block = max(1, _JSON_SLICE // max(1, obj[0].size))
         for lo in range(0, obj.shape[0], per_block):
             block = obj[lo : lo + per_block]
@@ -249,8 +228,8 @@ def _stream_json(obj, level: int, write) -> None:
             write(("[" if i == 0 else ",") + pad)
             _stream_json(value, level + 1, write)
     else:
-        # a scalar or an empty container
-        write(json.dumps(obj))
+        # a scalar, an empty container or an array with no rows
+        write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
         return
     write(pad[:-2] + ("}" if isinstance(obj, dict) else "]"))
 

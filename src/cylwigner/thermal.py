@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import TWO_PI, sinc_pi_array
 from .specfun import theta3, theta3_jacobi
-from .states import _MAX_DENSE_BYTES, DensityMatrix, _check_index
+from .states import DensityMatrix, _check_bytes, _check_index
 from .wigner import wigner_function
 
 __all__ = [
@@ -83,9 +83,7 @@ def thermal_density(tp: ThermalParams) -> DensityMatrix:
     A real non-negative diagonal is exactly Hermitian: only that mass is
     checked, once, in O(K), where the weights are made."""
     N = tp.half_width
-    needed = 8 * (2 * N + 1)  # float64 weights
-    if needed > _MAX_DENSE_BYTES:
-        raise ValueError(f"thermal window K={2 * N + 1} needs {needed} bytes (limit {_MAX_DENSE_BYTES})")
+    _check_bytes(f"thermal window K={2 * N + 1}", 8 * (2 * N + 1))  # float64 weights
     n = np.arange(-N, N + 1, dtype=np.float64)
     lam = np.exp(-(n**2) * tp.eps_beta) / partition_function(tp)
     mass = float(np.sum(lam))

@@ -29,6 +29,7 @@ import numpy as np
 
 from ._g17 import g17_fields
 from ._kernels import (
+    _HERMITIAN_TOL,
     _TABLE_BLOCK,
     TWO_PI,
     _check_momenta,
@@ -41,9 +42,9 @@ from ._kernels import (
 )
 from .specfun import oscillation_order, sinc_pi
 from .states import (
-    _MAX_DENSE_BYTES,
     DensityMatrix,
     FourierState,
+    _check_bytes,
     _check_delta,
     _check_hbar,
     _check_index,
@@ -575,9 +576,8 @@ def overlap_from_wigner(a: FourierState, b: FourierState) -> float:
 
 def _check_reconstruction_size(K: int) -> None:
     """``ValueError`` naming ``K`` when the complex128 ``K x K`` result of a
-    reconstruction would exceed ``_MAX_DENSE_BYTES``."""
-    if 16 * K**2 > _MAX_DENSE_BYTES:
-        raise ValueError(f"reconstruction window K={K} needs {16 * K**2} bytes (limit {_MAX_DENSE_BYTES})")
+    reconstruction would exceed the dense budget (256 MiB)."""
+    _check_bytes(f"reconstruction window K={K}", 16 * K**2)
 
 
 def reconstruct_density(V, n_min: int, n_max: int, delta: float = 0.0) -> DensityMatrix:
@@ -675,7 +675,7 @@ def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray) -> float:
     O = np.asarray(O, dtype=np.complex128)
     if O.ndim != 2 or O.shape[0] != O.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(O - O.conj().T)) > 1e-12:
+    if np.max(np.abs(O - O.conj().T)) > _HERMITIAN_TOL:
         raise ValueError("operator must be Hermitian")
     E = rho.entries  # a diagonal window builds its entries on each read
     if O.shape != E.shape:

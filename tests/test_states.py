@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import ceil, log10, pi, sqrt
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -269,9 +270,38 @@ class TestBlockedWavefunction:
         assert peak < 48 * 2**20
 
 
+def _seeded_window(n_min):
+    """A K <= 14 window at ``n_min`` with ``delta = 0.37`` and twelve angles
+    up to ``|phi| = 40``, drawn from a seed: (n_min, delta, coeffs, phis)."""
+    rng = np.random.default_rng(n_min + 100)
+    K = min(14, 64 - n_min)
+    coeffs = rng.normal(size=K) + 1j * rng.normal(size=K)
+    phis = np.concatenate([rng.uniform(-pi, pi, 9), [0.0, 7.5, -40.0]])
+    return n_min, 0.37, (coeffs / np.linalg.norm(coeffs)).tolist(), phis.tolist()
+
+
+def _true_wavefunction(state, phi):
+    """``sum_n c_n exp(i (n + delta) phi)`` in mpmath at 40 digits, from the
+    exact float inputs."""
+    with mpmath.workdps(40):
+        angle = mpmath.mpf(phi)
+        return mpmath.fsum(
+            mpmath.mpc(c.real, c.imag) * mpmath.expj((n + mpmath.mpf(state.delta)) * angle)
+            for n, c in zip(state.indices.tolist(), state.coeffs.tolist())
+        )
+
+
+# the stated bound, |psi - truth| <= _TRUTH_C eps sum |c_n|: each phase is
+# the product of two exact-split factors and delta phi is split as well, so
+# no rounding is at the scale of n phi; 1.6 was the largest of 3000 random
+# windows (K <= 24, |n_min| <= 2**50, |phi| <= 50)
+_TRUTH_C = 8.0
+_ANGLES = st.floats(-50.0, 50.0) | st.integers(-50, 50).map(float)
+
+
 class TestFarWavefunctionPhase:
-    """An index ``|n| >= 64`` takes ``n phi`` as an exact pair of floats;
-    a smaller one keeps the rounded product ``(n + delta) phi``."""
+    """Every index takes ``n phi`` as an exact pair of floats, and ``delta
+    phi`` is split the same way."""
 
     # exp(i (n + delta) phi) at phi = 0.3 (the float), from mpmath at 40 digits
     @pytest.mark.parametrize(
@@ -287,15 +317,33 @@ class TestFarWavefunctionPhase:
         # the rounded product was off by 1.1e-8 at n = 10**9 and 1.1e-5 at 10**12
         assert abs(evaluate_wavefunction(basis_state(n, delta), 0.3) - want) <= 4e-16
 
-    @pytest.mark.parametrize("n_min", [-63, -20, 0, 17, 50])
-    def test_small_windows_keep_their_bits(self, n_min):
-        rng = np.random.default_rng(n_min + 100)
-        K = min(14, 64 - n_min)
-        coeffs = rng.normal(size=K) + 1j * rng.normal(size=K)
-        st = FourierState(delta=0.37, n_min=n_min, coeffs=coeffs / np.linalg.norm(coeffs))
-        phis = np.concatenate([rng.uniform(-pi, pi, 9), [0.0, 7.5, -40.0]])
-        want = st.coeffs @ np.exp(1j * np.outer(st.indices + st.delta, phis))
-        assert evaluate_wavefunction(st, phis).tobytes() == want.tobytes()
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(-(2**50), 2**50),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.lists(st.complex_numbers(min_magnitude=2**-20, max_magnitude=1.0), min_size=1, max_size=24),
+        st.lists(_ANGLES, min_size=1, max_size=6),
+    )
+    # windows of indices |n| < 64 on angles up to |phi| = 40: each of them
+    # misses the bound when a phase is the rounded product (n + delta) phi
+    @example(*_seeded_window(-63))
+    @example(*_seeded_window(-20))
+    @example(*_seeded_window(0))
+    @example(*_seeded_window(17))
+    @example(*_seeded_window(50))
+    def test_within_the_bound_of_the_truth(self, n_min, delta, coeffs, phis):
+        state = FourierState(delta=delta, n_min=n_min, coeffs=coeffs)
+        got = evaluate_wavefunction(state, np.array(phis))
+        bound = _TRUTH_C * np.finfo(float).eps * float(np.sum(np.abs(state.coeffs)))
+        for phi, value in zip(phis, got.tolist()):
+            assert abs(mpmath.mpc(value) - _true_wavefunction(state, phi)) <= bound, phi
+
+    def test_overflowing_phase_product_is_refused(self):
+        # n phi = 1e312 overflowed in the split, and the value was NaN
+        with pytest.raises(ValueError, match=r"phase product of angle 1e\+300 and index 1000000000000 overflows"):
+            evaluate_wavefunction(basis_state(10**12), 1e300)
+        # a product just inside float64 keeps a unit modulus
+        assert abs(evaluate_wavefunction(basis_state(10**12, 0.5), [1e295, -1e295])) == pytest.approx(1.0, abs=1e-15)
 
     def test_window_beyond_the_half_integer_lattice_is_refused(self):
         with pytest.raises(ValueError, match=r"index window \[2251799813685248, 2251799813685248\] leaves \|n\| < 2\*\*51"):

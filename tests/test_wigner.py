@@ -2,6 +2,7 @@
 probability extraction, pairings, reconstruction, and bounds."""
 
 import io
+import re
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import wigner
+from cylwigner import _kernels, wigner
 from cylwigner._kernels import _TABLE_BLOCK, phase_space_sum_grid
 from cylwigner.specfun import bessel_i, oscillation_order, sinc_pi
 from cylwigner.states import (
@@ -1047,6 +1048,29 @@ class TestGrids:
             ps[2] = value
         with pytest.raises(ValueError, match="must be finite"):
             grid_of(thetas, ps)
+
+    @pytest.mark.parametrize("theta", [1e307, -1e307])
+    def test_angle_whose_phase_overflows_is_refused(self, theta):
+        # exp(i d theta) at d = 16 overflowed: the grid and the marginal were
+        # NaN, with "overflow encountered in multiply" and "invalid value
+        # encountered in cos"
+        state = von_mises_state(2.0, 0.3)
+        named = rf"phase product of angle {re.escape(repr(theta))} and index \d+ overflows float64"
+        with pytest.raises(ValueError, match=named):
+            wigner_grid(state, [theta], [0.0, 1.0])
+        with pytest.raises(ValueError, match=named):
+            marginal_angle(state, theta)
+
+    def test_held_plan_takes_no_phase_check(self, monkeypatch):
+        # the check runs where phase columns are built: a new or grown plan
+        monkeypatch.setattr(_kernels, "_held_plans", {})
+        calls = []
+        check = _kernels._check_phases
+        monkeypatch.setattr(_kernels, "_check_phases", lambda *args: calls.append(args) or check(*args))
+        thetas = np.linspace(-1.0, 1.0, 7)
+        for s in (2.0, 2.0, 1.0, 30.0):  # new, held, held, grown
+            wigner_grid(von_mises_state(s, 0.3), thetas, [0.0])
+        assert len(calls) == 2
 
 
 class TestConcurrency:
