@@ -62,13 +62,11 @@ diagonals, conjugated for ``d < 0``.  A new axis gets a table of exactly
 the columns its window needs; a wider window doubles the table, building
 only the new columns.  The tables held total at most ``_HELD_BYTES`` (4
 MiB), the oldest plan dropped first (:func:`_held_with`), and a table
-above that is built for its call and not held.  Column
-``d = B q + k`` is a coarse ``exp(i B q theta)`` times a fine ``exp(i k
-theta)``, ``-B/2 <= k < B/2``, with the fixed step ``B = 32``, so the
-cosines and sines are taken per factor, not per (angle, diagonal) pair,
-and a column's bits do not depend on the table's width or history.  The
-same builder, :func:`_phase_columns`, gives ``wigner.marginal_angle`` its
-phases ``exp(i k theta)``, a block of angles at a time and not held.  The
+above that is built for its call and not held.  Every angle phase of the
+package is ``exp(i a b)`` from the exact pair ``p + e = a b``
+(:func:`_exp_product`), never rounded at the scale of ``a b``; a column
+is two such factors (:func:`_phase_columns`), and :func:`_angle_rows`
+gives ``marginal_angle`` and ``evaluate_wavefunction`` theirs.  The
 centres all lie on one half-integer lattice shifted by ``delta``, so
 ``sin(pi (p - centre))`` is ``+-sin(pi f)`` or ``+-cos(pi f)`` for one
 reduced remainder ``f`` per momentum: the sinc table costs one sine or
@@ -463,15 +461,13 @@ def _phase_columns(angles, start, stop):
 
     With the fixed step ``B = _COARSE_STEP`` each ``d`` is ``B q + k`` with
     ``-B/2 <= k < B/2``, and its phase is a coarse ``e^{i B q theta}`` times
-    a fine ``e^{i k theta}``, each the cosine and sine of one rounded
-    product: ``len(angles) (J + min(B, stop - start))`` cosines and sines for
-    ``J`` coarse steps, not two per entry.  ``|B q| <= |d| + B/2``, so each
-    argument is rounded at about the scale of ``d theta``, and ``d < B/2``
-    takes the cosine and sine of ``d theta`` itself, times exactly 1.  ``q``
-    and ``k`` depend on ``d`` alone, so a column has the same bits whatever
-    ``start`` and ``stop`` are.  An angle whose product with the largest
-    multiple overflows raises ``ValueError`` (:func:`_check_phases`); this
-    runs only for a new or grown table, so a held plan pays nothing.
+    a fine ``e^{i k theta}``, each from :func:`_exp_product`:
+    ``len(angles) (J + min(B, stop - start))`` factors for ``J`` coarse
+    steps, not one per entry; ``d < B/2`` takes its fine factor times
+    exactly 1.  ``q`` and ``k`` depend on ``d`` alone, so a column has the
+    same bits whatever ``start`` and ``stop`` are.  An angle whose product
+    with the largest multiple overflows raises ``ValueError``
+    (:func:`_check_phases`); a held plan pays nothing.
     """
     B = _COARSE_STEP
     # d + B//2 = B q + r: the fine step is k = r - B//2
@@ -481,13 +477,53 @@ def _phase_columns(angles, start, stop):
     k0 = int(k.min())
     multiples = np.concatenate([B * np.arange(q0, q0 + J), np.arange(k0, int(k.max()) + 1)])
     _check_phases(angles, int(np.abs(multiples).max()))
-    x = np.outer(angles, multiples)
-    factors = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=factors.real)
-    np.sin(x, out=factors.imag)
+    factors = _exp_product(angles[:, None], multiples.astype(np.float64))
     columns = factors.take(q - q0, axis=1)
     columns *= factors.take(J + k - k0, axis=1)
     return columns
+
+
+def _angle_rows(angles, K, row, dtype) -> np.ndarray:
+    """``row(P)`` of ``P = exp(i k theta)``, ``k = 0..K-1``, one ``dtype``
+    value per angle, for blocks of a multiple of 16 angles and at most
+    ``_TABLE_BLOCK`` phases: a row form such as ``P @ c`` sums each angle on
+    its own, with bits that depend on neither the block nor BLAS threads."""
+    out = np.empty(angles.size, dtype=dtype)
+    step = max(16, _TABLE_BLOCK // K // 16 * 16)
+    for lo in range(0, angles.size, step):
+        out[lo : lo + step] = row(_phase_columns(angles[lo : lo + step], 0, K))
+    return out
+
+
+def _exp_product(a, b) -> np.ndarray:
+    """``exp(i a b)`` of broadcast arrays, as ``(cos p + i sin p) exp(i e)``
+    for the exact pair ``p + e = a b`` of :func:`_two_product`."""
+    p, e = _two_product(a, b)
+    out = np.empty(np.shape(p), dtype=np.complex128)
+    np.cos(p, out=out.real)
+    np.sin(p, out=out.imag)
+    out *= np.exp(1j * e)
+    return out
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a b)`` and ``p + e = a b`` exactly, for broadcast
+    arrays whose products neither overflow nor underflow (Dekker's product:
+    halves of at most 26 bits make the four partial products exact)."""
+    p = a * b
+    a1, a2 = _halves(a)
+    b1, b2 = _halves(b)
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    return p, e
+
+
+def _halves(x):
+    """``(hi, lo)`` with ``hi + lo = x``, each of at most 26 bits: ``hi``
+    is ``x`` rounded to 26 bits, as Veltkamp's split rounds it, but with no
+    overflow at any finite ``x``."""
+    mantissa, exponent = np.frexp(x)
+    hi = np.ldexp(np.rint(np.ldexp(mantissa, 26)), exponent - 26)
+    return hi, x - hi
 
 
 def _hermitian_residual(A, rows, cols, vals) -> float:

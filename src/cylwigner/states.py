@@ -15,7 +15,7 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from ._kernels import _HERMITIAN_TOL, _TABLE_BLOCK, _check_momenta, _check_phases
+from ._kernels import _HERMITIAN_TOL, _angle_rows, _check_momenta, _check_phases, _exp_product
 # bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.states.bessel_i
 from .specfun import bessel_i, bessel_i_scaled  # noqa: F401
 
@@ -45,6 +45,18 @@ _VON_MISES_S_MAX = 6.07e9
 # at most this many rows of the window, however large K is (at K = 1161 a
 # block and its modulus take 8% of the window's bytes)
 _HERM_BLOCK_ROWS = 64
+
+
+def _dense_hermitian_residual(E) -> float:
+    """Largest ``|E_mn - conj(E_nm)|`` of the square complex ``E``, taken
+    ``_HERM_BLOCK_ROWS`` rows at a time, so no temporary holds more."""
+    herm = 0.0
+    for i in range(0, E.shape[0], _HERM_BLOCK_ROWS):
+        block = np.conj(E[:, i : i + _HERM_BLOCK_ROWS].T, order="C")
+        np.subtract(E[i : i + _HERM_BLOCK_ROWS, :], block, out=block)
+        herm = max(herm, float(np.max(np.abs(block))))
+        del block  # free it before the next block is allocated
+    return herm
 
 
 def _frozen_array(values, dtype=None):
@@ -310,16 +322,10 @@ class DensityMatrix:
         """Raise ``ValueError`` when Hermiticity/trace/positivity drift."""
         diagonal = self._weights  # a real diagonal is exactly Hermitian
         if diagonal is None:
-            E = self.entries
-            herm = 0.0
-            for i in range(0, E.shape[0], _HERM_BLOCK_ROWS):
-                block = np.conj(E[:, i : i + _HERM_BLOCK_ROWS].T, order="C")
-                np.subtract(E[i : i + _HERM_BLOCK_ROWS, :], block, out=block)
-                herm = max(herm, float(np.max(np.abs(block))))
-                del block  # free it before the next block is allocated
+            herm = _dense_hermitian_residual(self.entries)
             if herm > herm_tol:
                 raise ValueError(f"density matrix not Hermitian (residual {herm:.3e})")
-            diagonal = E.diagonal()
+            diagonal = self.entries.diagonal()
         tr = np.sum(diagonal)  # np.trace sums the same diagonal
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr} differs from 1")
@@ -436,14 +442,11 @@ def evaluate_wavefunction(state: FourierState, phi):
     exp(i 2 pi delta) psi(phi)`` automatically.  A non-finite angle raises
     ``ValueError``.
 
-    Every phase is split exactly: each index takes ``n phi`` as the sum
-    ``p + e`` of two floats (Dekker's product) and its phase as ``exp(i p)
-    exp(i e)``, and the factor ``exp(i delta phi)``, common to every index,
-    is taken once per angle from the pair of ``delta phi`` the same way.  So
-    no phase is rounded at the scale of ``n phi`` or ``delta phi`` (a
-    rounded ``(n + delta) phi`` is off by 1.1e-5 at ``n = 10**12``), and the
-    result is within ``8 eps sum |c_n|`` of the exact sum (tested against
-    mpmath at 40 digits for ``|n| <= 2**50`` and ``|phi| <= 50``).
+    It is ``exp(i n_min phi) exp(i delta phi) (P c)``, ``P = exp(i k phi)``
+    for ``k = n - n_min``, every phase an exact split in the kernel's one
+    builder, none rounded at the scale of ``n phi`` (a rounded ``(n + delta)
+    phi`` is off by 1.1e-5 at ``n = 10**12``): the result is within ``8 eps
+    sum |c_n|`` of the exact sum (mpmath, ``|n| <= 2**50``, ``|phi| <= 50``).
     A window beyond ``|n| < 2**51``, where float64 no longer holds every
     half-integer, is refused with ``ValueError``, as by the grid kernel, and
     so is an angle whose product with the largest index overflows float64.
@@ -451,39 +454,10 @@ def evaluate_wavefunction(state: FourierState, phi):
     phis = _finite(phi, "angles").ravel()
     _check_momenta(state.n_min, state.n_max)
     _check_phases(phis, max(-state.n_min, state.n_max))
-    n = state.indices.astype(np.float64)[:, None]
-    q, f = _two_product(state.delta, phis)
-    values = np.exp(1j * q) * np.exp(1j * f)
-    # phases for a block of angles at a time, of at most _TABLE_BLOCK entries:
-    # a multiple of 16 angles, so that each angle meets the product's kernel
-    # as in one pass and, with BLAS on one thread, gets the same bits
-    step = max(16, _TABLE_BLOCK // n.size // 16 * 16)
-    for lo in range(0, phis.size, step):
-        block = phis[lo : lo + step]
-        p, e = _two_product(n, block)
-        values[lo : lo + step] *= state.coeffs @ (np.exp(1j * p) * np.exp(1j * e))
+    values = _angle_rows(phis, state.coeffs.size, lambda P: P @ state.coeffs, np.complex128)
+    front = _exp_product(np.array([[state.n_min], [state.delta]]), phis)
+    values *= front[0] * front[1]
     return values.item() if np.ndim(phi) == 0 else values.reshape(np.shape(phi))
-
-
-def _two_product(a, b):
-    """``(p, e)`` with ``p = fl(a b)`` and ``p + e = a b`` exactly, for
-    broadcast arrays whose products neither overflow nor underflow
-    (Dekker's product: each factor is split into halves of at most 26
-    bits, so that the four partial products are exact)."""
-    p = a * b
-    a1, a2 = _halves(a)
-    b1, b2 = _halves(b)
-    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    return p, e
-
-
-def _halves(x):
-    """``(hi, lo)`` with ``hi + lo = x``, each of at most 26 bits: ``hi``
-    is ``x`` rounded to 26 bits, as Veltkamp's split rounds it, but with no
-    overflow at any finite ``x``."""
-    mantissa, exponent = np.frexp(x)
-    hi = np.ldexp(np.rint(np.ldexp(mantissa, 26)), exponent - 26)
-    return hi, x - hi
 
 
 def state_expectation_L(state: FourierState) -> float:

@@ -30,12 +30,12 @@ import numpy as np
 from ._g17 import g17_fields
 from ._kernels import (
     _HERMITIAN_TOL,
-    _TABLE_BLOCK,
     TWO_PI,
+    _angle_rows,
     _check_momenta,
     _diagonal_sum,
+    _exp_product,
     _held_with,
-    _phase_columns,
     phase_space_sum_grid,
     phase_space_sum_point,
     sinc_pi_array,
@@ -50,6 +50,7 @@ from .states import (
     _check_index,
     _finite,
     _frozen_array,
+    _dense_hermitian_residual,
     _number_field,
     _numbers_in,
     _on_window,
@@ -251,7 +252,7 @@ def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     _check_momenta(min(m, n), max(m, n))
     pt = _as_point(at)
     s = sinc_pi_array((pt.p - 0.5 * (m + n)) - delta)  # rounded at its own scale
-    return complex(np.exp(1j * (n - m) * pt.theta) * s / TWO_PI)
+    return complex(_exp_product(float(n - m), pt.theta) * s / TWO_PI)
 
 
 def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
@@ -516,31 +517,19 @@ def marginal_angle(obj, theta):
     Computed analytically from the coefficients, never by momentum
     quadrature.  Accepts scalar or array ``theta``; a non-finite angle
     raises ``ValueError``.  The phases ``exp(i k theta)``, ``k = n - n_min``,
-    come from the kernel's :func:`_kernels._phase_columns`: the common
-    ``n_min + delta`` drops out, however far from 0 the window lies.
+    come from :func:`_kernels._angle_rows`: the common ``n_min + delta``
+    drops out, however far from 0 the window lies.
     """
     A, _, _ = _window(obj)
     thetas = _finite(theta, "angles").ravel()
-    pure = isinstance(A, tuple)
-    if not pure and A.ndim == 1:
+    if isinstance(A, tuple):
+        values = _angle_rows(thetas, A[1].size, lambda P: np.abs(P @ A[1]) ** 2 / TWO_PI, np.float64)
+    elif A.ndim == 1:
         # a diagonal window has no coherences: the constant trace / 2 pi
         values = np.full(thetas.shape, obj.trace() / TWO_PI)
-    else:
-        K = A[1].size if pure else A.shape[0]
-        values = np.empty(thetas.size, dtype=np.float64 if pure else np.complex128)
-        # the N x K phase matrices are built for a block of angles at a
-        # time, of at most _TABLE_BLOCK entries (a multiple of 16 angles, so
-        # that each angle meets the products' kernels as in one pass over
-        # all angles and gets the same bits)
-        step = max(16, _TABLE_BLOCK // K // 16 * 16)
-        for lo in range(0, thetas.size, step):
-            phases = _phase_columns(thetas[lo : lo + step], 0, K)
-            if pure:
-                values[lo : lo + step] = np.abs(phases @ A[1]) ** 2 / TWO_PI
-            else:  # sum_mn e^{i m theta} rho_mn e^{-i n theta}, A = rho^T
-                values[lo : lo + step] = np.sum(phases * (phases.conj() @ A), axis=1)
-        if not pure:
-            values = _require_real(values) / TWO_PI
+    else:  # sum_mn e^{i m theta} rho_mn e^{-i n theta}, A = rho^T
+        values = _angle_rows(thetas, A.shape[0], lambda P: np.sum(P * (P.conj() @ A), axis=1), np.complex128)
+        values = _require_real(values) / TWO_PI
     return values.item() if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
 
 
@@ -675,7 +664,7 @@ def expectation_via_phase_space(rho: DensityMatrix, O: np.ndarray) -> float:
     O = np.asarray(O, dtype=np.complex128)
     if O.ndim != 2 or O.shape[0] != O.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(O - O.conj().T)) > _HERMITIAN_TOL:
+    if _dense_hermitian_residual(O) > _HERMITIAN_TOL:
         raise ValueError("operator must be Hermitian")
     E = rho.entries  # a diagonal window builds its entries on each read
     if O.shape != E.shape:

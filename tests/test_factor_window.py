@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cylwigner import DensityMatrix, FourierState, PhasePoint, cli, reconstruct_density, von_mises_state, wigner
+from cylwigner import DensityMatrix, FourierState, PhasePoint, _kernels, cli, reconstruct_density, von_mises_state, wigner
 from cylwigner._kernels import TWO_PI, _axis_plan, _half_turns, phase_space_sum_grid, phase_space_sum_point
 from cylwigner.cli import _write_json, main
 from cylwigner.states import pure_density
@@ -250,7 +250,7 @@ class TestBlockedAngleMarginal:
     def test_blocks_match_one_pass(self, obj, monkeypatch):
         thetas = np.linspace(-pi, pi, 1001)
         one_pass = wigner.marginal_angle(obj, thetas)
-        monkeypatch.setattr(wigner, "_TABLE_BLOCK", 64)
+        monkeypatch.setattr(_kernels, "_TABLE_BLOCK", 64)
         blocked = wigner.marginal_angle(obj, thetas)
         np.testing.assert_allclose(blocked, one_pass, rtol=0.0, atol=1e-15)
         assert wigner.marginal_angle(obj, thetas.reshape(7, 143)).shape == (7, 143)

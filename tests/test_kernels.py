@@ -9,9 +9,10 @@ from fractions import Fraction
 from math import pi
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylwigner import (
@@ -20,6 +21,7 @@ from cylwigner import (
     cat_state,
     marginal_momentum,
     reconstruct_density,
+    von_mises_state,
     wigner_density,
     wigner_grid,
 )
@@ -30,6 +32,7 @@ from cylwigner._kernels import (
     phase_space_sum_point,
     sinc_pi_array,
 )
+from oracle import true_windowed_sum
 
 
 def random_window(rng, K, n_min):
@@ -664,3 +667,92 @@ class TestHeldWith:
     def test_a_value_above_the_cap_is_not_held(self):
         held = {"a": "x"}
         assert _kernels._held_with(held, "b", "yyyyyy", len, 5) is held
+
+
+class TestPhaseBuilder:
+    """Every angle phase is ``exp(i a b)`` from the exact pair ``p + e = a
+    b``, so none is rounded at the scale of ``d theta``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1e12, 1e12) | st.floats(-10.0, 10.0), st.integers(0, 300))
+    # the rounded products d theta put the columns off by 9.1e-13 at 1000.3
+    # and 9.8e-4 at 1e12 + 0.3; a column is two factors of two roundings
+    # each and their product, and the largest error seen in 1.6 million
+    # columns (|theta| <= 1e12, d < 364) was 4.2e-16
+    @example(1000.3, 0)
+    @example(1e6 + 0.3, 0)
+    @example(1e9 + 0.3, 0)
+    @example(1e12 + 0.3, 0)
+    def test_columns_match_mpmath(self, theta, start):
+        got = _kernels._phase_columns(np.array([theta]), start, start + 64)[0]
+        with mpmath.workdps(40):
+            angle = mpmath.mpf(theta)
+            errors = [abs(mpmath.mpc(g) - mpmath.expj(d * angle)) for d, g in enumerate(got.tolist(), start)]
+        assert max(errors) <= 5e-16
+
+    def test_two_product_is_exact(self):
+        rng = np.random.default_rng(51)
+        # indices as the phase builder passes them, and doubles of any 53 bits
+        a = np.concatenate([rng.integers(-(2**51), 2**51, 1000).astype(np.float64), rng.normal(size=1000) * 1e9])
+        b = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-900, 900, 2000))
+        p, e = _kernels._two_product(a, b)
+        assert np.array_equal(p, a * b)
+        for x, y, hi, lo in zip(a, b, p, e):
+            assert Fraction(x) * Fraction(y) == Fraction(hi) + Fraction(lo)
+
+
+# the stated bound of the kernel against the 40-digit finite sum,
+# |W - truth| <= _KERNEL_C eps sum |A_mn|: the phases are exact splits and
+# the sinc table is rounded at the scale of its own argument, so no error
+# grows with the angle or the index; see the README for the largest seen
+_KERNEL_C = 1.0
+truth_windows = st.tuples(
+    st.integers(1, 12),
+    st.integers(-(2**40), 2**40),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+)
+truth_angles = st.lists(st.floats(-1e12, 1e12) | st.floats(-10.0, 10.0), min_size=1, max_size=3)
+# momenta as offsets from n_min, across the window and a little beyond
+truth_offsets = st.lists(st.floats(-3.0, 15.0), min_size=1, max_size=2)
+
+
+def _truth_window(kind, K, seed):
+    """``(window as the kernel takes it, its dense matrix)`` of ``kind``:
+    a factor pair, a dense Hermitian or a non-Hermitian matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "factor":
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        return (c.conj(), c), np.outer(c.conj(), c)
+    A = _window_of_kind(kind, rng, K)
+    return A, A
+
+
+class TestKernelTruth:
+    """``phase_space_sum_grid`` against :func:`oracle.true_windowed_sum`."""
+
+    @pytest.mark.parametrize("kind", ["factor", "hermitian", "moyal"])
+    @settings(max_examples=20, deadline=None)
+    @given(truth_windows, truth_angles, truth_offsets)
+    # at theta = 1000.3 the rounded products d theta reached 10-13 eps sum|A|
+    @example((12, -7, 0.37, 4), [1000.3, 0.25], [0.4, 6.3])
+    def test_within_the_bound_of_the_truth(self, kind, window, thetas, offsets):
+        K, n_min, delta, seed = window
+        A, dense = _truth_window(kind, K, seed)
+        ps = [float(n_min + x) for x in offsets]
+        got = phase_space_sum_grid(A, n_min, delta, np.array(thetas), np.array(ps))
+        bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
+        for i, theta in enumerate(thetas):
+            for j, p in enumerate(ps):
+                error = abs(mpmath.mpc(complex(got[i, j])) - true_windowed_sum(dense, n_min, delta, theta, p))
+                assert error <= bound, (theta, p)
+
+    def test_wigner_grid_far_from_zero(self):
+        # the rounded products d theta put this grid off by 1.8e-9
+        state = von_mises_state(2.0, 0.3)
+        theta, ps = 1e9 + 0.3, np.array([-1.2, 0.3, 2.05])
+        got = wigner_grid(state, np.array([theta]), ps).values[0]
+        dense = np.outer(state.coeffs.conj(), state.coeffs)
+        bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
+        for p, value in zip(ps.tolist(), got.tolist()):
+            assert abs(value - true_windowed_sum(dense, state.n_min, state.delta, theta, p)) <= bound, p

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from math import ceil, log10, pi, sqrt
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from cylwigner.states import (
     state_expectation_L,
     von_mises_state,
 )
+from oracle import true_wavefunction
 
 
 class TestBasisState:
@@ -237,7 +237,7 @@ class TestEvaluateWavefunction:
 _BLOCKED_WAVEFUNCTION = """
 from unittest import mock
 import numpy as np
-from cylwigner import states
+from cylwigner import _kernels, states
 rng = np.random.default_rng(16)
 phis = rng.uniform(-7.0, 7.0, 1001)
 for K, n_min in ((3, -1), (40, -20), (40, 10**9), (129, -(10**12))):
@@ -245,24 +245,25 @@ for K, n_min in ((3, -1), (40, -20), (40, 10**9), (129, -(10**12))):
     st = states.FourierState(delta=0.37, n_min=n_min, coeffs=coeffs / np.linalg.norm(coeffs))
     one_pass = states.evaluate_wavefunction(st, phis)
     for block in (1, 64, 5000):
-        with mock.patch.object(states, "_TABLE_BLOCK", block):
+        with mock.patch.object(_kernels, "_TABLE_BLOCK", block):
             assert states.evaluate_wavefunction(st, phis).tobytes() == one_pass.tobytes(), (K, n_min, block)
 """
 
 
 class TestBlockedWavefunction:
-    def test_blocks_match_one_pass(self):
-        # one BLAS thread, as the CI and the benchmark run: a threaded
-        # matrix-vector product splits its sums at sizes that depend on the
-        # block's shape, so its bits do not (README, CSV byte identity)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blocks_match_one_pass(self, threads):
+        # the row form P @ c sums each angle's row on its own, so blocks of
+        # 16 angles and one pass give the same bits at any BLAS thread count
+        # (the former K x N form c @ P differed at two threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(states.__file__).parents[1]), env.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-c", _BLOCKED_WAVEFUNCTION], env=env, capture_output=True, timeout=300)
         assert run.returncode == 0, run.stderr.decode()
 
     def test_memory_bounded_by_the_block(self, traced):
-        # K = 18,241, nearly all of it past |n| >= 64 (the exact-pair phases):
-        # the whole K x N phase matrix and its temporaries took 250.6 MiB
+        # K = 18,241: the whole K x N phase matrix and its temporaries took
+        # 250.6 MiB, the blocked phase columns peak at 9.5 MiB
         state = von_mises_state(1e6, 0.0)
         thetas = np.linspace(-pi, pi, 181)
         values, peak = traced(evaluate_wavefunction, state, thetas)
@@ -280,28 +281,18 @@ def _seeded_window(n_min):
     return n_min, 0.37, (coeffs / np.linalg.norm(coeffs)).tolist(), phis.tolist()
 
 
-def _true_wavefunction(state, phi):
-    """``sum_n c_n exp(i (n + delta) phi)`` in mpmath at 40 digits, from the
-    exact float inputs."""
-    with mpmath.workdps(40):
-        angle = mpmath.mpf(phi)
-        return mpmath.fsum(
-            mpmath.mpc(c.real, c.imag) * mpmath.expj((n + mpmath.mpf(state.delta)) * angle)
-            for n, c in zip(state.indices.tolist(), state.coeffs.tolist())
-        )
-
-
-# the stated bound, |psi - truth| <= _TRUTH_C eps sum |c_n|: each phase is
-# the product of two exact-split factors and delta phi is split as well, so
-# no rounding is at the scale of n phi; 1.6 was the largest of 3000 random
-# windows (K <= 24, |n_min| <= 2**50, |phi| <= 50)
+# the stated bound, |psi - truth| <= _TRUTH_C eps sum |c_n|: each phase
+# column exp(i k phi) and the front factors exp(i n_min phi) and exp(i delta
+# phi) come from exact splits, so no rounding is at the scale of n phi; 1.6
+# was the largest of 3000 random windows (K <= 24, |n_min| <= 2**50, |phi|
+# <= 50)
 _TRUTH_C = 8.0
 _ANGLES = st.floats(-50.0, 50.0) | st.integers(-50, 50).map(float)
 
 
 class TestFarWavefunctionPhase:
-    """Every index takes ``n phi`` as an exact pair of floats, and ``delta
-    phi`` is split the same way."""
+    """Every phase, ``exp(i k phi)``, ``exp(i n_min phi)`` and ``exp(i delta
+    phi)``, comes from the exact split of its product."""
 
     # exp(i (n + delta) phi) at phi = 0.3 (the float), from mpmath at 40 digits
     @pytest.mark.parametrize(
@@ -336,7 +327,7 @@ class TestFarWavefunctionPhase:
         got = evaluate_wavefunction(state, np.array(phis))
         bound = _TRUTH_C * np.finfo(float).eps * float(np.sum(np.abs(state.coeffs)))
         for phi, value in zip(phis, got.tolist()):
-            assert abs(mpmath.mpc(value) - _true_wavefunction(state, phi)) <= bound, phi
+            assert abs(mpmath.mpc(value) - true_wavefunction(state, phi)) <= bound, phi
 
     def test_overflowing_phase_product_is_refused(self):
         # n phi = 1e312 overflowed in the split, and the value was NaN
@@ -348,16 +339,6 @@ class TestFarWavefunctionPhase:
     def test_window_beyond_the_half_integer_lattice_is_refused(self):
         with pytest.raises(ValueError, match=r"index window \[2251799813685248, 2251799813685248\] leaves \|n\| < 2\*\*51"):
             evaluate_wavefunction(basis_state(2**51), 0.3)
-
-    def test_two_product_is_exact(self):
-        rng = np.random.default_rng(51)
-        # indices as the wavefunction passes them, and doubles of any 53 bits
-        a = np.concatenate([rng.integers(-(2**51), 2**51, 1000).astype(np.float64), rng.normal(size=1000) * 1e9])
-        b = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-900, 900, 2000))
-        p, e = states._two_product(a, b)
-        assert np.array_equal(p, a * b)
-        for x, y, hi, lo in zip(a, b, p, e):
-            assert Fraction(x) * Fraction(y) == Fraction(hi) + Fraction(lo)
 
 
 class TestExpectationL:
@@ -425,6 +406,15 @@ class TestPureDensity:
         entries[row, col] += 1e-3j
         with pytest.raises(ValueError, match=rf"not Hermitian \(residual {residual}\)"):
             DensityMatrix(delta=0.0, n_min=0, entries=entries).validate()
+
+    def test_blocked_residual_is_the_dense_formula(self):
+        # validate and wigner.expectation_via_phase_space share it: the same
+        # differences as the dense formula, a block of rows at a time
+        rng = np.random.default_rng(64)
+        for K in (1, 2, 63, 64, 65, 200):
+            B = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+            for E in (B, B + B.conj().T, B + B.conj().T + 1e-13 * B):
+                assert states._dense_hermitian_residual(E) == np.max(np.abs(E - E.conj().T)), K
 
 
 class TestSerialization:
