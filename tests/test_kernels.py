@@ -400,10 +400,13 @@ class TestHalfTurnAxes:
         got, seen = _evaluate(A, n_min, delta, thetas, ps)
         real = kind != "moyal"
         assert got.shape == thetas.shape + ps.shape and np.iscomplexobj(got) != real
-        # a window with nothing off its diagonal takes no angle table at all
-        assert seen == ([H + 1] if np.any(A - np.diag(np.diag(A))) else [])
-        assert np.max(np.abs(got - _half_turn_reference(A, n_min, delta, thetas, ps))) <= 1e-13
-        if kind == "even":
+        # only an axis with |t0| <= 2 pi takes the half-turn route; a window
+        # with nothing off its diagonal takes no angle table at all
+        near = abs(t0) <= 2 * pi
+        assert seen == ([H + 1 if near else 2 * H + 1] if np.any(A - np.diag(np.diag(A))) else [])
+        want = _half_turn_reference(A, n_min, delta, thetas, ps) if near else _brute_force_rows(A, n_min, delta, thetas, ps, 1)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        if kind == "even" and near:
             # no odd diagonal: rows half a turn apart are one row, except
             # the two ends of the evaluated block, a = H // 2 and a + H
             other = np.arange(H) != H // 2
@@ -719,19 +722,26 @@ truth_offsets = st.lists(st.floats(-3.0, 15.0), min_size=1, max_size=2)
 
 def _truth_window(kind, K, seed):
     """``(window as the kernel takes it, its dense matrix)`` of ``kind``:
-    a factor pair, a dense Hermitian or a non-Hermitian matrix."""
+    a factor pair, 1-D diagonal weights, a dense Hermitian or a
+    non-Hermitian matrix."""
     rng = np.random.default_rng(seed)
     if kind == "factor":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
         return (c.conj(), c), np.outer(c.conj(), c)
+    if kind == "diagonal":
+        w = rng.uniform(0.0, 1.0, K)
+        return w, np.diag(w)
     A = _window_of_kind(kind, rng, K)
     return A, A
+
+
+TRUTH_KINDS = ["factor", "diagonal", "hermitian", "moyal"]
 
 
 class TestKernelTruth:
     """``phase_space_sum_grid`` against :func:`oracle.true_windowed_sum`."""
 
-    @pytest.mark.parametrize("kind", ["factor", "hermitian", "moyal"])
+    @pytest.mark.parametrize("kind", TRUTH_KINDS)
     @settings(max_examples=20, deadline=None)
     @given(truth_windows, truth_angles, truth_offsets)
     # at theta = 1000.3 the rounded products d theta reached 10-13 eps sum|A|
@@ -746,6 +756,46 @@ class TestKernelTruth:
             for j, p in enumerate(ps):
                 error = abs(mpmath.mpc(complex(got[i, j])) - true_windowed_sum(dense, n_min, delta, theta, p))
                 assert error <= bound, (theta, p)
+
+    @pytest.mark.parametrize("kind", TRUTH_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(truth_windows, st.floats(-2 * pi, 2 * pi), st.integers(2, 4), truth_offsets)
+    @example((12, -7, 0.37, 4), 2 * pi, 3, [0.4, 6.3])
+    def test_full_period_axes_near_zero(self, kind, window, t0, H, offsets):
+        # rows a..a + H (a = H // 2) stand at their own angles, and each
+        # other row at theta_{r-H} + pi or theta_{r+H} - pi, a few ulp of pi
+        # from its float theta_r: each is held to the truth where it stands
+        K, n_min, delta, seed = window
+        A, dense = _truth_window(kind, K, seed)
+        thetas = np.linspace(t0, t0 + 2 * pi, 2 * H + 1)
+        assert _kernels._half_turns(thetas) == H
+        ps = [float(n_min + x) for x in offsets]
+        got = phase_space_sum_grid(A, n_min, delta, thetas, np.array(ps))
+        bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
+        a = H // 2
+        with mpmath.workdps(40):
+            turn = [mpmath.mpf(theta) for theta in thetas.tolist()]
+            angles = [turn[r + H] - mpmath.pi if r < a else turn[r - H] + mpmath.pi if r > a + H else turn[r] for r in range(2 * H + 1)]
+        for i, angle in enumerate(angles):
+            for j, p in enumerate(ps):
+                error = abs(mpmath.mpc(complex(got[i, j])) - true_windowed_sum(dense, n_min, delta, angle, p))
+                assert error <= bound, (i, p)
+
+    @pytest.mark.parametrize("t0", [1e3, 1e6, 1e9])
+    def test_full_period_axis_far_from_zero(self, t0):
+        # the half-turn route put rows at theta_{r-H} + pi, an ulp of t0
+        # from theta_r: off by 3.7e-15, 1.7e-12 and 2.9e-8; such an axis
+        # takes the open route
+        state = von_mises_state(2.0, 0.3)
+        thetas = np.linspace(t0, t0 + 2 * pi, 181)
+        assert _kernels._half_turns(thetas) == 0
+        got = wigner_grid(state, thetas, np.array([0.3])).values[:, 0]
+        dense = np.outer(state.coeffs.conj(), state.coeffs)
+        bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
+        # the two ends, the last rows before and after the middle
+        # half-period of 45..135 and its centre
+        for r in (0, 44, 90, 136, 180):
+            assert abs(got[r] - true_windowed_sum(dense, state.n_min, state.delta, thetas[r], 0.3)) <= bound, r
 
     def test_wigner_grid_far_from_zero(self):
         # the rounded products d theta put this grid off by 1.8e-9
