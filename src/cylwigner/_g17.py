@@ -22,8 +22,11 @@ hands every value the scaling cannot settle to Python's own formatter.
 A row is four little-endian uint64 words: the head (sign, the ``0.000``
 lead of fixed notation below 1, the first digit and the point after it),
 ending at byte 7; the other 16 digits, their trailing zeros dropped; and
-a spill byte with the exponent.  A point after digit 1..15 is put in by
-shifting the digits after it up one byte, the last into the spill byte.
+a spill byte, or the exponent from that byte on.  A point after digit
+1..15 (fixed notation) is put in by shifting the digits after it up one
+byte, the last into the spill byte; exponent notation never shifts, so
+its ``e`` takes the spill byte, and a value whose 16 digits after the
+first are all kept is one run of bytes.
 """
 
 import functools
@@ -77,7 +80,7 @@ def _tables():
     at ``e10 + _E10 + 1``, plus ``_NE`` when a digit follows the first;
     ``zeros`` puts back the zeros of an integer part of ``e10`` digits
     after the first; ``exps`` is indexed by ``e10 + _E10 + 1``, with no
-    text in fixed notation."""
+    text in fixed notation, and its text opens at the spill byte."""
     # 10^k = 5^k 2^k, with 5^k for k < 0 held as floor(2^N / 5^-k): over 106
     # bits each, and the leading bits of a floor are those of the quotient
     N = 106 + 3 * -_K_MIN
@@ -125,7 +128,7 @@ def _tables():
         "head": _words(head),
         "zeros": np.array([b"0" * n for n in range(17)], dtype="S16").view(_WORD).reshape(17, 2),
         "kinds": np.array([20 * _kind(e10, more) for more in (False, True) for e10 in range(-_E10 - 1, _E10 + 2)]),
-        "exps": _words([b"" if e in _FIXED else b"\0e%+03d" % e for e in range(-_E10 - 1, _E10 + 2)]),
+        "exps": _words([b"" if e in _FIXED else b"e%+03d" % e for e in range(-_E10 - 1, _E10 + 2)]),
     }
     for table in tables.values():  # shared by every call
         table.setflags(write=False)

@@ -96,15 +96,31 @@ TWO_PI = 2.0 * np.pi
 _HERMITIAN_TOL = 1e-12
 # entries (4 MiB) of a diagonal-window slice: per weight, len(ps) + about 16
 _TABLE_BLOCK = 2**19
+# largest array a window, axis or grid may expand to: a dense K x K
+# complex128 matrix (K = 4096), a float64 weight vector or axis (2**25
+# values), a real grid of 2**25 values or a complex one of 2**24
+_MAX_DENSE_BYTES = 256 * 2**20
+# values of sinc_pi_array evaluated at a time, as many as a CSV block: the
+# temporaries of a slice (32 kB each) are reused from the heap, where those
+# of a whole 72,581-value row took fresh pages each time (fig1 exports of
+# that row in one process: about 960 minor page faults each, against 250)
+_SINC_SLICE = 4096
 
 
 def sinc_pi_array(x) -> np.ndarray:
     """sin(pi x)/(pi x), elementwise: one row of :func:`_sinc_lattice`, with
-    ``|x|`` clipped at 2**52 (all integers; ``2x`` cannot overflow); 0-d gives 0-d."""
+    ``|x|`` clipped at 2**52 (all integers; ``2x`` cannot overflow); 0-d gives 0-d.
+    Each value is its own, so the ``_SINC_SLICE`` values taken at a time
+    have the bits of one whole row."""
     x = np.asarray(x, dtype=np.float64)
-    row = _sinc_lattice(np.clip(x, -(2.0**52), 2.0**52).ravel(), 0, np.zeros(1, dtype=np.intp), 0.0)[0]
-    row += 0.0  # +0.0, not -0.0, at the nonzero integers
-    return row.reshape(x.shape)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    centre = np.zeros(1, dtype=np.intp)
+    for lo in range(0, flat.size, _SINC_SLICE):
+        piece = np.clip(flat[lo : lo + _SINC_SLICE], -(2.0**52), 2.0**52)
+        out[lo : lo + _SINC_SLICE] = _sinc_lattice(piece, 0, centre, 0.0)[0]
+    out += 0.0  # +0.0, not -0.0, at the nonzero integers
+    return out.reshape(x.shape)
 
 
 def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
@@ -178,6 +194,19 @@ def _check_momenta(n_min, n_max) -> None:
         )
 
 
+def _check_bytes(what: str, nbytes: int) -> None:
+    """``ValueError`` "<what> needs <nbytes> bytes (limit ...)" when an array
+    of ``nbytes`` would pass ``_MAX_DENSE_BYTES``: the one budget rule,
+    applied before the array is built."""
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes (limit {_MAX_DENSE_BYTES})")
+
+
+def _check_grid(thetas, ps, complex_grid) -> None:
+    """:func:`_check_bytes` on the grid of ``thetas`` x ``ps``, real or complex."""
+    _check_bytes(f"a grid of {thetas.size} angles x {ps.size} momenta", (16 if complex_grid else 8) * thetas.size * ps.size)
+
+
 def _check_phases(angles, top) -> None:
     """``ValueError`` naming the angle of ``angles`` largest in size when its
     phase product with the index ``top`` is not finite, with a margin of
@@ -210,7 +239,9 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     ``np.outer(conj(c), c)`` of one state given by its factors.  A square
     ``A`` is tested: Hermitian to within 1e-12 gives a real array, otherwise
     a complex one.  A diagonal and a factor pair are Hermitian by
-    construction, untested, and give a real array.
+    construction, untested, and give a real array.  A grid above
+    ``_MAX_DENSE_BYTES`` raises ``ValueError`` before it or its tables are
+    allocated (:func:`_check_grid`).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
@@ -221,9 +252,11 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     else:
         A = np.asarray(A)
         if A.ndim == 1:
+            _check_grid(thetas, ps, np.iscomplexobj(A))
             return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
         K = A.shape[0]
         rows, cols, vals, hermitian = _matrix_entries(A)
+    _check_grid(thetas, ps, not hermitian)
     _check_momenta(n_min, n_min + K - 1)
     diag = cols - rows
     if not diag.any():

@@ -289,8 +289,17 @@ def _cmd_fig1(cfg: RunConfig) -> WignerGrid:
     return WignerGrid(theta_axis=np.array([0.0]), p_axis=cfg.p_axis, values=values[None, :])
 
 
+def _grid_thetas(cfg: RunConfig, default: tuple) -> np.ndarray:
+    """The angles of a figure grid, ``--theta-list`` or ``default``;
+    ``ValueError`` naming both counts when their grid with ``--p-steps``
+    momenta would pass the one budget, before the momentum axis is built."""
+    thetas = np.asarray(cfg.theta_list or default, dtype=np.float64)
+    _check_bytes(f"a grid of {thetas.size} angles x --p-steps {cfg.p_steps}", 8 * thetas.size * cfg.p_steps)
+    return thetas
+
+
 def _cmd_fig2(cfg: RunConfig) -> WignerGrid:
-    thetas = np.asarray(cfg.theta_list or (0.0, pi / 4, pi / 2, 3 * pi / 4, pi))
+    thetas = _grid_thetas(cfg, (0.0, pi / 4, pi / 2, 3 * pi / 4, pi))
     grid = wigner_grid(cat_state(cfg.alpha), thetas, cfg.p_axis)
     return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=2.0 * pi * grid.values)
 
@@ -303,13 +312,14 @@ def _cmd_fig3(cfg: RunConfig) -> WignerGrid:
     # 2 pi I_0(2 s) = 2 pi (I_0(2 s) exp(-2 s)) exp(s) exp(s): no factor
     # overflows while the product fits in a double
     scale = 2.0 * pi * float(bessel_i_scaled(0, 2.0 * cfg.s)[0]) * exp(cfg.s) * exp(cfg.s)
-    thetas = np.asarray(cfg.theta_list or (0.0, pi / 2, -pi / 2, pi, -pi))
+    thetas = _grid_thetas(cfg, (0.0, pi / 2, -pi / 2, pi, -pi))
     grid = wigner_grid(von_mises_state(cfg.s, cfg.pe), thetas, cfg.p_axis)
     return WignerGrid(theta_axis=grid.theta_axis, p_axis=grid.p_axis, values=scale * grid.values)
 
 
 def _cmd_thermal(cfg: RunConfig) -> WignerGrid:
-    return wigner_grid(thermal_density(ThermalParams(cfg.eps_beta)), cfg.theta_list or (0.0,), cfg.p_axis)
+    thetas = _grid_thetas(cfg, (0.0,))
+    return wigner_grid(thermal_density(ThermalParams(cfg.eps_beta)), thetas, cfg.p_axis)
 
 
 def _cmd_marginals(cfg: RunConfig) -> dict:

@@ -139,5 +139,5 @@ def wigner_time_derivative(state: FourierState, H: DiagonalHamiltonian, at) -> f
     A, n_min, delta = _window_matrix(state)
     energies = H.energies(state.n_min, state.n_max)
     gen = 1j * (energies[:, None] - energies[None, :])
-    value = phase_space_sum_point(A * gen, n_min, delta, pt.theta, pt.p)
+    value = phase_space_sum_point(A * gen, n_min, delta, pt.angle, pt.p)
     return float(_require_real(value))

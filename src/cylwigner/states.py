@@ -15,7 +15,7 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from ._kernels import _HERMITIAN_TOL, _angle_rows, _check_momenta, _check_phases, _exp_product
+from ._kernels import _HERMITIAN_TOL, _angle_rows, _check_bytes, _check_momenta, _check_phases, _exp_product
 # bessel_i stays bound here: perfbench/tracing.py wraps cylwigner.states.bessel_i
 from .specfun import bessel_i, bessel_i_scaled  # noqa: F401
 
@@ -30,9 +30,6 @@ __all__ = [
     "pure_density",
 ]
 
-# largest array a window or axis may expand to: a dense K x K complex128
-# matrix (K = 4096), a float64 weight vector or axis (2**25 values)
-_MAX_DENSE_BYTES = 256 * 2**20
 # the default von Mises window drops every coefficient below this share of
 # the peak: far below roundoff of the largest grid values
 _VON_MISES_CUT = 2.0**-60
@@ -137,14 +134,6 @@ def _check_window(n_min: int, size: int) -> None:
     n_max = n_min + size - 1
     if n_min <= -(2**62) or n_max >= 2**62:
         raise ValueError(f"index window [{n_min}, {n_max}] leaves |n| < 2**62, where index sums fit int64")
-
-
-def _check_bytes(what: str, nbytes: int) -> None:
-    """``ValueError`` "<what> needs <nbytes> bytes (limit ...)" when an array
-    of ``nbytes`` would pass ``_MAX_DENSE_BYTES``: the one budget rule,
-    applied before the array is built."""
-    if nbytes > _MAX_DENSE_BYTES:
-        raise ValueError(f"{what} needs {nbytes} bytes (limit {_MAX_DENSE_BYTES})")
 
 
 def _check_hbar(hbar: float) -> float:

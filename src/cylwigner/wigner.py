@@ -25,7 +25,7 @@ import operator
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
@@ -35,6 +35,7 @@ from ._kernels import (
     _HERMITIAN_TOL,
     TWO_PI,
     _angle_rows,
+    _check_grid,
     _check_momenta,
     _diagonal_sum,
     _exp_product,
@@ -98,18 +99,23 @@ _EXACT_WINDOW = 2**20
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (theta, p); theta is reduced mod 2 pi into [-pi, pi)."""
+    """A point (theta, p).  ``theta`` is reduced mod 2 pi into [-pi, pi) for
+    display; ``angle`` is the float angle as given, at which the point
+    functions evaluate, as a grid on the axis ``[angle]`` does: their phases
+    are exact at any angle, and the reduction by the float 2 pi would carry
+    its rounding (1.7e-9 in a Wigner function at ``theta = 1e9 + 0.3``)."""
 
     theta: float
     p: float
+    angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = float(self.theta)
         p = float(self.p)
         if not (np.isfinite(theta) and np.isfinite(p)):
             raise ValueError("phase-space coordinates must be finite")
-        theta = (theta + pi) % (2.0 * pi) - pi
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "angle", theta)
+        object.__setattr__(self, "theta", (theta + pi) % (2.0 * pi) - pi)
         object.__setattr__(self, "p", p)
 
 
@@ -255,7 +261,7 @@ def wigner_matrix_element(m: int, n: int, delta: float, at) -> complex:
     _check_momenta(min(m, n), max(m, n))
     pt = _as_point(at)
     s = sinc_pi_array((pt.p - 0.5 * (m + n)) - delta)  # rounded at its own scale
-    return complex(_exp_product(float(n - m), pt.theta) * s / TWO_PI)
+    return complex(_exp_product(float(n - m), pt.angle) * s / TWO_PI)
 
 
 def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
@@ -266,7 +272,7 @@ def moyal_function(bra: FourierState, ket: FourierState, at) -> complex:
     """
     pt = _as_point(at)
     A, n_min, delta = _window(bra, ket)
-    return phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
+    return phase_space_sum_point(A, n_min, delta, pt.angle, pt.p)
 
 
 def wigner_function(obj, at) -> float:
@@ -274,7 +280,7 @@ def wigner_function(obj, at) -> float:
     ``tr[rho V(theta, p)]``; real, bounded by 1/pi."""
     pt = _as_point(at)
     A, n_min, delta = _window(obj)
-    value = phase_space_sum_point(A, n_min, delta, pt.theta, pt.p)
+    value = phase_space_sum_point(A, n_min, delta, pt.angle, pt.p)
     return float(_require_real(value))
 
 
@@ -292,6 +298,7 @@ def _grid_axes(theta_axis, p_axis):
 
 def moyal_grid(bra: FourierState, ket: FourierState, theta_axis=None, p_axis=None) -> WignerGrid:
     theta_axis, p_axis = _grid_axes(theta_axis, p_axis)
+    _check_grid(theta_axis, p_axis, complex_grid=True)  # also when bra == ket gives the kernel's real grid
     A, n_min, delta = _window(bra, ket)
     values = phase_space_sum_grid(A, n_min, delta, theta_axis, p_axis)
     # a cross function is complex in general, also when bra == ket folds it real
@@ -326,11 +333,11 @@ _OPEN = b"%"
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # bytes of axis text held between exports
 _AXIS_TEXT_BYTES = 4 * 2**20
-# the text of the axes last exported, oldest first: (_CSV_BLOCK, shape,
-# bytes) of an axis -> its read-only g17_fields blocks.  An axis longer than
-# one block is keyed by the SHA-256 digest of its bytes, which would hold 8
-# bytes a value, more than a third of its text.  The store is kept by
-# _kernels._held_with, as the kernel keeps its phase plans
+# the line-ready text of the axes last exported, oldest first: (role,
+# _CSV_BLOCK, shape, bytes) of an axis -> its read-only blocks.  An axis
+# longer than one block is keyed by the SHA-256 digest of its bytes, which
+# would hold 8 bytes a value, more than a third of its text.  The store is
+# kept by _kernels._held_with, as the kernel keeps its phase plans
 _held_axes = {}
 
 
@@ -344,23 +351,32 @@ def write_grid_csv(grid: WignerGrid, path) -> None:
     lines end in ``"\\n"`` either way.  An existing file is written over in
     place and cut to length at the end (:func:`_overwrite`), not truncated
     first, so a re-export spares freeing the old file's pages and
-    allocating them again: on a 2-CPU Xeon, the benchmark's figure_export
-    rose from 44.5-47.9 to 50.2-53.9 exports/s in 10 alternating pairs of
-    20 s runs.  A first export to a new path costs the same.  A process
-    killed while it writes can leave the old file's bytes past the new
-    ones.  The bytes are formatted in numpy and written in blocks of at
-    most ``_CSV_BLOCK`` entries: whole theta rows, or slices of a longer
-    row.  Each axis is formatted once, and its text is held for later
-    exports on the same axis, bit for bit: at most
-    ``_AXIS_TEXT_BYTES`` (4 MiB) of it, the oldest axis dropped first, and
-    an axis whose text alone is larger is not held.  Only a process that
-    exports several grids on the same axes gains; a one-shot export
-    formats each axis once either way.  A row whose values recur later in
-    the grid, bit for bit (a theta-independent function, or the mirrored
-    rows of a real state), is formatted once into bytes that leave only its
-    theta open, filled in at each occurrence and dropped after the last; at
-    most ``_CSV_HOLD`` entries are held so, and a repeat beyond them is
-    formatted again.
+    allocating them again.  A first export to a new path costs the same.
+    A process killed while it writes can leave the old file's bytes past
+    the new ones.
+
+    The bytes are formatted in numpy and written in blocks of at most
+    ``_CSV_BLOCK`` entries: whole theta rows, or slices of a longer row.
+    Each line is laid out as its three fields side by side, NUL bytes
+    among them, and the NULs are dropped in one compress, whose cost
+    follows the runs of text in a line.  The newline opens each line (the
+    header goes out without one, and one ends the last block), so the held
+    axis text is line-ready: an angle as ``"\\ntheta,"`` at the right end of
+    its field and a momentum as ``"p,"`` at the left end of its field give
+    ``"\\ntheta,p,"`` in one run, and a value in exponent notation with all
+    17 digits is one more.  On a 2-CPU Xeon the benchmark's figure_export
+    went from 50.4-53.4 (median 52.3) to 57.6-62.9 (median 60.3) exports/s
+    in 10 pairs of 20 s runs, with the same bytes.  Each axis is
+    formatted once, and its text is held for later exports on the same
+    axis, bit for bit: at most ``_AXIS_TEXT_BYTES`` (4 MiB) of it, the
+    oldest axis dropped first, and an axis whose text alone is larger is
+    not held.  Only a process that exports several grids on the same axes
+    gains; a one-shot export formats each axis once either way.  A row
+    whose values recur later in the grid, bit for bit (a theta-independent
+    function, or the mirrored rows of a real state), is formatted once into
+    bytes that leave only its theta open, filled in at each occurrence and
+    dropped after the last; at most ``_CSV_HOLD`` entries are held so, and
+    a repeat beyond them is formatted again.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("CSV emission requires a real-valued grid")
@@ -389,11 +405,12 @@ def _overwrite(path, mode, **kw):
                 fh.truncate()
 
 
-def _axis_fields(axis) -> tuple:
-    """The ``g17_fields`` rows of an axis, ``_CSV_BLOCK`` values at a time:
-    a tuple of read-only blocks, each as wide as its own text.  They are
-    the held ones when an axis of the same shape and bytes was exported
-    before with the same ``_CSV_BLOCK``.  A new axis is held after
+def _axis_fields(axis, role) -> tuple:
+    """The line-ready text of an axis in the CSV field ``role``, ``"theta"``
+    or ``"p"``, ``_CSV_BLOCK`` values at a time (:func:`_line_ready`): a
+    tuple of read-only blocks, each as wide as its own text.  They are the
+    held ones when an axis of the same shape and bytes was exported in the
+    same role before with the same ``_CSV_BLOCK``.  A new axis is held after
     those held before, by :func:`_kernels._held_with`: the oldest are
     dropped while the total would pass ``_AXIS_TEXT_BYTES``, and an axis
     whose own text passes it serves its call only.
@@ -401,22 +418,38 @@ def _axis_fields(axis) -> tuple:
     global _held_axes
     axis = np.ascontiguousarray(axis, dtype=np.float64)
     if axis.size <= _CSV_BLOCK:
-        key = _CSV_BLOCK, axis.shape, axis.tobytes()
+        key = role, _CSV_BLOCK, axis.shape, axis.tobytes()
     else:  # imported here: a process without long axes never loads hashlib (about 4 ms)
         import hashlib
 
-        key = _CSV_BLOCK, axis.shape, hashlib.sha256(axis).digest()
+        key = role, _CSV_BLOCK, axis.shape, hashlib.sha256(axis).digest()
     held = _held_axes
     blocks = held.get(key)
     if blocks is not None:
         return blocks
     flat = axis.ravel()
-    # each block leaves its 32-byte rows for a copy of its own width
-    blocks = tuple(g17_fields(flat[lo : lo + _CSV_BLOCK]).copy() for lo in range(0, flat.size, _CSV_BLOCK))
-    for block in blocks:
-        block.setflags(write=False)
+    blocks = tuple(_line_ready(flat[lo : lo + _CSV_BLOCK], role == "theta") for lo in range(0, flat.size, _CSV_BLOCK))
     _held_axes = _held_with(held, key, blocks, _text_bytes, _AXIS_TEXT_BYTES)
     return blocks
+
+
+def _line_ready(values, angle: bool) -> np.ndarray:
+    """Read-only uint8 rows, one per value, as wide as the longest: an
+    ``angle`` as ``"\\n"``, its ``"%.17g"`` text and ``","`` at the right
+    end of its row, or a momentum as its text and ``","`` at the left end,
+    with NUL bytes filling the rest."""
+    fields = g17_fields(values)
+    newline, comma = (np.full((len(fields), 1), byte, dtype=np.uint8) for byte in (_NEWLINE, _COMMA))
+    lengths = np.count_nonzero(fields, axis=1) + (2 if angle else 1)
+    width = int(lengths.max(initial=0))
+    # each row's filling as bytes 1, which no text holds, so that one
+    # compress of the rows lays them out whole; then they are made NUL
+    fill = (np.arange(width - int(lengths.min(initial=0))) < (width - lengths)[:, None]).view(np.uint8)
+    rows = np.concatenate([fill, newline, fields, comma] if angle else [fields, comma, fill], axis=1)
+    rows = rows[rows != 0].reshape(-1, width)
+    rows[rows == 1] = 0
+    rows.setflags(write=False)
+    return rows
 
 
 def _text_bytes(blocks) -> int:
@@ -430,14 +463,14 @@ def _stream_grid_csv(grid: WignerGrid, write) -> None:
     values = grid.values
     n_theta, n_p = values.shape
     span = max(1, min(n_p, _CSV_BLOCK))  # momenta of a block
-    theta_blocks, p_blocks = _axis_fields(grid.theta_axis), _axis_fields(grid.p_axis)
+    theta_blocks, p_blocks = _axis_fields(grid.theta_axis, "theta"), _axis_fields(grid.p_axis, "p")
     first_of, last_of = _repeated_rows(values)
     held = {}  # first row of a repeated row -> its bytes per block, theta left open
     room = _CSV_HOLD
     # the rows planned and not yet written, each as its theta text and the
     # held text it takes or fills (None: neither), and those to format
     plan, fresh = [], []
-    write(b"theta,p,value\n")
+    write(b"theta,p,value")  # each line opens with its newline
     for i in range(n_theta):
         if i % _CSV_BLOCK == 0:  # the angles, _CSV_BLOCK at a time
             theta_fields = theta_blocks[i // _CSV_BLOCK]
@@ -463,6 +496,7 @@ def _stream_grid_csv(grid: WignerGrid, write) -> None:
         if (len(fresh) + 1) * n_p > _CSV_BLOCK or i % _CSV_BLOCK == _CSV_BLOCK - 1 or i == n_theta - 1:
             _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span)
             plan, fresh = [], []
+    write(b"\n")
 
 
 def _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span) -> None:
@@ -475,20 +509,16 @@ def _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span) -> No
     for piece, p_fields in enumerate(p_blocks):
         if fresh:
             start = piece * span
-            data = _csv_lines(
+            lines = _csv_lines(
                 theta_fields[rows % _CSV_BLOCK],
                 p_fields,
                 grid.values[rows, start : start + span],
             )
             if plain:
-                write(data)
+                write(lines[lines != 0])  # the text, without the NUL bytes
                 continue
-            # each row's bytes end with the newline of its last line (there
-            # are several rows only when a block holds whole rows of span)
-            ends = [data.size]
-            if rows.size > 1:
-                ends = (np.flatnonzero(data == _NEWLINE)[span - 1 :: span] + 1).tolist()
-            texts_of_fresh = (data[a:b] for a, b in zip([0] + ends, ends))
+            # each fresh row's text from its own lines
+            texts_of_fresh = (row[row != 0] for row in lines)
         for theta_text, texts in plan:
             if texts is None:
                 write(next(texts_of_fresh))
@@ -499,24 +529,23 @@ def _write_planned(write, plan, fresh, theta_fields, p_blocks, grid, span) -> No
 
 
 def _field_text(field) -> bytes:
-    """The text of one row of ``g17_fields``."""
+    """The text of one row of line-ready axis text."""
     return field[field != 0].tobytes()
 
 
 def _csv_lines(theta_fields, p_fields, values) -> np.ndarray:
-    """The bytes of the CSV lines of ``values`` (R x C), row by row, from
-    the ``g17_fields`` of its R angles and C momenta."""
+    """The CSV lines of ``values`` (R x C) with NUL bytes among them, from
+    the line-ready text of its R angles and C momenta: (R, C W) uint8, row
+    ``r`` the lines of ``values[r]``, each its angle, momentum and
+    ``g17_fields`` value side by side."""
     R, C = values.shape
     value_fields = g17_fields(values).reshape(R, C, -1)
-    wt, wp, wv = theta_fields.shape[1], p_fields.shape[1], value_fields.shape[2]
-    lines = np.empty((R, C, wt + wp + wv + 3), dtype=np.uint8)
+    wt, wp = theta_fields.shape[1], p_fields.shape[1]
+    lines = np.empty((R, C, wt + wp + value_fields.shape[2]), dtype=np.uint8)
     lines[:, :, :wt] = theta_fields[:, None, :]
-    lines[:, :, wt] = _COMMA
-    lines[:, :, wt + 1 : wt + 1 + wp] = p_fields
-    lines[:, :, wt + 1 + wp] = _COMMA
-    lines[:, :, wt + 2 + wp : -1] = value_fields
-    lines[:, :, -1] = _NEWLINE
-    return lines[lines != 0]  # the text, without the fields' NUL bytes
+    lines[:, :, wt : wt + wp] = p_fields
+    lines[:, :, wt + wp :] = value_fields
+    return lines.reshape(R, -1)
 
 
 def _repeated_rows(values):

@@ -12,6 +12,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, angles",
+        [
+            (["--command", "fig2"], 5),
+            (["--command", "fig3", "--s", "300"], 5),
+            (["--command", "thermal", "--theta-list=0,1,2,3,4,5,6,7,8"], 9),
+        ],
+    )
+    def test_grid_above_the_budget_is_two(self, argv, angles, capsys):
+        # refused by its size before the momentum axis or the grid is built
+        assert run_cli(*argv, "--p-steps", "30000000", "--out", os.devnull) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a grid of {angles} angles x --p-steps 30000000 needs ") and err.count("\n") == 1
+
+    def test_grid_above_the_budget_is_refused_in_under_a_second(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("--command", "fig2", "--p-steps", "30000000") == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: a grid of 5 angles x --p-steps 30000000 needs 1200000000 bytes (limit 268435456)\n"
+
     def test_overflowing_p_range_width_is_two(self, capsys):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -722,20 +743,23 @@ class TestOverwrite:
         assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
 
     def test_csv_raising_mid_write_leaves_the_bytes_written(self, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "fig1.csv"
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "fig1.csv"
+        assert run_cli(*_REEXPORTS["fig1"], "--out", str(fresh)) == 0
         out.write_bytes(b"x" * 2**20)
         real_lines, blocks = wigner._csv_lines, []
 
         def first_block_only(*args):
             if blocks:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            blocks.append(real_lines(*args).tobytes())
+            blocks.append(real_lines(*args))
             return blocks[0]
 
         monkeypatch.setattr(wigner, "_csv_lines", first_block_only)
         assert run_cli(*_REEXPORTS["fig1"], "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 28]")
-        assert out.read_bytes() == b"theta,p,value\n" + blocks[0]
+        # the header and the first block's lines: a prefix of the full export
+        written, want = out.read_bytes(), fresh.read_bytes()
+        assert len(b"theta,p,value") < len(written) < len(want) and want.startswith(written)
 
     def test_json_raising_mid_write_leaves_the_bytes_written(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "rec.json"

@@ -127,3 +127,28 @@ def test_doubtful_values_take_the_fallback(monkeypatch):
     monkeypatch.setattr(_g17, "_place_specials", spy)
     assert texts([0.1, 1000000000000000.25]) == ["0.10000000000000001", "1000000000000000.2"]
     assert calls == [[1]]
+
+
+def test_exponent_notation_with_every_digit_is_one_run():
+    # the exponent opens at the spill byte, right after the 17th digit, so
+    # a value that keeps all its digits is one run of bytes
+    rng = np.random.default_rng(31)
+    values = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-280, 280, 4000)
+    values[::2] *= -1
+    kept = np.array([not ("%.16e" % v).split("e")[0].endswith("0") for v in values.tolist()])
+    values = values[kept & ((np.abs(values) < 1e-4) | (np.abs(values) >= 1e17))]
+    assert values.size > 3000
+    fields = g17_fields(values)
+    assert texts(values) == reference(values)
+    for row in fields:
+        at = np.flatnonzero(row)
+        assert at[-1] - at[0] + 1 == at.size
+
+
+@pytest.mark.parametrize("switch", [1e-4, 1e17])
+def test_both_notation_switches(switch):
+    # fixed below the switch and exponent notation past it (or the reverse
+    # at 1e-4), with random digits and each value's neighbours
+    rng = np.random.default_rng(37)
+    values = neighbours(switch * np.concatenate([rng.uniform(0.5, 2.0, 20_000), [1.0]]))
+    assert texts(values) == reference(values)

@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 from cylwigner import (
     DensityMatrix,
     FourierState,
+    PhasePoint,
     cat_state,
     marginal_momentum,
+    moyal_function,
     reconstruct_density,
     von_mises_state,
     wigner_density,
+    wigner_function,
     wigner_grid,
+    wigner_matrix_element,
 )
 from cylwigner import _kernels
 from cylwigner._kernels import (
@@ -212,6 +216,41 @@ def _table_centres(n_min, K):
     2 n_min + t as the table requires."""
     ts = np.arange(2 * K - 1)
     return ts[np.argsort((2 * n_min + ts) & 3, kind="stable")]
+
+
+class TestSincSlices:
+    """Long inputs are evaluated ``_SINC_SLICE`` values at a time, with the
+    bits of the whole row."""
+
+    @staticmethod
+    def edged(S, n):
+        # lattice hits, -0.0 and clipped magnitudes on both sides of each slice edge
+        x = np.random.default_rng(41).uniform(-60.0, 60.0, n)
+        specials = [7.0, -0.0, 2.0**52, -(2.0**52), 1e300, -3.0, 0.0, -(2.0**60), 0.5, 2.0**52 + 2.0]
+        edges = [i for lo in range(S, n, S) for i in (lo - 1, lo)]
+        x[edges] = [specials[k % len(specials)] for k in range(len(edges))]
+        return x
+
+    @pytest.mark.parametrize("S", [1, 7, None])
+    def test_long_input_equals_the_per_slice_and_whole_row_evaluation(self, S, monkeypatch):
+        if S is None:
+            S = _kernels._SINC_SLICE
+        monkeypatch.setattr(_kernels, "_SINC_SLICE", S)
+        x = self.edged(S, 3 * S + 5 if S > 1 else 40)
+        got = sinc_pi_array(x)
+        whole = _sinc_lattice(np.clip(x, -(2.0**52), 2.0**52), 0, np.zeros(1, dtype=np.intp), 0.0)[0] + 0.0
+        per_slice = np.concatenate([sinc_pi_array(x[lo : lo + S]) for lo in range(0, x.size, S)])
+        assert got.tobytes() == whole.tobytes() == per_slice.tobytes()
+        assert np.array_equal(got[x == 0.0], np.ones(np.count_nonzero(x == 0.0)))
+        integers = (x == np.rint(x)) & (x != 0.0)
+        assert not np.signbit(got[integers]).any() and not got[integers].any()
+
+    def test_shape_is_kept(self):
+        S = _kernels._SINC_SLICE
+        x = self.edged(S, 4 * S)
+        assert sinc_pi_array(x.reshape(4, S)).tobytes() == sinc_pi_array(x).tobytes()
+        assert sinc_pi_array(x.reshape(4, S)).shape == (4, S)
+        assert sinc_pi_array(np.array([])).shape == (0,)
 
 
 class TestSincLattice:
@@ -806,3 +845,26 @@ class TestKernelTruth:
         bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
         for p, value in zip(ps.tolist(), got.tolist()):
             assert abs(value - true_windowed_sum(dense, state.n_min, state.delta, theta, p)) <= bound, p
+
+    def test_point_functions_far_from_zero(self):
+        # the point functions evaluate at the caller's float angle, as the
+        # 1 x 1 grid does; reduced by the float 2 pi first, wigner_function
+        # was off by 1.7e-9 here
+        state = von_mises_state(2.0, 0.3)
+        theta = 1e9 + 0.3
+        dense = np.outer(state.coeffs.conj(), state.coeffs)
+        bound = _KERNEL_C * np.finfo(float).eps * float(np.sum(np.abs(dense)))
+        for p in (-1.2, 0.3, 2.05):
+            truth = true_windowed_sum(dense, state.n_min, state.delta, theta, p)
+            grid = wigner_grid(state, np.array([theta]), np.array([p])).values[0, 0]
+            for at in ((theta, p), PhasePoint(theta, p)):
+                assert abs(wigner_function(state, at) - truth) <= bound, p
+                assert abs(mpmath.mpc(moyal_function(state, state, at)) - truth) <= bound, p
+                assert wigner_function(state, at) == grid
+        # one element: the window with a single unit entry at (m, n)
+        m, n, delta = -2, 3, 0.25
+        unit = np.zeros((6, 6))
+        unit[0, 5] = 1.0
+        for p in (0.4, 7.75):
+            truth = true_windowed_sum(unit, m, delta, theta, p)
+            assert abs(mpmath.mpc(wigner_matrix_element(m, n, delta, (theta, p))) - truth) <= np.finfo(float).eps, p

@@ -5,6 +5,7 @@ import io
 import re
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import pi
 from pathlib import Path
@@ -931,6 +932,31 @@ class TestWindows:
 
 
 class TestGrids:
+    def test_grid_above_the_budget_is_refused_before_it_is_built(self):
+        from cylwigner.thermal import ThermalParams, thermal_density
+
+        # 2**25 values fill the budget as a real grid, so one more angle
+        # passes it; a complex grid passes it at half as many values
+        thetas, ps = np.linspace(-pi, pi, 2**10 + 1), np.linspace(-5.0, 5.0, 2**15)
+        state = von_mises_state(1.0, 0.2)
+        calls = [
+            (8, wigner_grid, state, thetas, ps),
+            (8, wigner_grid, pure_density(state), thetas, ps),
+            (8, wigner_grid, thermal_density(ThermalParams(1.0)), thetas, ps),  # the diagonal window's tiled row
+            (16, moyal_grid, cat_state(0.3), basis_state(1), thetas[: 2**9 + 1], ps),
+            (16, moyal_grid, state, state, thetas[: 2**9 + 1], ps),  # a real grid, returned complex
+        ]
+        for itemsize, call, *args in calls:
+            n = args[-2].size
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=rf"^a grid of {n} angles x 32768 momenta needs {itemsize * n * 2**15} bytes"):
+                    call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
     def test_default_axes(self):
         grid = wigner_grid(cat_state(0.0))
         assert grid.theta_axis.size == 181 and grid.p_axis.size == 401
@@ -1280,13 +1306,51 @@ class TestHeldAxisText:
     def test_held_blocks_are_read_only(self):
         grid = _axes_grid(3)
         _written_bytes(grid, False)
-        blocks = wigner._axis_fields(grid.theta_axis)
-        assert blocks is wigner._axis_fields(grid.theta_axis)
+        blocks = wigner._axis_fields(grid.theta_axis, "theta")
+        assert blocks is wigner._axis_fields(grid.theta_axis, "theta")
         for held in wigner._held_axes.values():
             for block in held:
                 assert not block.flags.writeable
                 with pytest.raises(ValueError):
                     block[0, 0] = 0
+
+    def test_line_ready_text(self):
+        # an angle is "\n<text>," at the right end of its row and a momentum
+        # "<text>," at the left end, so the two side by side are one run
+        axis = np.array([0.0, -0.5, 1e-300, np.nan, 3.0000000000000004, -1e22])
+        for role in ("theta", "p"):
+            (block,) = wigner._axis_fields(axis, role)
+            assert block.shape[0] == axis.size
+            for value, row in zip(axis.tolist(), block):
+                text = b"%.17g," % value
+                if role == "theta":
+                    text = b"\n" + text
+                    assert row[row.size - len(text) :].tobytes() == text
+                else:
+                    assert row[: len(text)].tobytes() == text
+                assert np.count_nonzero(row) == len(text)
+            # the widest text fills its row
+            assert np.count_nonzero(block, axis=1).max() == block.shape[1]
+
+    def test_roles_are_held_apart_in_one_store(self):
+        axis = np.linspace(-1.0, 1.0, 7)
+        theta, p = wigner._axis_fields(axis, "theta"), wigner._axis_fields(axis, "p")
+        assert len(wigner._held_axes) == 2
+        assert theta is wigner._axis_fields(axis, "theta") and p is wigner._axis_fields(axis, "p")
+        assert _held_total() == wigner._text_bytes(theta) + wigner._text_bytes(p)
+
+    def test_angle_and_momentum_text_is_one_run(self):
+        thetas, ps = np.array([0.25, -3.0]), np.array([1.5, -2.0, 1e-7])
+        values = np.full((2, 3), 1.2345678901234567e-05)  # exponent notation, every digit kept
+        lines = wigner._csv_lines(wigner._axis_fields(thetas, "theta")[0], wigner._axis_fields(ps, "p")[0], values)
+        assert lines.shape[0] == thetas.size
+        for line in lines.reshape(thetas.size * ps.size, -1):
+            at = np.flatnonzero(line)
+            assert line[at[0]] == ord("\n")
+            # "\ntheta,p," runs up to the second comma, and the value is one more run at most
+            second_comma = np.flatnonzero(line[at] == ord(","))[1]
+            assert at[second_comma] - at[0] == second_comma
+            assert np.count_nonzero(np.diff(at) > 1) <= 1
 
     def test_repeated_rows_leave_the_held_theta_text(self):
         # repeated rows hold their text with the theta field open; that is
@@ -1303,7 +1367,7 @@ class TestHeldAxisText:
         n = 2 * _CSV_BLOCK + 3
         axis = np.arange(n, dtype=np.float64)  # integers: narrow text
         axis[_CSV_BLOCK : 2 * _CSV_BLOCK] = -np.geomspace(1e-300, 1e-5, _CSV_BLOCK)
-        widths = {block.shape[1] for block in wigner._axis_fields(axis)}
+        widths = {block.shape[1] for block in wigner._axis_fields(axis, long_axis)}
         assert len(widths) > 1
         values = np.random.default_rng(6).standard_normal(n)
         if long_axis == "theta":
@@ -1316,15 +1380,15 @@ class TestHeldAxisText:
 
     def test_oldest_axis_dropped_at_the_cap(self, monkeypatch):
         a, b, c = _axes_grid(7), _axes_grid(8), _axes_grid(9)
-        held = [wigner._axis_fields(axis) for axis in (a.theta_axis, a.p_axis)]
+        held = [wigner._axis_fields(a.theta_axis, "theta"), wigner._axis_fields(a.p_axis, "p")]
         # room for the four axes of two grids, not six
         monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", _held_total() * 2 + 20)
         for grid in (a, b, c):
             assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
             assert _held_total() <= wigner._AXIS_TEXT_BYTES
         assert len(wigner._held_axes) == 4
-        assert wigner._axis_fields(b.p_axis) is wigner._axis_fields(b.p_axis)
-        assert wigner._axis_fields(a.theta_axis) is not held[0]
+        assert wigner._axis_fields(b.p_axis, "p") is wigner._axis_fields(b.p_axis, "p")
+        assert wigner._axis_fields(a.theta_axis, "theta") is not held[0]
         # a's axes again, formatted anew: the same bytes
         assert _written_bytes(a, True) == _reference_csv(a).encode("ascii")
 
@@ -1333,7 +1397,7 @@ class TestHeldAxisText:
         monkeypatch.setattr(wigner, "_AXIS_TEXT_BYTES", 1000)
         assert _written_bytes(grid, False) == _reference_csv(grid).encode("ascii")
         assert len(wigner._held_axes) == 1  # the angles only
-        assert wigner._axis_fields(grid.p_axis) is not wigner._axis_fields(grid.p_axis)
+        assert wigner._axis_fields(grid.p_axis, "p") is not wigner._axis_fields(grid.p_axis, "p")
         assert _held_total() <= 1000
 
     def test_held_total_stays_under_the_cap(self, monkeypatch):
@@ -1342,7 +1406,8 @@ class TestHeldAxisText:
         for grid in grids:
             _written_bytes(grid, False)
             assert _held_total() <= 4000
-        assert sum(wigner._text_bytes(wigner._axis_fields(ax)) for g in grids for ax in (g.theta_axis, g.p_axis)) > 4000
+        texts = [wigner._axis_fields(g.theta_axis, "theta") + wigner._axis_fields(g.p_axis, "p") for g in grids]
+        assert sum(wigner._text_bytes(blocks) for blocks in texts) > 4000
 
     def test_threads_on_interleaved_axes_match_serial_runs(self, monkeypatch):
         grids = [_axes_grid(30 + i, n_theta=6, n_p=40) for i in range(4)]
