@@ -26,7 +26,8 @@ same products without its per-call checks).  Only the nonzero entries of
 ``A`` enter, so a banded window costs in proportion to its band.  A square
 window is scanned for them (one pass over its K x K entries), and its
 Hermiticity test compares each of them with its mirror in one more pass
-(one gather).  A state's own window ``conj(c) c^T`` is passed as its
+(one gather); one with no zero entry gathers only its upper half and
+their mirrors.  A state's own window ``conj(c) c^T`` is passed as its
 factor pair ``(conj(c), c)``: its entries on and above the diagonal are
 formed as the products ``conj(c_m) c_n``, the same bits as ``np.outer``
 gives, with no matrix, scan or test; a zero product is no entry, as the
@@ -55,6 +56,17 @@ them (there ``theta_r`` and ``theta_{r-H} + pi`` differ by an ulp of
 ``t0``), is one chain over all its angles.  The test for such an axis
 compares every angle with the reference ``linspace``.
 
+Which diagonals and centres a window occupies, and where each entry lands
+in ``M``, depend on its shape only: :func:`_index_plan` builds them
+together (the entries' indices and weights, the diagonals and centres in
+route order, the entries' positions in ``M``, the sizes of the even and
+odd blocks, the residue runs of the sinc table).  A full window, with all
+``K (K + 1) / 2`` entries on and above its diagonal present (a factor
+pair with no zero product, a Hermitian matrix with no zero entry), has one
+plan per key ``(K, n_min & 1, H > 0)``, held by :func:`_held_with` under
+``_HELD_INDEX_BYTES`` (4 MiB); a held factor pair only forms its
+products.  Any other window builds its plan for its call and holds none.
+
 The phases depend on the axis only, not on the window, so the kernel
 holds the plans of several angle axes, each keyed by the axis' shape and
 bytes: its half-turn answer ``H`` and its phase table ``exp(i d theta)``
@@ -81,6 +93,7 @@ centres are grouped by residue with four strided ranges (residues 0, 2, 1,
 """
 
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,16 +129,28 @@ def sinc_pi_array(x) -> np.ndarray:
     flat = x.ravel()
     out = np.empty(flat.size)
     centre = np.zeros(1, dtype=np.intp)
+    runs = _residue_runs(0, centre)
     for lo in range(0, flat.size, _SINC_SLICE):
         piece = np.clip(flat[lo : lo + _SINC_SLICE], -(2.0**52), 2.0**52)
-        out[lo : lo + _SINC_SLICE] = _sinc_lattice(piece, 0, centre, 0.0)[0]
+        out[lo : lo + _SINC_SLICE] = _sinc_lattice(piece, 0, centre, 0.0, runs)[0]
     out += 0.0  # +0.0, not -0.0, at the nonzero integers
     return out.reshape(x.shape)
 
 
-def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
+def _residue_runs(n_min, ts) -> list:
+    """``(r, lo, hi)`` for each run ``ts[lo:hi]`` of adjacent centres with
+    one residue ``r`` of ``2 n_min + t`` mod 4, the runs of rows that
+    :func:`_sinc_lattice` divides at a time; only ``n_min & 1`` enters."""
+    residue = (2 * (int(n_min) & 1) + ts) & 3
+    cuts = (np.flatnonzero(residue[1:] != residue[:-1]) + 1).tolist()
+    starts = [0, *cuts] if residue.size else []
+    return list(zip(residue[starts].tolist(), starts, [*cuts, residue.size]))
+
+
+def _sinc_lattice(ps, n_min, ts, delta, runs) -> np.ndarray:
     """``sinc_pi(p - n_min - t/2 - delta)``: one row per integer ``t`` in
-    ``ts``, one column per (finite) momentum in ``ps``.
+    ``ts``, one column per (finite) momentum in ``ps``; ``runs`` are the
+    residue runs of ``ts`` (:func:`_residue_runs`).
 
     With ``p - delta = h/2 + f`` (integer ``h``, ``|f| <= 1/4``) and
     ``s = 2 n_min + t`` the argument is ``(h - s)/2 + f``, so its sine is
@@ -161,10 +186,7 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     hit_row, hit = np.nonzero(table[:, lattice] == 0.0)
     hit_col = lattice[hit]
     table[hit_row, hit_col] = 1.0
-    residue = s & 3
-    cuts = (np.flatnonzero(residue[1:] != residue[:-1]) + 1).tolist()
-    starts = [0, *cuts] if residue.size else []
-    present = dict.fromkeys(residue[starts].tolist())
+    present = dict.fromkeys(r for r, _, _ in runs)
     # residue r + 2 (mod 4) is r negated: one row, one sine or cosine per momentum, per parity
     reps = [r for r in present if r < 2 or r ^ 2 not in present]
     k = h_mod4 - np.array(reps, dtype=np.int8)[:, None]
@@ -175,9 +197,9 @@ def _sinc_lattice(ps, n_min, ts, delta) -> np.ndarray:
     trig *= 1 - (k & 2)
     numerator = dict(zip(reps, trig))
     numerator.update({r: -numerator[r ^ 2] for r in present if r not in numerator})
-    for lo, hi in zip(starts, [*cuts, residue.size]):
+    for r, lo, hi in runs:
         rows = table[lo:hi]
-        np.divide(numerator[residue[lo]], rows, out=rows)
+        np.divide(numerator[r], rows, out=rows)
     table[hit_row, hit_col] = 1.0
     return table
 
@@ -245,40 +267,31 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    if isinstance(A, tuple):
-        u, v = (np.asarray(f) for f in A)
-        K, hermitian = v.size, True
-        rows, cols, vals = _factor_entries(u, v)
-    else:
+    if not isinstance(A, tuple):
         A = np.asarray(A)
         if A.ndim == 1:
             _check_grid(thetas, ps, np.iscomplexobj(A))
             return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
-        K = A.shape[0]
-        rows, cols, vals, hermitian = _matrix_entries(A)
-    _check_grid(thetas, ps, not hermitian)
-    _check_momenta(n_min, n_min + K - 1)
-    diag = cols - rows
-    if not diag.any():
-        # only the diagonal d = 0 is occupied, if any: no angle enters
-        w = np.zeros(K, dtype=vals.dtype)
-        w[rows] = vals
-        return np.tile(_diagonal_sum(w.real if hermitian else w, n_min, delta, ps, TWO_PI), (thetas.size, 1))
-    # G[-d] = conj(G[d]): a Hermitian window keeps d >= 0 and counts each d > 0 twice
-    vals = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI) * vals if hermitian else vals / TWO_PI
-    # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
-    # the centres are grouped by the residue of 2 n_min + t, as the table needs
-    span = np.arange(2 * K - 1)
     plan = _axis_plan(thetas)
     H = plan[1]
-    if H:
-        # d and t share their parity: even diagonals and even centres first
-        # (residues 0 and 2), so that M splits into an even and an odd block
-        d_order, residues = np.concatenate([span[(K - 1) & 1::2], span[K & 1::2]]), (0, 2, 1, 3)
+    if isinstance(A, tuple):
+        u, v = (np.asarray(f) for f in A)
+        K, hermitian = v.size, True
+        index, rows, cols, vals = _factor_entries(u, v, n_min, H)
     else:
-        d_order, residues = span, range(4)
-    ds, d_row = _compact(diag + (K - 1), d_order)
-    ds -= K - 1
+        K = A.shape[0]
+        index, rows, cols, vals, hermitian = _matrix_entries(A, n_min, H)
+    _check_grid(thetas, ps, not hermitian)
+    _check_momenta(n_min, n_min + K - 1)
+    if index is None:
+        if (rows == cols).all():
+            # only the diagonal d = 0 is occupied, if any: no angle enters
+            w = np.zeros(K, dtype=vals.dtype)
+            w[rows] = vals
+            return np.tile(_diagonal_sum(w.real if hermitian else w, n_min, delta, ps, TWO_PI), (thetas.size, 1))
+        index = _index_plan(rows, cols, K, n_min, H)
+    vals = index.weight * vals if hermitian else vals / TWO_PI
+    ds, ts = index.ds, index.ts
     # a half-turn multiplies diagonal d by (-1)^d, so a full-period axis
     # takes phases at its H + 1 angles from a = H // 2 on only: the middle
     # half-period, symmetric when the axis is, so theta and -theta, where
@@ -294,26 +307,19 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
         # as (sin, -cos)
         phases = np.concatenate([phases, -1j * phases])
     phases = phases.view(np.float64)
-    # 2 n_min + t cycles through the residues with period 4: residue r
-    # first occurs at t = (r - 2 n_min) mod 4
-    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3::4] for r in residues])
-    ts, t_row = _compact(rows + cols, by_residue)
-    nd = ds.size
-    # every (d, m+n) pair names one entry of A, so one assignment scatters
-    # each part: row 2j of M holds the real parts of diagonal ds[j] and row
-    # 2j + 1 the negated imaginary parts, against the (cos, sin) column
-    # pairs of the phases, so each product term is Re(e^{i d theta} A)
-    M = np.zeros((nd, 2, ts.size))
-    M[d_row, 0, t_row] = vals.real
-    M[d_row, 1, t_row] = -vals.imag
-    M = M.reshape(2 * nd, -1)
-    table = _sinc_lattice(ps, n_min, ts, delta)
+    # row 2j of M holds the real parts of diagonal ds[j] and row 2j + 1 the
+    # negated imaginary parts, against the (cos, sin) column pairs of the
+    # phases, so each product term is Re(e^{i d theta} A)
+    M = np.zeros(2 * ds.size * ts.size)
+    M[index.at] = vals.real
+    M[ts.size :][index.at] = -vals.imag  # one row further on
+    M = M.reshape(2 * ds.size, ts.size)
+    table = _sinc_lattice(ps, n_min, ts, delta, index.runs)
     if not H:
         out = _chain(phases, M, table)
         return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
     # M is block diagonal: even diagonals meet only even centres
-    ne = 2 * np.count_nonzero((ds & 1) == 0)
-    te = np.count_nonzero((ts & 1) == 0)
+    ne, te = index.ne, index.te
     out = np.empty((thetas.size, ps.size), dtype=np.float64 if hermitian else np.complex128)
     # the real (and imaginary) part of out on a leading axis, as the chains'
     # rows are stacked
@@ -333,36 +339,125 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     return out
 
 
-def _factor_entries(u, v):
-    """``(rows, cols, vals)``: the nonzero products ``u[m] * v[n]`` with
-    ``m <= n``, the upper triangle of ``np.outer(u, v)`` with the same bits.
-    A zero product (a zero factor, or an underflow) is no entry, as a scan
-    of the matrix would not find it."""
-    K = v.size
+class _IndexPlan(NamedTuple):
+    """The indices of a window's chain, which depend on its shape only."""
+
+    rows: np.ndarray  # the entries (rows, cols) of A, in the order of vals
+    cols: np.ndarray
+    weight: np.ndarray  # per entry of a Hermitian window: 1/2pi on d = 0, 2/2pi off it
+    ds: np.ndarray  # the occupied diagonals, in route order
+    ts: np.ndarray  # the occupied centres m + n, in route order
+    # each entry's position in the flat M: its real part's; its imaginary
+    # part's is one row further on
+    at: np.ndarray
+    ne: int  # rows of M and of the table in the even block (half-turn route)
+    te: int
+    runs: list  # the residue runs of the table's rows (:func:`_residue_runs`)
+
+
+def _index_plan(rows, cols, K, n_min, H) -> _IndexPlan:
+    """The :class:`_IndexPlan` of the entries ``(rows, cols)`` of a ``K``
+    x ``K`` window at ``n_min``, on an axis whose half-turn answer is ``H``.
+    Only ``n_min & 1`` and ``H > 0`` enter: the centres' residues mod 4 and
+    the route's order."""
+    diag = cols - rows
+    # G[-d] = conj(G[d]): a Hermitian window keeps d >= 0 and counts each d > 0 twice
+    weight = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI)
+    # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
+    # the centres are grouped by the residue of 2 n_min + t, as the table needs
+    span = np.arange(2 * K - 1)
+    if H:
+        # d and t share their parity: even diagonals and even centres first
+        # (residues 0 and 2), so that M splits into an even and an odd block
+        d_order, residues = np.concatenate([span[(K - 1) & 1 :: 2], span[K & 1 :: 2]]), (0, 2, 1, 3)
+    else:
+        d_order, residues = span, range(4)
+    ds, d_row = _compact(diag + (K - 1), d_order)
+    ds -= K - 1
+    # 2 n_min + t cycles through the residues with period 4: residue r
+    # first occurs at t = (r - 2 n_min) mod 4
+    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3 :: 4] for r in residues])
+    ts, t_row = _compact(rows + cols, by_residue)
+    # every (d, m+n) pair names one entry of A, so one assignment scatters each part
+    at = 2 * ts.size * d_row + t_row
+    ne, te = (2 * np.count_nonzero((ds & 1) == 0), np.count_nonzero((ts & 1) == 0)) if H else (0, 0)
+    for array in (rows, cols, weight, ds, ts, at):
+        array.setflags(write=False)
+    return _IndexPlan(rows, cols, weight, ds, ts, at, ne, te, _residue_runs(n_min, ts))
+
+
+def _index_bytes(index) -> int:
+    """The bytes of a held index plan's arrays."""
+    return sum(array.nbytes for array in (index.rows, index.cols, index.weight, index.ds, index.ts, index.at))
+
+
+def _held_upper(K, n_min, H):
+    """``(rows, cols, index)`` of a full ``K`` x ``K`` window: its upper
+    triangle ``m <= n``, row by row, and the plan held under its key ``(K,
+    n_min & 1, H > 0)``, its indices taken from it; or ``None``, the
+    indices built anew."""
+    index = _held_indexes.get((K, int(n_min) & 1, H > 0))
+    if index is not None:
+        return index.rows, index.cols, index
     lengths = np.arange(K, 0, -1)
     rows = np.repeat(np.arange(K), lengths)
     # row m starts at flat index m K - m (m - 1)/2 with column m
     m = np.arange(K)
     cols = np.arange(rows.size) - np.repeat(m * (2 * K - 1 - m) // 2, lengths)
+    return rows, cols, None
+
+
+def _full_index(rows, cols, index, K, n_min, H):
+    """The plan of a full window, with all ``K (K + 1) / 2`` upper entries
+    at ``(rows, cols)``: ``index`` when one is held, else a new plan held
+    by :func:`_held_with` under the cap ``_HELD_INDEX_BYTES``.  ``None``
+    for ``K = 1``, whose one diagonal ``d = 0`` takes the angle-free row."""
+    global _held_indexes
+    if index is None and K > 1:
+        index = _index_plan(rows, cols, K, n_min, H)
+        _held_indexes = _held_with(_held_indexes, (K, int(n_min) & 1, H > 0), index, _index_bytes, _HELD_INDEX_BYTES)
+    return index
+
+
+def _factor_entries(u, v, n_min, H):
+    """``(index, rows, cols, vals)``: the nonzero products ``u[m] * v[n]``
+    with ``m <= n``, the upper triangle of ``np.outer(u, v)`` with the same
+    bits.  A zero product (a zero factor, or an underflow) is no entry, as a
+    scan of the matrix would not find it.  With none, the window is full and
+    ``index`` is its held plan (:func:`_full_index`); otherwise ``None``."""
+    rows, cols, index = _held_upper(v.size, n_min, H)
     vals = u[rows] * v[cols]
     kept = vals != 0
     if not kept.all():
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    return rows, cols, vals
+        return None, rows[kept], cols[kept], vals[kept]
+    return _full_index(rows, cols, index, v.size, n_min, H), rows, cols, vals
 
 
-def _matrix_entries(A):
-    """``(rows, cols, vals, hermitian)`` of the nonzero entries of the
-    square ``A``: those on and above the diagonal when ``A`` is Hermitian
-    to within ``_HERMITIAN_TOL``, all of them otherwise."""
+def _matrix_entries(A, n_min, H):
+    """``(index, rows, cols, vals, hermitian)`` of the nonzero entries of
+    the square ``A``: those on and above the diagonal when ``A`` is
+    Hermitian to within ``_HERMITIAN_TOL``, all of them otherwise.  A
+    Hermitian window with no zero entry is full: its upper entries and their
+    mirrors are gathered at the held indices, and ``index`` is its held plan
+    (:func:`_full_index`); otherwise ``index`` is ``None``."""
+    K = A.shape[0]
+    nonzero = A != 0
+    if nonzero.all():
+        rows, cols, index = _held_upper(K, n_min, H)
+        vals = A[rows, cols]
+        if _hermitian_residual(A, rows, cols, vals) <= _HERMITIAN_TOL:
+            return _full_index(rows, cols, index, K, n_min, H), rows, cols, vals, True
+        # every entry is nonzero: the scan below would find them all, in this order
+        rows, cols = np.divmod(np.arange(K * K), K)
+        return None, rows, cols, A.ravel(), False
     # numpy scans a flat boolean mask on a fast path, and divmod splits
     # the row-major flat indices into the same (rows, cols) as a 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[0])
+    rows, cols = np.divmod(np.flatnonzero(nonzero), K)
     vals = A[rows, cols]
     if _hermitian_residual(A, rows, cols, vals) <= _HERMITIAN_TOL:
         upper = cols >= rows
-        return rows[upper], cols[upper], vals[upper], True
-    return rows, cols, vals, False
+        return None, rows[upper], cols[upper], vals[upper], True
+    return None, rows, cols, vals, False
 
 
 def _chain(a, b, c, out=None):
@@ -381,6 +476,10 @@ _COARSE_STEP = 32
 _HELD_BYTES = 4 * 2**20
 # the plans of the angle axes held, oldest first: key -> (key, H, table)
 _held_plans = {}
+# bytes of the index plans of full windows held between calls
+_HELD_INDEX_BYTES = 4 * 2**20
+# the index plans held, oldest first: (K, n_min & 1, H > 0) -> _IndexPlan
+_held_indexes = {}
 
 
 def _held_with(held: dict, key, value, size, cap) -> dict:
@@ -452,7 +551,7 @@ def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
         scaled = (1.0 / divisor) * w[lo + idx]
         if parts == 2:
             scaled = np.stack([scaled.real, scaled.imag])
-        out += scaled @ _sinc_lattice(ps, n_min + lo, 2 * idx, delta)
+        out += scaled @ _sinc_lattice(ps, n_min + lo, 2 * idx, delta, _residue_runs(n_min + lo, 2 * idx))
     return out[0] if parts == 1 else out[0] + 1j * out[1]
 
 
@@ -565,10 +664,12 @@ def _halves(x):
 
 
 def _hermitian_residual(A, rows, cols, vals) -> float:
-    """Largest ``|A_mn - conj(A_nm)|`` over the nonzero entries ``vals`` of
-    the square ``A``, at ``(rows, cols)``: each is compared with its mirror,
-    gathered in one pass.  A pair of nonzero mirrors is met from both sides,
-    with the same modulus; an entry whose mirror is zero counts in full."""
+    """Largest ``|A_mn - conj(A_nm)|`` over the entries ``vals`` of the
+    square ``A``, at ``(rows, cols)``: each is compared with its mirror,
+    gathered in one pass.  Given all the nonzero entries, a pair of nonzero
+    mirrors is met from both sides, with the same modulus, and an entry
+    whose mirror is zero counts in full; given the upper half of a window
+    with no zero entry, each pair is met once, with the same maximum."""
     return float(np.max(np.abs(vals - A[cols, rows].conj()), initial=0.0))
 
 

@@ -282,11 +282,12 @@ def _select_state(cfg: RunConfig):
 
 def _cmd_fig1(cfg: RunConfig) -> WignerGrid:
     # basis-state profile: value = sinc((p - hbar m)/hbar), constant in theta
+    p_axis = cfg.p_axis  # each access builds the axis anew
     try:
-        values = rescale_hbar(cfg.p_axis, cfg.hbar, cfg.m)
+        values = rescale_hbar(p_axis, cfg.hbar, cfg.m)
     except ValueError as exc:  # hbar is checked already: the index is refused
         raise ValueError(f"--m {cfg.m}: {exc}") from None
-    return WignerGrid(theta_axis=np.array([0.0]), p_axis=cfg.p_axis, values=values[None, :])
+    return WignerGrid(theta_axis=np.array([0.0]), p_axis=p_axis, values=values[None, :])
 
 
 def _grid_thetas(cfg: RunConfig, default: tuple) -> np.ndarray:

@@ -22,6 +22,7 @@ from cylwigner import (
     cat_state,
     marginal_momentum,
     moyal_function,
+    pure_density,
     reconstruct_density,
     von_mises_state,
     wigner_density,
@@ -31,6 +32,7 @@ from cylwigner import (
 )
 from cylwigner import _kernels
 from cylwigner._kernels import (
+    _residue_runs,
     _sinc_lattice,
     phase_space_sum_grid,
     phase_space_sum_point,
@@ -238,7 +240,8 @@ class TestSincSlices:
         monkeypatch.setattr(_kernels, "_SINC_SLICE", S)
         x = self.edged(S, 3 * S + 5 if S > 1 else 40)
         got = sinc_pi_array(x)
-        whole = _sinc_lattice(np.clip(x, -(2.0**52), 2.0**52), 0, np.zeros(1, dtype=np.intp), 0.0)[0] + 0.0
+        centre = np.zeros(1, dtype=np.intp)
+        whole = _sinc_lattice(np.clip(x, -(2.0**52), 2.0**52), 0, centre, 0.0, _residue_runs(0, centre))[0] + 0.0
         per_slice = np.concatenate([sinc_pi_array(x[lo : lo + S]) for lo in range(0, x.size, S)])
         assert got.tobytes() == whole.tobytes() == per_slice.tobytes()
         assert np.array_equal(got[x == 0.0], np.ones(np.count_nonzero(x == 0.0)))
@@ -260,7 +263,7 @@ class TestSincLattice:
         n_min, K, delta = window
         ps = n_min + np.array(offsets)
         ts = _table_centres(n_min, K)
-        got = _sinc_lattice(ps, n_min, ts, delta)
+        got = _sinc_lattice(ps, n_min, ts, delta, _residue_runs(n_min, ts))
         # p - (n_min + t/2) is exact or rounded at the scale of the result,
         # so this reference argument carries no error from the size of n_min
         want = sinc_pi_array((ps[None, :] - (n_min + 0.5 * ts)[:, None]) - delta)
@@ -284,7 +287,8 @@ class TestSincLattice:
         ps = n_min + np.array(offsets)
         ts = _table_centres(n_min, K)
         order = np.random.default_rng(seed).permutation(ts.size)
-        assert np.array_equal(_sinc_lattice(ps, n_min, ts[order], delta), _sinc_lattice(ps, n_min, ts, delta)[order])
+        shuffled = _sinc_lattice(ps, n_min, ts[order], delta, _residue_runs(n_min, ts[order]))
+        assert np.array_equal(shuffled, _sinc_lattice(ps, n_min, ts, delta, _residue_runs(n_min, ts))[order])
 
 
 class TestFarWindows:
@@ -709,6 +713,161 @@ class TestHeldWith:
     def test_a_value_above_the_cap_is_not_held(self):
         held = {"a": "x"}
         assert _kernels._held_with(held, "b", "yyyyyy", len, 5) is held
+
+
+INDEX_PS = np.linspace(-5.0, 5.0, 13)
+
+
+def _index_window(kind, K, n_min):
+    """A full window of ``kind``: a factor pair, a ``pure_density``
+    projector (as ``wigner_grid`` passes it, transposed) or a random dense
+    Hermitian matrix."""
+    rng = np.random.default_rng(K)
+    if kind == "factor":
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        return (c.conj(), c)
+    if kind == "projector":
+        c = rng.normal(size=K) + 1j * rng.normal(size=K)
+        return pure_density(FourierState(delta=0.37, n_min=n_min, coeffs=c / np.linalg.norm(c))).entries.T
+    return _random_density(rng, K)
+
+
+def _index_grid(kind, K, axis, n_min):
+    return phase_space_sum_grid(_index_window(kind, K, n_min), n_min, 0.37, HELD_AXES[axis], INDEX_PS).tobytes()
+
+
+def _held_index_total():
+    return sum(_kernels._index_bytes(index) for index in _kernels._held_indexes.values())
+
+
+class TestHeldIndexPlan:
+    """The index plans of full windows, held per ``(K, n_min & 1, H > 0)``:
+    a held plan gives the bits of a fresh one, a window with a zero entry
+    takes the per-call route and holds nothing, and the store stays under
+    ``_HELD_INDEX_BYTES``."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_held_indexes", {})
+
+    @pytest.mark.parametrize("n_min", [-6, 3])
+    @pytest.mark.parametrize("axis", sorted(HELD_AXES))
+    @pytest.mark.parametrize("kind", ["factor", "projector", "dense"])
+    def test_held_plan_gives_the_fresh_bits(self, kind, axis, n_min):
+        K = 23
+        A = _index_window(kind, K, n_min)
+        thetas = HELD_AXES[axis]
+        first = phase_space_sum_grid(A, n_min, 0.37, thetas, INDEX_PS)
+        key = K, n_min & 1, axis == "full_period"
+        assert list(_kernels._held_indexes) == [key]
+        index = _kernels._held_indexes[key]
+        assert index.rows.size == K * (K + 1) // 2
+        with mock.patch.object(_kernels, "_index_plan", wraps=_kernels._index_plan) as built:
+            held = phase_space_sum_grid(A, n_min, 0.37, thetas, INDEX_PS)
+        assert built.call_count == 0 and _kernels._held_indexes[key] is index
+        assert np.isrealobj(first) and held.tobytes() == first.tobytes()
+
+    def test_history_does_not_change_the_bits(self):
+        # windows of both parities on both axes, whose plans differ only in
+        # their key: each grid equals its own with an empty store
+        jobs = [(kind, K, axis, n_min) for kind in ("factor", "dense") for K in (2, 9, 10) for axis in sorted(HELD_AXES) for n_min in (-4, 5)]
+
+        cold = {}
+        for job in jobs:
+            _kernels._held_indexes = {}
+            cold[job] = _index_grid(*job)
+        order = np.random.default_rng(3).permutation(len(jobs)).tolist()
+        for i in order + order:
+            assert _index_grid(*jobs[i]) == cold[jobs[i]], jobs[i]
+        assert len(_kernels._held_indexes) == 12
+
+    @pytest.mark.parametrize("n_min", [-6, 3])
+    @pytest.mark.parametrize("axis", sorted(HELD_AXES))
+    @pytest.mark.parametrize("kind", ["zero coefficient", "zero diagonal entry", "zero mirrored pair"])
+    def test_zero_entry_takes_the_per_call_route(self, kind, axis, n_min):
+        K = 23
+        thetas = HELD_AXES[axis]
+        if kind == "zero coefficient":
+            _, v = _index_window("factor", K, n_min)
+            v = v.copy()
+            v[7] = 0.0
+            A = (v.conj(), v)
+        else:
+            A = _random_density(np.random.default_rng(K), K)
+            A[(7, 7) if kind == "zero diagonal entry" else ([3, 11], [11, 3])] = 0.0
+        with mock.patch.object(_kernels, "_index_plan", wraps=_kernels._index_plan) as built:
+            fresh = phase_space_sum_grid(A, n_min, 0.37, thetas, INDEX_PS)
+        assert built.call_count == 1 and _kernels._held_indexes == {}
+        # the plan of a full window of the same key, held, is not taken
+        phase_space_sum_grid(_index_window("factor", K, n_min), n_min, 0.37, thetas, INDEX_PS)
+        held = dict(_kernels._held_indexes)
+        with mock.patch.object(_kernels, "_index_plan", wraps=_kernels._index_plan) as built:
+            again = phase_space_sum_grid(A, n_min, 0.37, thetas, INDEX_PS)
+        assert built.call_count == 1 and _kernels._held_indexes == held
+        assert again.tobytes() == fresh.tobytes()
+
+    def test_windows_that_hold_nothing(self):
+        rng = np.random.default_rng(5)
+        thetas = HELD_AXES["full_period"]
+        # a non-Hermitian full window, one index (its only diagonal is d = 0)
+        # and a Gibbs diagonal
+        phase_space_sum_grid(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), 2, 0.37, thetas, INDEX_PS)
+        phase_space_sum_grid((np.array([0.6 - 0.8j]), np.array([0.6 + 0.8j])), 2, 0.37, thetas, INDEX_PS)
+        phase_space_sum_grid(np.array([[0.7]]), 2, 0.37, thetas, INDEX_PS)
+        phase_space_sum_grid(rng.uniform(size=9), 2, 0.37, thetas, INDEX_PS)
+        assert _kernels._held_indexes == {}
+
+    def test_threads_share_the_store(self, monkeypatch):
+        jobs = [(kind, K, axis, n_min) for kind in ("factor", "dense") for K in (9, 21, 40) for axis in sorted(HELD_AXES) for n_min in (-4, 5)]
+        # room for about three K = 40 plans (32 bytes an entry), so that
+        # threads evict each other's
+        monkeypatch.setattr(_kernels, "_HELD_INDEX_BYTES", 100_000)
+
+        serial = {}
+        for job in jobs:
+            _kernels._held_indexes = {}
+            serial[job] = _index_grid(*job)
+        barrier = threading.Barrier(8)
+        mismatches = []
+
+        def worker(seed):
+            order = [jobs[i] for i in np.random.default_rng(seed).permutation(len(jobs))]
+            barrier.wait()
+            for job in order * 2:
+                if _index_grid(*job) != serial[job]:
+                    mismatches.append(job)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert 0 < _held_index_total() <= _kernels._HELD_INDEX_BYTES
+
+    def test_store_stays_under_the_cap(self):
+        rng = np.random.default_rng(200)
+        small = {"full_period": np.linspace(-pi, pi, 9), "open": -pi + 2 * pi * np.arange(8) / 8}
+        seen = set()
+        for K in rng.integers(2, 120, 200).tolist():
+            n_min = int(rng.integers(-50, 50))
+            axis = sorted(small)[int(rng.integers(0, 2))]
+            c = rng.normal(size=K) + 1j * rng.normal(size=K)
+            out = phase_space_sum_grid((c.conj(), c), n_min, 0.25, small[axis], INDEX_PS[:3])
+            assert out.shape == (small[axis].size, 3)
+            seen.add((K, n_min & 1, axis == "full_period"))
+            assert _held_index_total() <= _kernels._HELD_INDEX_BYTES
+        # the oldest plans were dropped to make room, the newest is held
+        assert len(_kernels._held_indexes) < len(seen)
+        assert list(_kernels._held_indexes)[-1] == (K, n_min & 1, axis == "full_period")
+        for (K, _, _), index in _kernels._held_indexes.items():
+            assert index.rows.size == K * (K + 1) // 2
 
 
 class TestPhaseBuilder:
