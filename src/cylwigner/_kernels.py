@@ -31,7 +31,14 @@ their mirrors.  A state's own window ``conj(c) c^T`` is passed as its
 factor pair ``(conj(c), c)``: its entries on and above the diagonal are
 formed as the products ``conj(c_m) c_n``, the same bits as ``np.outer``
 gives, with no matrix, scan or test; a zero product is no entry, as the
-scan would not find it.  A Hermitian window folds
+scan would not find it.  A Moyal pair is a :class:`FactorPair`, its
+factors ``conj(c_bra)`` and ``c_ket`` on their own windows at their
+offsets in the union, and costs its ``len(u) len(v)`` products however
+far apart the windows lie: ``np.outer`` of the factors (the bits the
+union's ``np.outer`` gives), with the zero products dropped as the scan
+drops them, and the Hermiticity test of the zero-filled union matrix
+taken on the block (:func:`_pair_hermitian`).  A state's own pair is its
+zero-offset case, Hermitian by construction.  A Hermitian window folds
 ``-d`` onto ``d`` and yields a real grid; any other window stacks rows for
 the imaginary part and yields a complex grid.  A window beyond ``|n| <
 2**51``, where float64 momenta no longer hold the half-integer lattice, is
@@ -50,22 +57,34 @@ symmetric when the axis is), and each block is one chain, ``E`` and
 half a turn away, the value at ``theta_{r-H} + pi`` or ``theta_{r+H} -
 pi``, a few ulp of pi from its float ``theta_r``.  The grid is assembled
 in place: ``E`` is written into those middle rows (a real grid's product
-straight into them), the ``E - O`` rows are formed from there, and ``O``
-is added last.  Any other axis, a full-period one farther out among
+straight into them, a complex grid's real rows and then its imaginary
+rows, ``E`` freed before ``O`` is formed), the ``E - O`` rows are formed
+from there, and ``O`` is added last.  Any other axis, a full-period one farther out among
 them (there ``theta_r`` and ``theta_{r-H} + pi`` differ by an ulp of
 ``t0``), is one chain over all its angles.  The test for such an axis
 compares every angle with the reference ``linspace``.
 
 Which diagonals and centres a window occupies, and where each entry lands
 in ``M``, depend on its shape only: :func:`_index_plan` builds them
-together (the entries' indices and weights, the diagonals and centres in
-route order, the entries' positions in ``M``, the sizes of the even and
-odd blocks, the residue runs of the sinc table).  A full window, with all
-``K (K + 1) / 2`` entries on and above its diagonal present (a factor
-pair with no zero product, a Hermitian matrix with no zero entry), has one
-plan per key ``(K, n_min & 1, H > 0)``, held by :func:`_held_with` under
-``_HELD_INDEX_BYTES`` (4 MiB); a held factor pair only forms its
-products.  Any other window builds its plan for its call and holds none.
+together (the entries' indices, a Hermitian window's weights, the
+diagonals and centres in route order, the entries' positions in ``M``, the
+sizes of the even and odd blocks, the residue runs of the sinc table, the
+phase-table columns of the diagonals).  Its presence tables span the box
+of rows and columns that holds the entries (a pair's block, a square
+window's whole ``K x K``), whose diagonals and centres each take
+``(r1 - r0) + (c1 - c0) - 1`` values; their route orders depend on that
+width and ``H > 0`` (and on the phases of the box's lowest diagonal and
+centre), and are held per ``(width, H > 0)`` (:func:`_route_orders`).  A
+full window, with all ``K (K + 1) / 2`` entries on and above its diagonal
+present (a factor pair with no zero product, a Hermitian matrix with no
+zero entry), has one plan per key ``(K, n_min & 1, H > 0)``, held by
+:func:`_held_with` under ``_HELD_INDEX_BYTES`` (4 MiB); a held factor
+pair only forms its products.  A non-Hermitian block with no zero product
+occupies every diagonal and centre of its box, and its plan reads each
+entry's place off the inverse route orders, with no presence table
+(:func:`_block_plan`).  Any other window builds its plan for its call and
+holds none; every plan is built from the entries' shape alone, so every
+route gives the same bits.
 
 The phases depend on the axis only, not on the window, so the kernel
 holds the plans of several angle axes, each keyed by the axis' shape and
@@ -75,8 +94,9 @@ angles, or all of them).  Each grid takes the columns ``|d|`` of its
 diagonals, conjugated for ``d < 0``.  A new axis gets a table of exactly
 the columns its window needs; a wider window doubles the table, building
 only the new columns.  The tables held total at most ``_HELD_BYTES`` (4
-MiB), the oldest plan dropped first (:func:`_held_with`), and a table
-above that is built for its call and not held.  Every angle phase of the
+MiB), the oldest plan dropped first (:func:`_held_with`); a table above
+that serves its call only, with just the columns from the least ``|d|`` to
+the greatest that its window uses.  Every angle phase of the
 package is ``exp(i a b)`` from the exact pair ``p + e = a b``
 (:func:`_exp_product`), never rounded at the scale of ``a b``; a column
 is two such factors (:func:`_phase_columns`), and :func:`_angle_rows`
@@ -87,7 +107,7 @@ reduced remainder ``f`` per momentum: the sinc table costs one sine or
 cosine per momentum and centre parity and a division per run of rows
 with one residue; one row is :func:`sinc_pi_array`.
 The occupied diagonals and centres are found with presence tables over
-their ``2K - 1`` possible values, not by sorting the entries, and the
+the values their box allows, not by sorting the entries, and the
 centres are grouped by residue with four strided ranges (residues 0, 2, 1,
 3 on a full-period axis, so the even centres come first).
 """
@@ -252,35 +272,55 @@ def _compact(keys, order):
     return order[kept], position[keys]
 
 
+class FactorPair:
+    """The window ``np.outer(u, v)`` of two factors on their own windows:
+    its rows are the indices ``iu..iu + len(u) - 1`` and its columns
+    ``iv..iv + len(v) - 1`` of the window that spans both (``min(iu, iv) =
+    0``), whose index 0 is the kernel's ``n_min``.  A Moyal pair is
+    ``FactorPair(conj(c_bra), c_ket, iu, iv)``; it costs its ``len(u)
+    len(v)`` products, however far apart the two windows lie."""
+
+    __slots__ = ("u", "v", "iu", "iv")
+
+    def __init__(self, u, v, iu, iv):
+        self.u, self.v, self.iu, self.iv = np.asarray(u), np.asarray(v), int(iu), int(iv)
+
+
 def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     """Grid evaluation of the windowed sum, shape ``(len(thetas), len(ps))``.
 
     ``A`` is a square window matrix whose row/column index 0 corresponds
     to basis index ``n_min``; a real 1-D array, the diagonal of a diagonal
-    window; or a tuple ``(conj(c), c)`` of two 1-D arrays, the window
-    ``np.outer(conj(c), c)`` of one state given by its factors.  A square
-    ``A`` is tested: Hermitian to within 1e-12 gives a real array, otherwise
-    a complex one.  A diagonal and a factor pair are Hermitian by
-    construction, untested, and give a real array.  A grid above
-    ``_MAX_DENSE_BYTES`` raises ``ValueError`` before it or its tables are
-    allocated (:func:`_check_grid`).
+    window; a tuple ``(conj(c), c)`` of two 1-D arrays, the window
+    ``np.outer(conj(c), c)`` of one state given by its factors; or a
+    :class:`FactorPair`, two factors on their own windows.  A square ``A``
+    and a ``FactorPair`` are tested: Hermitian to within 1e-12 gives a real
+    array, otherwise a complex one.  A diagonal and a state's factors are
+    Hermitian by construction, untested, and give a real array.  A grid
+    above ``_MAX_DENSE_BYTES`` raises ``ValueError`` before it or its tables
+    are allocated (:func:`_check_grid`).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    if not isinstance(A, tuple):
+    # a state's own factors are Hermitian by construction; any other pair is tested
+    tested = isinstance(A, FactorPair)
+    if isinstance(A, tuple):
+        A = FactorPair(*A, 0, 0)
+    elif not tested:
         A = np.asarray(A)
         if A.ndim == 1:
             _check_grid(thetas, ps, np.iscomplexobj(A))
             return np.tile(_diagonal_sum(A, n_min, delta, ps, TWO_PI), (thetas.size, 1))
     plan = _axis_plan(thetas)
     H = plan[1]
-    if isinstance(A, tuple):
-        u, v = (np.asarray(f) for f in A)
-        K, hermitian = v.size, True
-        index, rows, cols, vals = _factor_entries(u, v, n_min, H)
+    if isinstance(A, FactorPair):
+        K = max(A.iu + A.u.size, A.iv + A.v.size)
+        index, rows, cols, vals, hermitian = _factor_entries(A.u, A.v, A.iu, A.iv, K, n_min, H, tested)
+        box = (A.iu, A.iu + A.u.size, A.iv, A.iv + A.v.size)
     else:
         K = A.shape[0]
         index, rows, cols, vals, hermitian = _matrix_entries(A, n_min, H)
+        box = (0, K, 0, K)
     _check_grid(thetas, ps, not hermitian)
     _check_momenta(n_min, n_min + K - 1)
     if index is None:
@@ -289,7 +329,7 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
             w = np.zeros(K, dtype=vals.dtype)
             w[rows] = vals
             return np.tile(_diagonal_sum(w.real if hermitian else w, n_min, delta, ps, TWO_PI), (thetas.size, 1))
-        index = _index_plan(rows, cols, K, n_min, H)
+        index = _index_plan(rows, cols, n_min, H, hermitian, box)
     vals = index.weight * vals if hermitian else vals / TWO_PI
     ds, ts = index.ds, index.ts
     # a half-turn multiplies diagonal d by (-1)^d, so a full-period axis
@@ -301,11 +341,15 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     # would keep their freed pages in the heap (up to 1.5 MB of peak RSS on
     # the phase_grid benchmark)
     a = H // 2
-    phases = _angle_phases(thetas[a : a + H + 1] if H else thetas, ds, plan)
-    if not hermitian:
+    angles = thetas[a : a + H + 1] if H else thetas
+    if hermitian:
+        phases = _angle_phases(angles, index.columns, plan)
+    else:
         # the next rows give the imaginary parts: -i e^{i d theta} pairs up
         # as (sin, -cos)
-        phases = np.concatenate([phases, -1j * phases])
+        phases = np.empty((2 * angles.size, ds.size), dtype=np.complex128)
+        _angle_phases(angles, index.columns, plan, out=phases[: angles.size])
+        np.multiply(-1j, phases[: angles.size], out=phases[angles.size :])
     phases = phases.view(np.float64)
     # row 2j of M holds the real parts of diagonal ds[j] and row 2j + 1 the
     # negated imaginary parts, against the (cos, sin) column pairs of the
@@ -317,7 +361,16 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     table = _sinc_lattice(ps, n_min, ts, delta, index.runs)
     if not H:
         out = _chain(phases, M, table)
-        return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
+        if hermitian:
+            return out
+        # out[:N] + 1j * out[N:] in one complex array, with its bits: 1j * x
+        # is (0 x, 0 + x), so the sum is (re + 0 x, x + 0), which differs
+        # from (re, x) only in the sign of a zero
+        grid = np.empty((thetas.size, ps.size), dtype=np.complex128)
+        np.multiply(out[thetas.size :], 0.0, out=grid.real)
+        grid.real += out[: thetas.size]
+        np.add(out[thetas.size :], 0.0, out=grid.imag)
+        return grid
     # M is block diagonal: even diagonals meet only even centres
     ne, te = index.ne, index.te
     out = np.empty((thetas.size, ps.size), dtype=np.float64 if hermitian else np.complex128)
@@ -331,7 +384,13 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     if hermitian:
         _chain(*even, out=out[a : a + H + 1])
     else:
-        mid[...] = _chain(*even).reshape(mid.shape)
+        # one part at a time: a copy through the 3-D view steps 8 bytes on
+        # its leading axis.  E is freed before O is allocated, so O takes
+        # its pages
+        E = _chain(*even)
+        mid[0] = E[: H + 1]
+        mid[1] = E[H + 1 :]
+        del E
     O = _chain(phases[:, ne:], M[ne:, te:], table[te:]).reshape(mid.shape)
     np.subtract(mid[:, H - a : H], O[:, H - a : H], out=parts[:, :a])
     np.subtract(mid[:, 1 : H - a + 1], O[:, 1 : H - a + 1], out=parts[:, a + H + 1 :])
@@ -339,12 +398,38 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     return out
 
 
+class _Columns(NamedTuple):
+    """The phase-table columns of a window's diagonals ``ds``, which depend
+    on ``ds`` only (:func:`_angle_phases`)."""
+
+    mags: np.ndarray  # |d| of each diagonal, in route order
+    lo: int  # the smallest |d|
+    hi: int  # the largest |d| + 1: the table width needed
+    negative: object  # the mask d < 0, or None where no d is negative
+    in_order: bool  # ds is 0..D-1 in order: the table itself, no copy
+
+
+def _columns(ds, d_min=None, d_max=None) -> _Columns:
+    """The :class:`_Columns` of the diagonals ``ds``, whose least and
+    greatest are ``d_min`` and ``d_max`` (found when not given)."""
+    if d_min is None:
+        d_min, d_max = int(ds.min()), int(ds.max())
+    mags = np.abs(ds)
+    lo = d_min if d_min >= 0 else -d_max if d_max <= 0 else int(mags.min())
+    hi = max(-d_min, d_max) + 1
+    # distinct ds in 0..D-1 are in order when sorted
+    in_order = d_min == 0 and hi == ds.size and bool(np.all(ds[1:] > ds[:-1]))
+    return _Columns(mags, lo, hi, ds < 0 if d_min < 0 else None, in_order)
+
+
 class _IndexPlan(NamedTuple):
     """The indices of a window's chain, which depend on its shape only."""
 
     rows: np.ndarray  # the entries (rows, cols) of A, in the order of vals
     cols: np.ndarray
-    weight: np.ndarray  # per entry of a Hermitian window: 1/2pi on d = 0, 2/2pi off it
+    # per entry of a Hermitian window: 1/2pi on d = 0, 2/2pi off it; None
+    # for any other window, whose entries are all divided by 2pi
+    weight: object
     ds: np.ndarray  # the occupied diagonals, in route order
     ts: np.ndarray  # the occupied centres m + n, in route order
     # each entry's position in the flat M: its real part's; its imaginary
@@ -353,42 +438,117 @@ class _IndexPlan(NamedTuple):
     ne: int  # rows of M and of the table in the even block (half-turn route)
     te: int
     runs: list  # the residue runs of the table's rows (:func:`_residue_runs`)
+    columns: _Columns  # the phase-table columns of ds
 
 
-def _index_plan(rows, cols, K, n_min, H) -> _IndexPlan:
-    """The :class:`_IndexPlan` of the entries ``(rows, cols)`` of a ``K``
-    x ``K`` window at ``n_min``, on an axis whose half-turn answer is ``H``.
-    Only ``n_min & 1`` and ``H > 0`` enter: the centres' residues mod 4 and
-    the route's order."""
+def _index_plan(rows, cols, n_min, H, hermitian, box) -> _IndexPlan:
+    """The :class:`_IndexPlan` of the entries ``(rows, cols)`` of a window
+    at ``n_min``, all inside the rows ``r0..r1-1`` and columns ``c0..c1-1``
+    of ``box = (r0, r1, c0, c1)``, on an axis whose half-turn answer is
+    ``H``.  Only ``n_min & 1`` and ``H > 0`` enter beyond the entries: the
+    centres' residues mod 4 and the route's order."""
+    r0, r1, c0, c1 = box
     diag = cols - rows
     # G[-d] = conj(G[d]): a Hermitian window keeps d >= 0 and counts each d > 0 twice
-    weight = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI)
-    # diagonals d = n - m and centres t = m + n both take 2K - 1 values;
-    # the centres are grouped by the residue of 2 n_min + t, as the table needs
-    span = np.arange(2 * K - 1)
-    if H:
-        # d and t share their parity: even diagonals and even centres first
-        # (residues 0 and 2), so that M splits into an even and an odd block
-        d_order, residues = np.concatenate([span[(K - 1) & 1 :: 2], span[K & 1 :: 2]]), (0, 2, 1, 3)
-    else:
-        d_order, residues = span, range(4)
-    ds, d_row = _compact(diag + (K - 1), d_order)
-    ds -= K - 1
-    # 2 n_min + t cycles through the residues with period 4: residue r
-    # first occurs at t = (r - 2 n_min) mod 4
-    by_residue = np.concatenate([span[(r - 2 * int(n_min)) & 3 :: 4] for r in residues])
-    ts, t_row = _compact(rows + cols, by_residue)
+    weight = np.where(diag > 0, 2.0 / TWO_PI, 1.0 / TWO_PI) if hermitian else None
+    # in the box, diagonals d = n - m and centres t = m + n each take
+    # (r1 - r0) + (c1 - c0) - 1 values, from d_lo and t_lo on
+    d_lo, t_lo = c0 - r1 + 1, r0 + c0
+    orders = _route_orders((r1 - r0) + (c1 - c0) - 1, d_lo & 1, (2 * int(n_min) + t_lo) & 3, H > 0)
+    ds, d_row = _compact(diag - d_lo, orders.d_order)
+    ds += d_lo
+    t = rows + cols
+    t -= t_lo
+    ts, t_row = _compact(t, orders.t_order)
+    ts += t_lo
     # every (d, m+n) pair names one entry of A, so one assignment scatters each part
     at = 2 * ts.size * d_row + t_row
     ne, te = (2 * np.count_nonzero((ds & 1) == 0), np.count_nonzero((ts & 1) == 0)) if H else (0, 0)
-    for array in (rows, cols, weight, ds, ts, at):
-        array.setflags(write=False)
-    return _IndexPlan(rows, cols, weight, ds, ts, at, ne, te, _residue_runs(n_min, ts))
+    return _IndexPlan(rows, cols, weight, ds, ts, at, ne, te, _residue_runs(n_min, ts), _columns(ds))
+
+
+def _block_plan(Ku, Kv, d_lo, t_lo, n_min, H) -> _IndexPlan:
+    """The :class:`_IndexPlan` of all ``Ku Kv`` entries of a non-Hermitian
+    block, row by row, without ``rows`` and ``cols``: entry ``(m, n)`` lies
+    on diagonal ``d_lo + Ku - 1 - m + n`` and centre ``t_lo + m + n``, so
+    every diagonal and centre of the box is occupied, in the held route
+    orders (:func:`_route_orders`), and each entry's position in ``M`` is
+    read off their inverses with no presence table.  The same plan as
+    :func:`_index_plan` gives."""
+    width = Ku + Kv - 1
+    orders = _route_orders(width, d_lo & 1, (2 * int(n_min) + t_lo) & 3, H > 0)
+    ds, ts = orders.d_order + d_lo, orders.t_order + t_lo
+    # d_at[Ku - 1 - m + n] and t_at[m + n] as (Ku, Kv) views of the 1-D inverses
+    step = orders.d_at.itemsize
+    d_rows = np.ndarray((Ku, Kv), np.intp, orders.d_at, (Ku - 1) * step, (-step, step))
+    t_rows = np.ndarray((Ku, Kv), np.intp, orders.t_at, 0, (step, step))
+    at = (2 * width) * d_rows
+    at += t_rows
+    # of the width values from d_lo (t_lo) on, (width + 1 - (d_lo & 1)) // 2 are even
+    ne, te = (2 * ((width + 1 - (d_lo & 1)) // 2), (width + 1 - (t_lo & 1)) // 2) if H else (0, 0)
+    columns = _columns(ds, d_lo, d_lo + width - 1)
+    return _IndexPlan(None, None, None, ds, ts, at.ravel(), ne, te, orders.t_runs, columns)
+
+
+class _Orders(NamedTuple):
+    """The route orders of the ``width`` values ``j`` that the diagonals
+    ``d_lo + j`` and the centres ``t_lo + j`` of a box can take."""
+
+    d_order: np.ndarray  # a permutation of 0..width-1
+    t_order: np.ndarray
+    d_at: np.ndarray  # the place of each j in d_order
+    t_at: np.ndarray
+    t_runs: list  # the residue runs of t_order (:func:`_residue_runs`)
+
+
+def _route_orders(width, d_phase, t_phase, halves) -> _Orders:
+    """The :class:`_Orders` of a box (:func:`_index_plan`).  On the
+    half-turn route (``halves``) the even diagonals come first, where ``j``
+    has the parity ``d_phase`` of ``d_lo``, and the centres by the residue
+    of ``2 n_min + t``, ``t_phase + j`` mod 4, in the order 0, 2, 1, 3;
+    otherwise the diagonals in order and the centres by residue 0..3.  The
+    orders of every phase are held together under ``(width, halves)`` by
+    :func:`_held_with` (cap ``_HELD_INDEX_BYTES``), so a store of a few
+    keys serves every box of a width; a width whose phases together pass
+    the cap builds only the orders asked for, and holds none."""
+    global _held_orders
+    held = _held_orders.get((width, halves))
+    if held is None:
+        # four arrays of width indices for each of the 4 or 8 phases
+        if 16 * (1 + halves) * width * np.dtype(np.intp).itemsize > _HELD_INDEX_BYTES:
+            return _orders(width, d_phase & halves, t_phase, halves)
+        held = tuple(_orders(width, p, q, halves) for p in range(1 + halves) for q in range(4))
+        _held_orders = _held_with(_held_orders, (width, halves), held, _orders_bytes, _HELD_INDEX_BYTES)
+    return held[4 * (d_phase & halves) + t_phase]
+
+
+def _orders(width, d_phase, t_phase, halves) -> _Orders:
+    """The :class:`_Orders` of one phase (:func:`_route_orders`)."""
+    span = np.arange(width)
+    if halves:
+        d_order, residues = np.concatenate([span[d_phase::2], span[1 - d_phase :: 2]]), (0, 2, 1, 3)
+    else:
+        d_order, residues = span, range(4)
+    t_order = np.concatenate([span[(r - t_phase) & 3 :: 4] for r in residues])
+    d_at, t_at = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+    d_at[d_order] = span
+    t_at[t_order] = span
+    for order in (d_order, t_order, d_at, t_at):
+        order.setflags(write=False)
+    # 2 n_min + t_lo + j has the residue of t_phase + j
+    return _Orders(d_order, t_order, d_at, t_at, _residue_runs(0, t_order + t_phase))
+
+
+def _orders_bytes(held) -> int:
+    """The bytes of the route orders held for one key."""
+    return sum(order.nbytes for orders in held for order in orders[:4])
 
 
 def _index_bytes(index) -> int:
     """The bytes of a held index plan's arrays."""
-    return sum(array.nbytes for array in (index.rows, index.cols, index.weight, index.ds, index.ts, index.at))
+    columns = index.columns
+    arrays = (index.rows, index.cols, index.weight, index.ds, index.ts, index.at, columns.mags, columns.negative)
+    return sum(array.nbytes for array in arrays if array is not None)
 
 
 def _held_upper(K, n_min, H):
@@ -408,29 +568,83 @@ def _held_upper(K, n_min, H):
 
 
 def _full_index(rows, cols, index, K, n_min, H):
-    """The plan of a full window, with all ``K (K + 1) / 2`` upper entries
-    at ``(rows, cols)``: ``index`` when one is held, else a new plan held
-    by :func:`_held_with` under the cap ``_HELD_INDEX_BYTES``.  ``None``
-    for ``K = 1``, whose one diagonal ``d = 0`` takes the angle-free row."""
+    """The plan of a full Hermitian window, with all ``K (K + 1) / 2``
+    upper entries at ``(rows, cols)``: ``index`` when one is held, else a
+    new plan held by :func:`_held_with` under the cap
+    ``_HELD_INDEX_BYTES``.  ``None`` for ``K = 1``, whose one diagonal ``d
+    = 0`` takes the angle-free row."""
     global _held_indexes
     if index is None and K > 1:
-        index = _index_plan(rows, cols, K, n_min, H)
+        index = _index_plan(rows, cols, n_min, H, True, (0, K, 0, K))
+        for array in (rows, cols, index.weight, index.ds, index.ts, index.at, index.columns.mags):
+            array.setflags(write=False)
         _held_indexes = _held_with(_held_indexes, (K, int(n_min) & 1, H > 0), index, _index_bytes, _HELD_INDEX_BYTES)
     return index
 
 
-def _factor_entries(u, v, n_min, H):
-    """``(index, rows, cols, vals)``: the nonzero products ``u[m] * v[n]``
-    with ``m <= n``, the upper triangle of ``np.outer(u, v)`` with the same
-    bits.  A zero product (a zero factor, or an underflow) is no entry, as a
-    scan of the matrix would not find it.  With none, the window is full and
-    ``index`` is its held plan (:func:`_full_index`); otherwise ``None``."""
-    rows, cols, index = _held_upper(v.size, n_min, H)
-    vals = u[rows] * v[cols]
-    kept = vals != 0
-    if not kept.all():
-        return None, rows[kept], cols[kept], vals[kept]
-    return _full_index(rows, cols, index, v.size, n_min, H), rows, cols, vals
+def _factor_entries(u, v, iu, iv, K, n_min, H, tested):
+    """``(index, rows, cols, vals, hermitian)`` of the window ``np.outer(u,
+    v)`` at rows ``iu..`` and columns ``iv..`` of a ``K`` x ``K`` window:
+    its nonzero products ``u[m] v[n]``, in ``np.outer``'s operand order and
+    with its bits.  A zero product (a zero factor, or an underflow) is no
+    entry, as a scan of the zero-filled matrix would not find it.
+    ``tested`` takes the Hermiticity test of that matrix
+    (:func:`_pair_hermitian`); otherwise the pair is a state's own
+    ``(conj(c), c)``, Hermitian by construction.
+
+    A Hermitian pair that spans the window (``iu = iv = 0`` and both of
+    length ``K``) forms only its products ``m <= n``; with none zero it is
+    full and ``index`` is its held plan (:func:`_full_index`).  Any other
+    pair forms its ``len(u) len(v)`` products: a non-Hermitian block with
+    none zero, and a diagonal other than ``d = 0``, is full and ``index``
+    is its plan (:func:`_block_plan`), with no ``rows`` or ``cols``;
+    otherwise ``index`` is ``None``."""
+    products = np.outer(u, v) if tested else None
+    hermitian = not tested or _pair_hermitian(products, iu, iv)
+    if hermitian and u.size == v.size == K:
+        rows, cols, index = _held_upper(K, n_min, H)
+        vals = u[rows] * v[cols] if products is None else products[rows, cols]
+        kept = vals != 0
+        if kept.all():
+            return _full_index(rows, cols, index, K, n_min, H), rows, cols, vals, True
+        return None, rows[kept], cols[kept], vals[kept], True
+    if products is None:
+        products = np.outer(u, v)
+    if not hermitian and products.all() and (products.size > 1 or iu != iv):
+        index = _block_plan(u.size, v.size, iv - iu - u.size + 1, iu + iv, n_min, H)
+        return index, None, None, products.ravel(), False
+    at = np.flatnonzero(products)
+    vals = products.ravel()[at]
+    rows, cols = np.divmod(at, v.size)
+    rows += iu
+    cols += iv
+    if hermitian:
+        upper = cols >= rows
+        return None, rows[upper], cols[upper], vals[upper], True
+    return None, rows, cols, vals, False
+
+
+def _pair_hermitian(products, iu, iv) -> bool:
+    """Whether the zero-filled window whose only nonzero block is
+    ``products``, at rows ``iu..`` and columns ``iv..``, is Hermitian: its
+    residual ``max|A_mn - conj(A_nm)|`` is at most ``_HERMITIAN_TOL``, the
+    test of :func:`_matrix_entries`, with the bits of each term that
+    :func:`_hermitian_residual` takes there, at the cost of the block.  An
+    entry whose mirror lies outside the block is met against a zero and
+    counts in full (one above the tolerance decides, before the rest); the
+    square where the two windows overlap compares each entry with its
+    mirror there."""
+    residual = np.abs(products)
+    lo, hi = max(iu, iv), min(iu + products.shape[0], iv + products.shape[1])
+    if lo < hi:
+        rows, cols = slice(lo - iu, hi - iu), slice(lo - iv, hi - iv)
+        if residual.size > (hi - lo) ** 2:
+            residual[rows, cols] = 0.0
+            if residual.max() > _HERMITIAN_TOL:
+                return False
+        square = products[rows, cols]
+        residual = np.abs(square - square.T.conj())
+    return bool(residual.max() <= _HERMITIAN_TOL)
 
 
 def _matrix_entries(A, n_min, H):
@@ -480,6 +694,9 @@ _held_plans = {}
 _HELD_INDEX_BYTES = 4 * 2**20
 # the index plans held, oldest first: (K, n_min & 1, H > 0) -> _IndexPlan
 _held_indexes = {}
+# the route orders held under the same cap, oldest first: (width, H > 0) ->
+# the _Orders of each phase
+_held_orders = {}
 
 
 def _held_with(held: dict, key, value, size, cap) -> dict:
@@ -555,41 +772,49 @@ def _diagonal_sum(w, n_min, delta, ps, divisor) -> np.ndarray:
     return out[0] if parts == 1 else out[0] + 1j * out[1]
 
 
-def _angle_phases(angles, ds, plan):
+def _angle_phases(angles, columns, plan, out=None):
     """``exp(i d theta)``, one row per angle of ``angles`` and one column per
-    integer ``d`` of ``ds``, in any order: column ``|d|`` of the phase table
-    of ``plan``, the plan of the axis that ``angles`` come from, conjugated
-    where ``d < 0``.
+    diagonal ``d`` of a window, in any order, as its :class:`_Columns`
+    give them: column ``|d|`` of the phase table of ``plan``, the plan of
+    the axis that ``angles`` come from, conjugated where ``d < 0``; written
+    into ``out`` when given.
 
     The table holds ``exp(i d theta)`` for ``d = 0..D-1``.  A new axis gets
     exactly the ``D`` its window needs.  A window that needs more doubles
     ``D`` (or takes what it needs, if that is more), keeping the old columns
     and building only the new ones.  A new or grown table is held with its
     plan, last among the plans held and in place of its axis' older plan,
-    by :func:`_held_with` with the cap ``_HELD_BYTES``; a table above the
-    cap serves its call only.  A column has the same bits however wide
-    the table was when it was built (:func:`_phase_columns`), so a grid's
-    bits do not depend on the calls before it.
+    by :func:`_held_with` with the cap ``_HELD_BYTES``.  A table above the
+    cap serves its call only, and holds just the columns from the smallest
+    ``|d|`` to the largest that its window uses.  A column has the same bits
+    however wide the table was when it was built (:func:`_phase_columns`),
+    so a grid's bits do not depend on the calls before it.
     """
     global _held_plans
     key, H, table = plan
-    mags = np.abs(ds)
-    need = int(mags.max()) + 1
     have = 0 if table is None else table.shape[1]
-    if have < need:
-        width = need if table is None else max(need, min(2 * have, _HELD_BYTES // (16 * max(1, angles.size))))
+    if have < columns.hi:
+        width = columns.hi if table is None else max(columns.hi, min(2 * have, _HELD_BYTES // (16 * max(1, angles.size))))
+        if 16 * angles.size * width > _HELD_BYTES:
+            return _table_columns(_phase_columns(angles, columns.lo, columns.hi), columns, columns.lo, out)
         fresh = _phase_columns(angles, have, width)
         table = fresh if table is None else np.concatenate([table, fresh], axis=1)
         table.setflags(write=False)
         _held_plans = _held_with(_held_plans, key, (key, H, table), _table_bytes, _HELD_BYTES)
-    if ds.size == table.shape[1] and np.array_equal(ds, np.arange(ds.size)):
+    if out is None and columns.in_order and columns.hi == table.shape[1]:
         # every column, in order (an open axis and a full band): no copy
         return table
+    return _table_columns(table, columns, 0, out)
+
+
+def _table_columns(table, columns, first, out=None):
+    """The phases of ``columns`` from ``table``, whose column ``j`` is
+    ``exp(i (first + j) theta)``: a new array (or ``out``), conjugated
+    where ``d < 0``."""
     # take, unlike [:, idx], returns C order, so the result views as real pairs
-    phases = table.take(mags, axis=1)
-    negative = ds < 0
-    if negative.any():
-        np.conjugate(phases, out=phases, where=negative)
+    phases = table.take(columns.mags - first if first else columns.mags, axis=1, out=out)
+    if columns.negative is not None:
+        np.conjugate(phases, out=phases, where=columns.negative)
     return phases
 
 

@@ -34,6 +34,7 @@ from ._g17 import g17_fields
 from ._kernels import (
     _HERMITIAN_TOL,
     TWO_PI,
+    FactorPair,
     _angle_rows,
     _check_grid,
     _check_momenta,
@@ -227,9 +228,11 @@ def _window(obj, ket=None):
     """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p), ``A``
     as the grid kernel takes it: a state ``obj`` as its factor pair
     ``(conj(c), c)`` (Hermitian by construction: no K x K matrix, scan or
-    test), the pair ``(obj, ket)`` of states as the dense matrix on the
-    union of their windows, and a density matrix ``obj`` as its 1-D
-    diagonal (a diagonal window) or its entries transposed."""
+    test), the pair ``(obj, ket)`` of states as the :class:`FactorPair`
+    ``conj(c_bra)``, ``c_ket`` at their offsets in the union of their
+    windows (no union matrix; tested as that matrix would be), and a
+    density matrix ``obj`` as its 1-D diagonal (a diagonal window) or its
+    entries transposed."""
     if isinstance(obj, DensityMatrix) and ket is None:
         if obj._weights is not None:
             return obj._weights, obj.n_min, obj.delta
@@ -239,9 +242,8 @@ def _window(obj, ket=None):
         raise TypeError("expected a FourierState or DensityMatrix")
     if ket is None:
         return (obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
-    n_min, n_max = _union(obj, ket)
-    A = np.outer(_on_window(obj, n_min, n_max).conj(), _on_window(ket, n_min, n_max))
-    return A, n_min, obj.delta
+    n_min, _ = _union(obj, ket)
+    return FactorPair(obj.coeffs.conj(), ket.coeffs, obj.n_min - n_min, ket.n_min - n_min), n_min, obj.delta
 
 
 def _window_matrix(obj):

@@ -32,6 +32,7 @@ from cylwigner import (
 )
 from cylwigner import _kernels
 from cylwigner._kernels import (
+    FactorPair,
     _residue_runs,
     _sinc_lattice,
     phase_space_sum_grid,
@@ -604,7 +605,7 @@ class TestHeldPlan:
         thetas = HELD_AXES["open"]
         ds = np.arange(-300, 301) if kind == "moyal" else np.arange(301)
         plan = _kernels._axis_plan(thetas)
-        got = _kernels._angle_phases(thetas, ds, plan)
+        got = _kernels._angle_phases(thetas, _kernels._columns(ds), plan)
         x = np.outer(thetas, ds)
         # both round d theta once, so each may be off by about |d theta| ulp
         assert np.all(np.abs(got - np.exp(1j * x)) <= 5e-16 * (1.0 + np.abs(x)))
@@ -902,6 +903,82 @@ class TestPhaseBuilder:
             assert Fraction(x) * Fraction(y) == Fraction(hi) + Fraction(lo)
 
 
+def _pair_factors(seed, Ku, Kv):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=Ku) + 1j * rng.normal(size=Ku), rng.normal(size=Kv) + 1j * rng.normal(size=Kv)
+
+
+class TestFactorPair:
+    """Two factors on their own windows (a Moyal pair): the plan of a full
+    block, the route orders that every box of a width shares, a phase
+    table too large to hold, and the complex grid of the open route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(-12, 12),
+        st.integers(-(2**40), 2**40),
+        st.booleans(),
+    )
+    def test_block_plan_is_the_scanned_plan(self, Ku, Kv, offset, n_min, halves):
+        iu, iv = max(0, -offset), max(0, offset)
+        rows, cols = np.divmod(np.arange(Ku * Kv), Kv)
+        H = 4 if halves else 0
+        want = _kernels._index_plan(rows + iu, cols + iv, n_min, H, False, (iu, iu + Ku, iv, iv + Kv))
+        got = _kernels._block_plan(Ku, Kv, iv - iu - Ku + 1, iu + iv, n_min, H)
+        for field in ("ds", "ts", "at"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert (got.ne, got.te, got.runs) == (want.ne, want.te, want.runs)
+        assert np.array_equal(got.columns.mags, want.columns.mags)
+        assert got.columns[1:3] == want.columns[1:3] and got.columns.in_order == want.columns.in_order
+        assert (got.columns.negative is None) == (want.columns.negative is None)
+
+    def test_route_orders_are_held_per_width(self, monkeypatch):
+        # every offset and n_min: each phase of the diagonals and centres
+        monkeypatch.setattr(_kernels, "_held_orders", {})
+        u, v = _pair_factors(1, 6, 9)
+        for offset in range(-4, 4):
+            for n_min in (-3, 0, 5, 6):
+                pair = FactorPair(u, v, max(0, -offset), max(0, offset))
+                for axis in sorted(HELD_AXES):
+                    phase_space_sum_grid(pair, n_min, 0.25, HELD_AXES[axis], INDEX_PS)
+        assert sorted(_kernels._held_orders) == [(14, False), (14, True)]
+        # a width whose phases pass the cap builds the orders asked for only,
+        # holds none, and gives the same bits
+        held = phase_space_sum_grid(FactorPair(u, v, 0, 3), 5, 0.25, HELD_AXES["full_period"], INDEX_PS)
+        monkeypatch.setattr(_kernels, "_HELD_INDEX_BYTES", 1000)
+        _kernels._held_orders = {}
+        fresh = phase_space_sum_grid(FactorPair(u, v, 0, 3), 5, 0.25, HELD_AXES["full_period"], INDEX_PS)
+        assert _kernels._held_orders == {} and fresh.tobytes() == held.tobytes()
+
+    @pytest.mark.parametrize("held_first", [False, True])
+    def test_table_above_the_cap_serves_its_call(self, monkeypatch, held_first):
+        # diagonals 5993..6007 on the 91 middle angles: a table of 6008
+        # columns would take 8.7 MB, above the 4 MiB cap
+        monkeypatch.setattr(_kernels, "_held_plans", {})
+        thetas = HELD_AXES["full_period"]
+        if held_first:
+            _held_grid("moyal", 30, "full_period")
+        held = _kernels._held_plans
+        u, v = _pair_factors(2, 8, 8)
+        with mock.patch.object(_kernels, "_phase_columns", wraps=_kernels._phase_columns) as built:
+            phase_space_sum_grid(FactorPair(u, v, 0, 6000), -3, 0.25, thetas, INDEX_PS)
+        assert [call.args[1:] for call in built.call_args_list] == [(5993, 6008)]
+        assert _kernels._held_plans is held
+
+    def test_open_route_complex_grid_keeps_the_bits(self, monkeypatch):
+        # the chain's real and imaginary rows, every pair of signed zeros
+        # and nonzeros among them, become the bits of re + 1j * im
+        values = np.array([0.0, -0.0, 1.5, -2.0])
+        re, im = (part.reshape(2, 8) for part in np.meshgrid(values, values))
+        rows = np.concatenate([re, im])
+        monkeypatch.setattr(_kernels, "_chain", lambda *args, **kwargs: rows.copy())
+        pair = FactorPair(np.array([1.0]), np.array([1.0j]), 0, 1)
+        got = phase_space_sum_grid(pair, 0, 0.25, np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 8))
+        assert got.tobytes() == (re + 1j * im).tobytes()
+
+
 # the stated bound of the kernel against the 40-digit finite sum,
 # |W - truth| <= _KERNEL_C eps sum |A_mn|: the phases are exact splits and
 # the sinc table is rounded at the scale of its own argument, so no error
@@ -921,7 +998,8 @@ truth_offsets = st.lists(st.floats(-3.0, 15.0), min_size=1, max_size=2)
 def _truth_window(kind, K, seed):
     """``(window as the kernel takes it, its dense matrix)`` of ``kind``:
     a factor pair, 1-D diagonal weights, a dense Hermitian or a
-    non-Hermitian matrix."""
+    non-Hermitian matrix, or a Moyal pair of a bra and a ket on disjoint
+    windows (either one first, up to 3 indices apart)."""
     rng = np.random.default_rng(seed)
     if kind == "factor":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
@@ -929,11 +1007,19 @@ def _truth_window(kind, K, seed):
     if kind == "diagonal":
         w = rng.uniform(0.0, 1.0, K)
         return w, np.diag(w)
+    if kind == "moyal":
+        L, gap = int(rng.integers(1, 13)), int(rng.integers(0, 4))
+        bra = rng.normal(size=K) + 1j * rng.normal(size=K)
+        ket = rng.normal(size=L) + 1j * rng.normal(size=L)
+        iu, iv = (0, K + gap) if rng.integers(2) else (L + gap, 0)
+        dense = np.zeros((K + L + gap,) * 2, dtype=np.complex128)
+        dense[iu : iu + K, iv : iv + L] = np.outer(bra.conj(), ket)
+        return FactorPair(bra.conj(), ket, iu, iv), dense
     A = _window_of_kind(kind, rng, K)
     return A, A
 
 
-TRUTH_KINDS = ["factor", "diagonal", "hermitian", "moyal"]
+TRUTH_KINDS = ["factor", "diagonal", "hermitian", "non_hermitian", "moyal"]
 
 
 class TestKernelTruth:

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from math import pi
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,7 @@ from cylwigner.wigner import (
     write_grid_csv,
 )
 from cylwigner.wigner import _CSV_BLOCK, _require_real
+from oracle import true_windowed_sum
 
 TWO_PI = 2 * pi
 
@@ -893,23 +895,136 @@ _HIGH = FourierState(
     delta=0.3, n_min=8, coeffs=np.array([0.1 + 0.2j, -0.4, 0.5j, 0.3 - 0.1j, 0.2]) / np.sqrt(0.6)
 )
 _FAR = FourierState(delta=0.3, n_min=-4, coeffs=np.array([0.8, -0.6j]))
-_WINDOW_PAIRS = [(_LOW, _HIGH), (_HIGH, _LOW), (_LOW, _FAR), (_FAR, _HIGH), (_HIGH, _HIGH)]
+# _HIGH's coefficients on [6, 14], zeros on both sides; a zero inside
+# [7, 9]; a real multiple of _HIGH; _HIGH moved by 1e-14 in one place;
+# _HIGH with one more coefficient, whose entries have zero mirrors.  The
+# multiple, the near copy, _HIGH with _PADDED and _HIGH with itself are
+# Hermitian by the dense test
+_PADDED = FourierState(delta=0.3, n_min=6, coeffs=np.concatenate([[0, 0], _HIGH.coeffs, [0]]))
+_HOLE = FourierState(delta=0.3, n_min=7, coeffs=np.array([0.6, 0.0, 0.8j]))
+_TWICE = FourierState(delta=0.3, n_min=8, coeffs=-2.5 * _HIGH.coeffs)
+_NEAR = FourierState(delta=0.3, n_min=8, coeffs=_HIGH.coeffs + np.array([0, 0, 0, 1e-14j, 0]))
+_LONGER = FourierState(delta=0.3, n_min=8, coeffs=np.concatenate([_HIGH.coeffs, [0.3]]))
+_HERMITIAN_PAIRS = [(_HIGH, _HIGH), (_HIGH, _PADDED), (_PADDED, _HIGH), (_HIGH, _TWICE), (_HIGH, _NEAR)]
+_WINDOW_PAIRS = [
+    (_LOW, _HIGH),
+    (_HIGH, _LOW),
+    (_LOW, _FAR),
+    (_FAR, _HIGH),
+    (_HOLE, _HIGH),
+    (_LOW, _HOLE),
+    (_HIGH, _LONGER),
+    (_LONGER, _HIGH),
+    *_HERMITIAN_PAIRS,
+]
+
+
+def _union_window(bra, ket):
+    """``np.outer`` of the pair zero-filled onto the union of their windows."""
+    n_min, n_max = min(bra.n_min, ket.n_min), max(bra.n_max, ket.n_max)
+    return np.outer(_zero_filled_coeffs(bra, n_min, n_max).conj(), _zero_filled_coeffs(ket, n_min, n_max)), n_min
+
+
+def _moyal_pair(spec):
+    """A bra and a ket of up to 10 coefficients each, up to 14 indices
+    apart, the ket random, with a zero, a real multiple of the bra, the bra
+    moved by 1e-14 in one place, the bra zero-padded, or the bra with one
+    more coefficient of size 1 or 1e-14 on either side."""
+    Kb, n_bra, kind, seed = spec
+    rng = np.random.default_rng(seed)
+    bra = FourierState(delta=0.3, n_min=n_bra, coeffs=rng.normal(size=Kb) + 1j * rng.normal(size=Kb))
+    if kind == "multiple":
+        return bra, FourierState(delta=0.3, n_min=n_bra, coeffs=float(rng.uniform(-3, 3)) * bra.coeffs)
+    if kind == "near":
+        coeffs = np.array(bra.coeffs)
+        coeffs[rng.integers(Kb)] += 1e-14j
+        return bra, FourierState(delta=0.3, n_min=n_bra, coeffs=coeffs)
+    if kind == "padded":
+        below, above = (int(k) for k in rng.integers(0, 5, 2))
+        coeffs = np.concatenate([np.zeros(below), bra.coeffs, np.zeros(above)])
+        return bra, FourierState(delta=0.3, n_min=n_bra - below, coeffs=coeffs)
+    if kind == "extended":
+        extra = [rng.choice([1.0, 1e-14])]
+        below = int(rng.integers(2))
+        coeffs = np.concatenate([extra, bra.coeffs] if below else [bra.coeffs, extra])
+        return bra, FourierState(delta=0.3, n_min=n_bra - below, coeffs=coeffs)
+    Kk = int(rng.integers(1, 11))
+    coeffs = rng.normal(size=Kk) + 1j * rng.normal(size=Kk)
+    if kind == "zero":
+        coeffs[rng.integers(Kk)] = 0.0
+    return bra, FourierState(delta=0.3, n_min=n_bra + int(rng.integers(-14, 15)), coeffs=coeffs)
 
 
 class TestWindows:
     """Offset and disjoint windows: values equal those of zero-filled dense
     windows and padded coefficient vectors."""
 
+    @pytest.mark.parametrize("axis", ["open", "full_period"])
     @pytest.mark.parametrize("bra,ket", _WINDOW_PAIRS)
-    def test_moyal_grid_equals_the_zero_filled_window(self, bra, ket):
-        thetas, ps = np.linspace(-3.0, 3.0, 13), np.linspace(-6.0, 14.0, 41)
-        A, n_min = _zero_filled_window(bra, ket)
+    def test_moyal_grid_equals_the_zero_filled_window(self, bra, ket, axis):
+        # byte for byte: the pair's factors on their own windows against the
+        # dense matrix on the union, zero-filled outside the bra-ket block
+        thetas = np.linspace(-3.0, 3.0, 13) if axis == "open" else np.linspace(-pi, pi, 15)
+        ps = np.linspace(-6.0, 14.0, 41)
+        got = moyal_grid(bra, ket, thetas, ps).values
+        for A, n_min in (_zero_filled_window(bra, ket), _union_window(bra, ket)):
+            want = phase_space_sum_grid(A, n_min, 0.3, thetas, ps).astype(np.complex128)
+            assert got.tobytes() == want.tobytes()
+            pt = PhasePoint(2.0, 8.2)
+            assert moyal_function(bra, ket, pt) == complex(
+                phase_space_sum_grid(A, n_min, 0.3, np.array([pt.theta]), np.array([pt.p]))[0, 0]
+            )
+        # a pair the dense test calls Hermitian folds to a real grid
+        assert np.all(got.imag == 0.0) == ((bra, ket) in _HERMITIAN_PAIRS)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(1, 10),
+            st.integers(-12, 12),
+            st.sampled_from(["random", "zero", "multiple", "near", "padded", "extended"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        st.sampled_from(["open", "full_period", "point"]),
+    )
+    def test_moyal_grid_equals_the_union_window(self, spec, axis):
+        bra, ket = _moyal_pair(spec)
+        axes = {"open": np.linspace(-3.0, 3.0, 7), "full_period": np.linspace(-pi, pi, 11), "point": np.array([1.3])}
+        thetas = axes[axis]
+        ps = np.linspace(bra.n_min - 8.0, bra.n_min + 12.0, 1 if axis == "point" else 21)
+        A, n_min = _union_window(bra, ket)
         want = phase_space_sum_grid(A, n_min, 0.3, thetas, ps).astype(np.complex128)
-        assert np.array_equal(moyal_grid(bra, ket, thetas, ps).values, want)
-        pt = PhasePoint(2.0, 8.2)
-        assert moyal_function(bra, ket, pt) == complex(
-            phase_space_sum_grid(A, n_min, 0.3, np.array([pt.theta]), np.array([pt.p]))[0, 0]
-        )
+        assert moyal_grid(bra, ket, thetas, ps).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gap", [6000, 20000])
+    def test_far_pair_costs_its_products(self, gap):
+        # two 8-coefficient states 6000 and 20000 apart: the dense union
+        # window took 585 MiB at 6000 and 5.97 GiB at 20000
+        rng = np.random.default_rng(gap)
+        coeffs = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        bra = FourierState(delta=0.25, n_min=-3, coeffs=coeffs[0])
+        ket = FourierState(delta=0.25, n_min=gap - 3, coeffs=coeffs[1])
+        tracemalloc.start()
+        try:
+            grid = moyal_grid(bra, ket)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.shape == (181, 401)
+        assert peak <= 16 * 2**20
+        # within the kernel's bound of the 40-digit sum over the 8 x 8 block:
+        # row 90 (theta = 0) of the default grid, and an open axis at
+        # momenta among the centres
+        block = np.outer(bra.coeffs.conj(), ket.coeffs)
+        bound = np.finfo(float).eps * float(np.sum(np.abs(block)))
+        centre = (bra.n_min + ket.n_max) / 2
+        near = moyal_grid(bra, ket, np.array([0.3, 2.0, -1.1]), centre + np.array([-0.7, 0.2, 1.45]))
+        points = [(grid.theta_axis[90], grid.p_axis[j], grid.values[90, j]) for j in (0, 200, 333)]
+        points += [(t, p, near.values[i, j]) for i, t in enumerate(near.theta_axis) for j, p in enumerate(near.p_axis)]
+        for theta, p, value in points:
+            truth = true_windowed_sum(block, bra.n_min, 0.25, float(theta), float(p), col_min=ket.n_min)
+            assert abs(mpmath.mpc(complex(value)) - truth) <= bound, (theta, p)
 
     @pytest.mark.parametrize("a,b", _WINDOW_PAIRS)
     def test_overlap_equals_the_padded_inner_product(self, a, b):
