@@ -27,18 +27,16 @@ same products without its per-call checks).  Only the nonzero entries of
 window is scanned for them (one pass over its K x K entries), and its
 Hermiticity test compares each of them with its mirror in one more pass
 (one gather); one with no zero entry gathers only its upper half and
-their mirrors.  A state's own window ``conj(c) c^T`` is passed as its
-factor pair ``(conj(c), c)``: its entries on and above the diagonal are
-formed as the products ``conj(c_m) c_n``, the same bits as ``np.outer``
-gives, with no matrix, scan or test; a zero product is no entry, as the
-scan would not find it.  A Moyal pair is a :class:`FactorPair`, its
-factors ``conj(c_bra)`` and ``c_ket`` on their own windows at their
-offsets in the union, and costs its ``len(u) len(v)`` products however
-far apart the windows lie: ``np.outer`` of the factors (the bits the
-union's ``np.outer`` gives), with the zero products dropped as the scan
-drops them, and the Hermiticity test of the zero-filled union matrix
-taken on the block (:func:`_pair_hermitian`).  A state's own pair is its
-zero-offset case, Hermitian by construction.  A Hermitian window folds
+their mirrors.  A Moyal pair is a :class:`FactorPair`, its factors
+``conj(c_bra)`` and ``c_ket`` on their own windows at their offsets in
+the union, and costs its ``len(u) len(v)`` products however far apart
+the windows lie: ``np.outer`` of the factors (the bits the union's
+``np.outer`` gives), with the zero products dropped as the scan drops
+them, and the Hermiticity test of the zero-filled union matrix taken on
+the block (:func:`_pair_hermitian`).  A state's own window ``conj(c)
+c^T`` is the zero-offset case, marked Hermitian by construction: its
+entries on and above the diagonal are formed as the products ``conj(c_m)
+c_n``, the same bits, with no matrix, scan or test.  A Hermitian window folds
 ``-d`` onto ``d`` and yields a real grid; any other window stacks rows for
 the imaginary part and yields a complex grid.  A window beyond ``|n| <
 2**51``, where float64 momenta no longer hold the half-integer lattice, is
@@ -79,11 +77,8 @@ full window, with all ``K (K + 1) / 2`` entries on and above its diagonal
 present (a factor pair with no zero product, a Hermitian matrix with no
 zero entry), has one plan per key ``(K, n_min & 1, H > 0)``, held by
 :func:`_held_with` under ``_HELD_INDEX_BYTES`` (4 MiB); a held factor
-pair only forms its products.  A non-Hermitian block with no zero product
-occupies every diagonal and centre of its box, and its plan reads each
-entry's place off the inverse route orders, with no presence table
-(:func:`_block_plan`).  Any other window builds its plan for its call and
-holds none; every plan is built from the entries' shape alone, so every
+pair only forms its products.  Any other window builds its plan for its
+call and holds none; every plan is built from the entries' shape alone, so every
 route gives the same bits.
 
 The phases depend on the axis only, not on the window, so the kernel
@@ -278,12 +273,17 @@ class FactorPair:
     ``iv..iv + len(v) - 1`` of the window that spans both (``min(iu, iv) =
     0``), whose index 0 is the kernel's ``n_min``.  A Moyal pair is
     ``FactorPair(conj(c_bra), c_ket, iu, iv)``; it costs its ``len(u)
-    len(v)`` products, however far apart the two windows lie."""
+    len(v)`` products, however far apart the two windows lie.  A state's
+    own window is ``FactorPair(conj(c), c, hermitian=True)``: ``hermitian``
+    is ``True`` only for a pair Hermitian by construction, which is not
+    tested; any other pair (``None``) is tested as its zero-filled window
+    matrix would be."""
 
-    __slots__ = ("u", "v", "iu", "iv")
+    __slots__ = ("u", "v", "iu", "iv", "hermitian")
 
-    def __init__(self, u, v, iu, iv):
+    def __init__(self, u, v, iu=0, iv=0, hermitian=None):
         self.u, self.v, self.iu, self.iv = np.asarray(u), np.asarray(v), int(iu), int(iv)
+        self.hermitian = hermitian
 
 
 def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
@@ -291,22 +291,17 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
 
     ``A`` is a square window matrix whose row/column index 0 corresponds
     to basis index ``n_min``; a real 1-D array, the diagonal of a diagonal
-    window; a tuple ``(conj(c), c)`` of two 1-D arrays, the window
-    ``np.outer(conj(c), c)`` of one state given by its factors; or a
-    :class:`FactorPair`, two factors on their own windows.  A square ``A``
-    and a ``FactorPair`` are tested: Hermitian to within 1e-12 gives a real
-    array, otherwise a complex one.  A diagonal and a state's factors are
-    Hermitian by construction, untested, and give a real array.  A grid
+    window; or a :class:`FactorPair`, two factors on their own windows (a
+    state's own pair among them).  A square ``A`` and a ``FactorPair`` not
+    marked Hermitian are tested: Hermitian to within 1e-12 gives a real
+    array, otherwise a complex one.  A diagonal and a pair marked Hermitian
+    are Hermitian by construction, untested, and give a real array.  A grid
     above ``_MAX_DENSE_BYTES`` raises ``ValueError`` before it or its tables
     are allocated (:func:`_check_grid`).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     ps = np.asarray(ps, dtype=np.float64)
-    # a state's own factors are Hermitian by construction; any other pair is tested
-    tested = isinstance(A, FactorPair)
-    if isinstance(A, tuple):
-        A = FactorPair(*A, 0, 0)
-    elif not tested:
+    if not isinstance(A, FactorPair):
         A = np.asarray(A)
         if A.ndim == 1:
             _check_grid(thetas, ps, np.iscomplexobj(A))
@@ -315,7 +310,7 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     H = plan[1]
     if isinstance(A, FactorPair):
         K = max(A.iu + A.u.size, A.iv + A.v.size)
-        index, rows, cols, vals, hermitian = _factor_entries(A.u, A.v, A.iu, A.iv, K, n_min, H, tested)
+        index, rows, cols, vals, hermitian = _factor_entries(A, K, n_min, H)
         box = (A.iu, A.iu + A.u.size, A.iv, A.iv + A.v.size)
     else:
         K = A.shape[0]
@@ -361,16 +356,7 @@ def phase_space_sum_grid(A, n_min, delta, thetas, ps) -> np.ndarray:
     table = _sinc_lattice(ps, n_min, ts, delta, index.runs)
     if not H:
         out = _chain(phases, M, table)
-        if hermitian:
-            return out
-        # out[:N] + 1j * out[N:] in one complex array, with its bits: 1j * x
-        # is (0 x, 0 + x), so the sum is (re + 0 x, x + 0), which differs
-        # from (re, x) only in the sign of a zero
-        grid = np.empty((thetas.size, ps.size), dtype=np.complex128)
-        np.multiply(out[thetas.size :], 0.0, out=grid.real)
-        grid.real += out[: thetas.size]
-        np.add(out[thetas.size :], 0.0, out=grid.imag)
-        return grid
+        return out if hermitian else out[: thetas.size] + 1j * out[thetas.size :]
     # M is block diagonal: even diagonals meet only even centres
     ne, te = index.ne, index.te
     out = np.empty((thetas.size, ps.size), dtype=np.float64 if hermitian else np.complex128)
@@ -409,11 +395,9 @@ class _Columns(NamedTuple):
     in_order: bool  # ds is 0..D-1 in order: the table itself, no copy
 
 
-def _columns(ds, d_min=None, d_max=None) -> _Columns:
-    """The :class:`_Columns` of the diagonals ``ds``, whose least and
-    greatest are ``d_min`` and ``d_max`` (found when not given)."""
-    if d_min is None:
-        d_min, d_max = int(ds.min()), int(ds.max())
+def _columns(ds) -> _Columns:
+    """The :class:`_Columns` of the diagonals ``ds``."""
+    d_min, d_max = int(ds.min()), int(ds.max())
     mags = np.abs(ds)
     lo = d_min if d_min >= 0 else -d_max if d_max <= 0 else int(mags.min())
     hi = max(-d_min, d_max) + 1
@@ -467,38 +451,12 @@ def _index_plan(rows, cols, n_min, H, hermitian, box) -> _IndexPlan:
     return _IndexPlan(rows, cols, weight, ds, ts, at, ne, te, _residue_runs(n_min, ts), _columns(ds))
 
 
-def _block_plan(Ku, Kv, d_lo, t_lo, n_min, H) -> _IndexPlan:
-    """The :class:`_IndexPlan` of all ``Ku Kv`` entries of a non-Hermitian
-    block, row by row, without ``rows`` and ``cols``: entry ``(m, n)`` lies
-    on diagonal ``d_lo + Ku - 1 - m + n`` and centre ``t_lo + m + n``, so
-    every diagonal and centre of the box is occupied, in the held route
-    orders (:func:`_route_orders`), and each entry's position in ``M`` is
-    read off their inverses with no presence table.  The same plan as
-    :func:`_index_plan` gives."""
-    width = Ku + Kv - 1
-    orders = _route_orders(width, d_lo & 1, (2 * int(n_min) + t_lo) & 3, H > 0)
-    ds, ts = orders.d_order + d_lo, orders.t_order + t_lo
-    # d_at[Ku - 1 - m + n] and t_at[m + n] as (Ku, Kv) views of the 1-D inverses
-    step = orders.d_at.itemsize
-    d_rows = np.ndarray((Ku, Kv), np.intp, orders.d_at, (Ku - 1) * step, (-step, step))
-    t_rows = np.ndarray((Ku, Kv), np.intp, orders.t_at, 0, (step, step))
-    at = (2 * width) * d_rows
-    at += t_rows
-    # of the width values from d_lo (t_lo) on, (width + 1 - (d_lo & 1)) // 2 are even
-    ne, te = (2 * ((width + 1 - (d_lo & 1)) // 2), (width + 1 - (t_lo & 1)) // 2) if H else (0, 0)
-    columns = _columns(ds, d_lo, d_lo + width - 1)
-    return _IndexPlan(None, None, None, ds, ts, at.ravel(), ne, te, orders.t_runs, columns)
-
-
 class _Orders(NamedTuple):
     """The route orders of the ``width`` values ``j`` that the diagonals
     ``d_lo + j`` and the centres ``t_lo + j`` of a box can take."""
 
     d_order: np.ndarray  # a permutation of 0..width-1
     t_order: np.ndarray
-    d_at: np.ndarray  # the place of each j in d_order
-    t_at: np.ndarray
-    t_runs: list  # the residue runs of t_order (:func:`_residue_runs`)
 
 
 def _route_orders(width, d_phase, t_phase, halves) -> _Orders:
@@ -514,8 +472,8 @@ def _route_orders(width, d_phase, t_phase, halves) -> _Orders:
     global _held_orders
     held = _held_orders.get((width, halves))
     if held is None:
-        # four arrays of width indices for each of the 4 or 8 phases
-        if 16 * (1 + halves) * width * np.dtype(np.intp).itemsize > _HELD_INDEX_BYTES:
+        # two arrays of width indices for each of the 4 or 8 phases
+        if 8 * (1 + halves) * width * np.dtype(np.intp).itemsize > _HELD_INDEX_BYTES:
             return _orders(width, d_phase & halves, t_phase, halves)
         held = tuple(_orders(width, p, q, halves) for p in range(1 + halves) for q in range(4))
         _held_orders = _held_with(_held_orders, (width, halves), held, _orders_bytes, _HELD_INDEX_BYTES)
@@ -530,18 +488,14 @@ def _orders(width, d_phase, t_phase, halves) -> _Orders:
     else:
         d_order, residues = span, range(4)
     t_order = np.concatenate([span[(r - t_phase) & 3 :: 4] for r in residues])
-    d_at, t_at = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
-    d_at[d_order] = span
-    t_at[t_order] = span
-    for order in (d_order, t_order, d_at, t_at):
+    for order in (d_order, t_order):
         order.setflags(write=False)
-    # 2 n_min + t_lo + j has the residue of t_phase + j
-    return _Orders(d_order, t_order, d_at, t_at, _residue_runs(0, t_order + t_phase))
+    return _Orders(d_order, t_order)
 
 
 def _orders_bytes(held) -> int:
     """The bytes of the route orders held for one key."""
-    return sum(order.nbytes for orders in held for order in orders[:4])
+    return sum(order.nbytes for orders in held for order in orders)
 
 
 def _index_bytes(index) -> int:
@@ -582,25 +536,22 @@ def _full_index(rows, cols, index, K, n_min, H):
     return index
 
 
-def _factor_entries(u, v, iu, iv, K, n_min, H, tested):
-    """``(index, rows, cols, vals, hermitian)`` of the window ``np.outer(u,
-    v)`` at rows ``iu..`` and columns ``iv..`` of a ``K`` x ``K`` window:
-    its nonzero products ``u[m] v[n]``, in ``np.outer``'s operand order and
-    with its bits.  A zero product (a zero factor, or an underflow) is no
-    entry, as a scan of the zero-filled matrix would not find it.
-    ``tested`` takes the Hermiticity test of that matrix
-    (:func:`_pair_hermitian`); otherwise the pair is a state's own
-    ``(conj(c), c)``, Hermitian by construction.
+def _factor_entries(pair, K, n_min, H):
+    """``(index, rows, cols, vals, hermitian)`` of the :class:`FactorPair`
+    ``pair``, ``np.outer(u, v)`` at rows ``iu..`` and columns ``iv..`` of a
+    ``K`` x ``K`` window: its nonzero products ``u[m] v[n]``, in
+    ``np.outer``'s operand order and with its bits.  A zero product (a zero
+    factor, or an underflow) is no entry, as a scan of the zero-filled
+    matrix would not find it.  A pair not marked Hermitian takes the
+    Hermiticity test of that matrix (:func:`_pair_hermitian`).
 
     A Hermitian pair that spans the window (``iu = iv = 0`` and both of
     length ``K``) forms only its products ``m <= n``; with none zero it is
     full and ``index`` is its held plan (:func:`_full_index`).  Any other
-    pair forms its ``len(u) len(v)`` products: a non-Hermitian block with
-    none zero, and a diagonal other than ``d = 0``, is full and ``index``
-    is its plan (:func:`_block_plan`), with no ``rows`` or ``cols``;
-    otherwise ``index`` is ``None``."""
-    products = np.outer(u, v) if tested else None
-    hermitian = not tested or _pair_hermitian(products, iu, iv)
+    pair forms its ``len(u) len(v)`` products, and ``index`` is ``None``."""
+    u, v, iu, iv = pair.u, pair.v, pair.iu, pair.iv
+    products = None if pair.hermitian else np.outer(u, v)
+    hermitian = pair.hermitian or _pair_hermitian(products, iu, iv)
     if hermitian and u.size == v.size == K:
         rows, cols, index = _held_upper(K, n_min, H)
         vals = u[rows] * v[cols] if products is None else products[rows, cols]
@@ -610,9 +561,6 @@ def _factor_entries(u, v, iu, iv, K, n_min, H, tested):
         return None, rows[kept], cols[kept], vals[kept], True
     if products is None:
         products = np.outer(u, v)
-    if not hermitian and products.all() and (products.size > 1 or iu != iv):
-        index = _block_plan(u.size, v.size, iv - iu - u.size + 1, iu + iv, n_min, H)
-        return index, None, None, products.ravel(), False
     at = np.flatnonzero(products)
     vals = products.ravel()[at]
     rows, cols = np.divmod(at, v.size)

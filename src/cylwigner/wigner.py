@@ -226,11 +226,11 @@ def _require_real(values, tol: float = _IMAG_RESIDUE_TOL):
 
 def _window(obj, ket=None):
     """``(A, n_min, delta)`` with value = sum_{m,n} A_mn V_mn(theta, p), ``A``
-    as the grid kernel takes it: a state ``obj`` as its factor pair
-    ``(conj(c), c)`` (Hermitian by construction: no K x K matrix, scan or
-    test), the pair ``(obj, ket)`` of states as the :class:`FactorPair`
-    ``conj(c_bra)``, ``c_ket`` at their offsets in the union of their
-    windows (no union matrix; tested as that matrix would be), and a
+    as the grid kernel takes it: the pair ``(obj, ket)`` of states as the
+    :class:`FactorPair` ``conj(c_bra)``, ``c_ket`` at their offsets in the
+    union of their windows (no union matrix; tested as that matrix would
+    be), a state ``obj`` as the zero-offset pair ``conj(c)``, ``c`` marked
+    Hermitian (by construction: no K x K matrix, scan or test), and a
     density matrix ``obj`` as its 1-D diagonal (a diagonal window) or its
     entries transposed."""
     if isinstance(obj, DensityMatrix) and ket is None:
@@ -241,7 +241,7 @@ def _window(obj, ket=None):
     if not isinstance(obj, FourierState):
         raise TypeError("expected a FourierState or DensityMatrix")
     if ket is None:
-        return (obj.coeffs.conj(), obj.coeffs), obj.n_min, obj.delta
+        return FactorPair(obj.coeffs.conj(), obj.coeffs, hermitian=True), obj.n_min, obj.delta
     n_min, _ = _union(obj, ket)
     return FactorPair(obj.coeffs.conj(), ket.coeffs, obj.n_min - n_min, ket.n_min - n_min), n_min, obj.delta
 
@@ -250,8 +250,8 @@ def _window_matrix(obj):
     """``_window(obj)`` with ``A`` expanded to its K x K matrix, for the
     readers that contract the whole window."""
     A, n_min, delta = _window(obj)
-    if isinstance(A, tuple):
-        A = np.outer(*A)
+    if isinstance(A, FactorPair):
+        A = np.outer(A.u, A.v)
     elif A.ndim == 1:
         A = np.diag(A)
     return A, n_min, delta
@@ -585,8 +585,8 @@ def marginal_angle(obj, theta):
     """
     A, _, _ = _window(obj)
     thetas = _finite(theta, "angles").ravel()
-    if isinstance(A, tuple):
-        values = _angle_rows(thetas, A[1].size, lambda P: np.abs(P @ A[1]) ** 2 / TWO_PI, np.float64)
+    if isinstance(A, FactorPair):
+        values = _angle_rows(thetas, A.v.size, lambda P: np.abs(P @ A.v) ** 2 / TWO_PI, np.float64)
     elif A.ndim == 1:
         # a diagonal window has no coherences: the constant trace / 2 pi
         values = np.full(thetas.shape, obj.trace() / TWO_PI)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylwigner import DensityMatrix, FourierState, PhasePoint, _kernels, cli, reconstruct_density, von_mises_state, wigner
-from cylwigner._kernels import TWO_PI, _axis_plan, _half_turns, phase_space_sum_grid, phase_space_sum_point
+from cylwigner._kernels import TWO_PI, FactorPair, _axis_plan, _half_turns, phase_space_sum_grid, phase_space_sum_point
 from cylwigner.cli import _write_json, main
 from cylwigner.states import pure_density
 from cylwigner.verify import angle_marginal_via_swap
@@ -23,8 +23,8 @@ _SCALES = [0.0, 1.0, 0.3, 1e-150, 1e-160, 1e-170, 1e-300]
 
 
 def _both_routes(c, n_min, delta, thetas, ps):
-    """The grid of the factor pair ``(conj(c), c)`` and of its dense window."""
-    pair = phase_space_sum_grid((c.conj(), c), n_min, delta, thetas, ps)
+    """The grid of the factor pair ``conj(c)``, ``c`` and of its dense window."""
+    pair = phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), n_min, delta, thetas, ps)
     dense = phase_space_sum_grid(np.outer(c.conj(), c), n_min, delta, thetas, ps)
     return pair, dense
 
@@ -58,7 +58,7 @@ def _axes(draw):
 
 
 class TestFactorPair:
-    """The factor pair ``(conj(c), c)`` gives the dense window's grid, bit for bit."""
+    """The factor pair ``conj(c)``, ``c`` gives the dense window's grid, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(_coefficients(), st.integers(-40, 40), st.floats(0.0, 1.0, exclude_max=True), _axes())
@@ -76,7 +76,7 @@ class TestFactorPair:
         _assert_same_bits(*_both_routes(c, 2**51 - K, 0.5, thetas, ps))
         _assert_same_bits(*_both_routes(c, -(2**51) + 1, 0.5, thetas, -ps))
         for n_min in (2**51 - K + 1, -(2**51)):
-            for A in ((c.conj(), c), np.outer(c.conj(), c)):
+            for A in (FactorPair(c.conj(), c, hermitian=True), np.outer(c.conj(), c)):
                 with pytest.raises(ValueError, match=r"index window \[.*2\*\*51"):
                     phase_space_sum_grid(A, n_min, 0.5, thetas, ps)
 
@@ -89,8 +89,8 @@ class TestFactorPair:
         assert not (c.flags.c_contiguous or u.flags.c_contiguous)
         thetas, ps = np.linspace(-pi, pi, 11), np.linspace(-4.0, 4.0, 9)
         dense = phase_space_sum_grid(np.outer(c.conj(), c), -3, 0.4, thetas, ps)
-        assert np.array_equal(phase_space_sum_grid((u, c), -3, 0.4, thetas, ps), dense)
-        assert np.array_equal(phase_space_sum_grid((c.conj(), c), -3, 0.4, thetas, ps), dense)
+        assert np.array_equal(phase_space_sum_grid(FactorPair(u, c, hermitian=True), -3, 0.4, thetas, ps), dense)
+        assert np.array_equal(phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), -3, 0.4, thetas, ps), dense)
 
     def test_zero_window_is_zero(self):
         c = np.array([1e-170, 0.0, 1e-170j])
@@ -108,8 +108,8 @@ class TestFactorPair:
         monkeypatch.setattr(wigner, "phase_space_sum_grid", recording)
         state = von_mises_state(1.5, 0.3)
         grid = wigner.wigner_grid(state)
-        assert isinstance(seen[0], tuple) and len(seen[0]) == 2
-        assert seen[0][1] is state.coeffs
+        assert isinstance(seen[0], FactorPair) and seen[0].hermitian
+        assert seen[0].v is state.coeffs and (seen[0].iu, seen[0].iv) == (0, 0)
         want = phase_space_sum_grid(np.outer(state.coeffs.conj(), state.coeffs), state.n_min, state.delta,
                                     grid.theta_axis, grid.p_axis)
         assert np.array_equal(grid.values, want)
@@ -125,8 +125,9 @@ class TestWindowBuilder:
 
     def test_state_is_its_factor_pair(self):
         state = von_mises_state(2.0, 0.3)
-        (u, v), n_min, delta = wigner._window(state)
-        assert v is state.coeffs and u.tobytes() == state.coeffs.conj().tobytes()
+        pair, n_min, delta = wigner._window(state)
+        assert pair.hermitian and (pair.iu, pair.iv) == (0, 0)
+        assert pair.v is state.coeffs and pair.u.tobytes() == state.coeffs.conj().tobytes()
         assert (n_min, delta) == (state.n_min, state.delta)
         A, n_min, delta = wigner._window_matrix(state)
         assert A.tobytes() == np.outer(state.coeffs.conj(), state.coeffs).tobytes()
@@ -157,7 +158,7 @@ class TestHalfTurnMemo:
         assert _half_turns(thetas) == 90
         # the grid holds the plan of thetas, H = 90 with it
         c = von_mises_state(2.0, 0.1).coeffs
-        phase_space_sum_grid((c.conj(), c), 0, 0.1, thetas, np.array([0.5]))
+        phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), 0, 0.1, thetas, np.array([0.5]))
         off = thetas.copy()
         off[57] = np.nextafter(off[57], np.inf)
         assert (off[0], off.size) == (thetas[0], thetas.size)
@@ -171,8 +172,8 @@ class TestHalfTurnMemo:
         off[4] = np.nextafter(off[4], -np.inf)
         ps = np.linspace(-3.0, 3.0, 7)
         dense_off = phase_space_sum_grid(np.outer(c.conj(), c), 0, 0.1, off, ps)
-        phase_space_sum_grid((c.conj(), c), 0, 0.1, thetas, ps)
-        assert np.array_equal(phase_space_sum_grid((c.conj(), c), 0, 0.1, off, ps), dense_off)
+        phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), 0, 0.1, thetas, ps)
+        assert np.array_equal(phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), 0, 0.1, off, ps), dense_off)
 
     def test_long_axis_still_recognised(self):
         thetas = np.linspace(0.5, 0.5 + TWO_PI, 2**17 + 1)

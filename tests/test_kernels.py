@@ -517,7 +517,7 @@ def _held_grid(kind, K, axis):
     rng = np.random.default_rng(K)
     if kind == "hermitian":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
-        A = (c.conj(), c / np.linalg.norm(c) ** 2)
+        A = FactorPair(c.conj(), c / np.linalg.norm(c) ** 2, hermitian=True)
     else:
         A = (rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))) / K
     return phase_space_sum_grid(A, -K // 3, 0.37, HELD_AXES[axis], HELD_PS)
@@ -626,7 +626,7 @@ class TestHeldPlan:
         _held_grid("hermitian", 30, axis)
         tracemalloc.start()
         try:
-            out = phase_space_sum_grid((c.conj(), c), 5, 0.1, thetas, HELD_PS)
+            out = phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), 5, 0.1, thetas, HELD_PS)
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -726,7 +726,7 @@ def _index_window(kind, K, n_min):
     rng = np.random.default_rng(K)
     if kind == "factor":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
-        return (c.conj(), c)
+        return FactorPair(c.conj(), c, hermitian=True)
     if kind == "projector":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
         return pure_density(FourierState(delta=0.37, n_min=n_min, coeffs=c / np.linalg.norm(c))).entries.T
@@ -789,10 +789,9 @@ class TestHeldIndexPlan:
         K = 23
         thetas = HELD_AXES[axis]
         if kind == "zero coefficient":
-            _, v = _index_window("factor", K, n_min)
-            v = v.copy()
+            v = _index_window("factor", K, n_min).v.copy()
             v[7] = 0.0
-            A = (v.conj(), v)
+            A = FactorPair(v.conj(), v, hermitian=True)
         else:
             A = _random_density(np.random.default_rng(K), K)
             A[(7, 7) if kind == "zero diagonal entry" else ([3, 11], [11, 3])] = 0.0
@@ -813,7 +812,7 @@ class TestHeldIndexPlan:
         # a non-Hermitian full window, one index (its only diagonal is d = 0)
         # and a Gibbs diagonal
         phase_space_sum_grid(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), 2, 0.37, thetas, INDEX_PS)
-        phase_space_sum_grid((np.array([0.6 - 0.8j]), np.array([0.6 + 0.8j])), 2, 0.37, thetas, INDEX_PS)
+        phase_space_sum_grid(FactorPair(np.array([0.6 - 0.8j]), np.array([0.6 + 0.8j]), hermitian=True), 2, 0.37, thetas, INDEX_PS)
         phase_space_sum_grid(np.array([[0.7]]), 2, 0.37, thetas, INDEX_PS)
         phase_space_sum_grid(rng.uniform(size=9), 2, 0.37, thetas, INDEX_PS)
         assert _kernels._held_indexes == {}
@@ -860,7 +859,7 @@ class TestHeldIndexPlan:
             n_min = int(rng.integers(-50, 50))
             axis = sorted(small)[int(rng.integers(0, 2))]
             c = rng.normal(size=K) + 1j * rng.normal(size=K)
-            out = phase_space_sum_grid((c.conj(), c), n_min, 0.25, small[axis], INDEX_PS[:3])
+            out = phase_space_sum_grid(FactorPair(c.conj(), c, hermitian=True), n_min, 0.25, small[axis], INDEX_PS[:3])
             assert out.shape == (small[axis].size, 3)
             seen.add((K, n_min & 1, axis == "full_period"))
             assert _held_index_total() <= _kernels._HELD_INDEX_BYTES
@@ -909,30 +908,8 @@ def _pair_factors(seed, Ku, Kv):
 
 
 class TestFactorPair:
-    """Two factors on their own windows (a Moyal pair): the plan of a full
-    block, the route orders that every box of a width shares, a phase
-    table too large to hold, and the complex grid of the open route."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 9),
-        st.integers(1, 9),
-        st.integers(-12, 12),
-        st.integers(-(2**40), 2**40),
-        st.booleans(),
-    )
-    def test_block_plan_is_the_scanned_plan(self, Ku, Kv, offset, n_min, halves):
-        iu, iv = max(0, -offset), max(0, offset)
-        rows, cols = np.divmod(np.arange(Ku * Kv), Kv)
-        H = 4 if halves else 0
-        want = _kernels._index_plan(rows + iu, cols + iv, n_min, H, False, (iu, iu + Ku, iv, iv + Kv))
-        got = _kernels._block_plan(Ku, Kv, iv - iu - Ku + 1, iu + iv, n_min, H)
-        for field in ("ds", "ts", "at"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert (got.ne, got.te, got.runs) == (want.ne, want.te, want.runs)
-        assert np.array_equal(got.columns.mags, want.columns.mags)
-        assert got.columns[1:3] == want.columns[1:3] and got.columns.in_order == want.columns.in_order
-        assert (got.columns.negative is None) == (want.columns.negative is None)
+    """Two factors on their own windows (a Moyal pair): the route orders
+    that every box of a width shares, and a phase table too large to hold."""
 
     def test_route_orders_are_held_per_width(self, monkeypatch):
         # every offset and n_min: each phase of the diagonals and centres
@@ -967,17 +944,6 @@ class TestFactorPair:
         assert [call.args[1:] for call in built.call_args_list] == [(5993, 6008)]
         assert _kernels._held_plans is held
 
-    def test_open_route_complex_grid_keeps_the_bits(self, monkeypatch):
-        # the chain's real and imaginary rows, every pair of signed zeros
-        # and nonzeros among them, become the bits of re + 1j * im
-        values = np.array([0.0, -0.0, 1.5, -2.0])
-        re, im = (part.reshape(2, 8) for part in np.meshgrid(values, values))
-        rows = np.concatenate([re, im])
-        monkeypatch.setattr(_kernels, "_chain", lambda *args, **kwargs: rows.copy())
-        pair = FactorPair(np.array([1.0]), np.array([1.0j]), 0, 1)
-        got = phase_space_sum_grid(pair, 0, 0.25, np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 8))
-        assert got.tobytes() == (re + 1j * im).tobytes()
-
 
 # the stated bound of the kernel against the 40-digit finite sum,
 # |W - truth| <= _KERNEL_C eps sum |A_mn|: the phases are exact splits and
@@ -1003,7 +969,7 @@ def _truth_window(kind, K, seed):
     rng = np.random.default_rng(seed)
     if kind == "factor":
         c = rng.normal(size=K) + 1j * rng.normal(size=K)
-        return (c.conj(), c), np.outer(c.conj(), c)
+        return FactorPair(c.conj(), c, hermitian=True), np.outer(c.conj(), c)
     if kind == "diagonal":
         w = rng.uniform(0.0, 1.0, K)
         return w, np.diag(w)
